@@ -11,11 +11,9 @@ import pathlib
 import sys
 import warnings
 
-from heckecells.affine import AffineWeyl
 from heckecells.cells import right_cells
 from heckecells.diagram import render_cell_diagram
-from heckecells.hecke import AsphModule, Hecke, ZeroBasisProvider
-from heckecells.rootdata import build_root_datum
+from heckecells.hecke import build_context
 
 JOBS = [
     ("A2", 7, 20, 6),
@@ -33,9 +31,7 @@ def main() -> int:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for type_str, p, bound, margin in JOBS:
-        aw = AffineWeyl(build_root_datum(type_str))
-        hecke = Hecke(aw)
-        provider = ZeroBasisProvider(hecke, AsphModule(hecke))
+        _, aw, _, _, provider = build_context(type_str)
         part = right_cells(aw, bound, margin, provider)
         svg = render_cell_diagram(aw, part, p, bound)
         path = outdir / f"cells_{type_str}_p{p}_L{bound}.svg"

@@ -11,16 +11,14 @@ import argparse
 import sys
 import warnings
 
-from heckecells.affine import AffineWeyl
 from heckecells.cells import (
     cell_generators,
     generation_constants,
     observed_stabilization_bound,
     right_cells,
 )
-from heckecells.hecke import AsphModule, Hecke, ZeroBasisProvider
+from heckecells.hecke import build_context
 from heckecells.orbits import build_orbit_table
-from heckecells.rootdata import build_root_datum
 
 BOUNDS = {"A2": (20, 6), "B2": (20, 6), "C2": (20, 6), "G2": (24, 8)}
 
@@ -32,9 +30,7 @@ def main() -> int:
     warnings.simplefilter("ignore")
     for type_str in args.types:
         bound, margin = BOUNDS.get(type_str, (16, 5))
-        aw = AffineWeyl(build_root_datum(type_str))
-        hecke = Hecke(aw)
-        provider = ZeroBasisProvider(hecke, AsphModule(hecke))
+        _, aw, _, _, provider = build_context(type_str)
         consts = generation_constants(aw)
         part = right_cells(aw, bound, margin, provider)
         table = build_orbit_table(aw, part)

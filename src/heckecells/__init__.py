@@ -5,7 +5,6 @@ from .affine import (
     AffineElement,
     AffineWeyl,
     Alcove,
-    SimpleReflectionSet,
     UnsupportedRegimeError,
 )
 from .cells import (
@@ -25,10 +24,12 @@ from .hecke import (
     AsphModule,
     BasisTableError,
     CanonicalBasisTable,
+    Context,
     Hecke,
     HeckeElt,
     TableBasisProvider,
     ZeroBasisProvider,
+    build_context,
     load_basis_table,
     specialize_v1,
     table_from_zero_basis,

@@ -54,16 +54,6 @@ class AffineElement:
 
 
 @dataclass(frozen=True)
-class SimpleReflectionSet:
-    finite_gens: tuple[AffineElement, ...]
-    affine_gen: AffineElement
-
-    @property
-    def all(self) -> tuple[AffineElement, ...]:
-        return (self.affine_gen,) + self.finite_gens
-
-
-@dataclass(frozen=True)
 class Alcove:
     """A dominant-chamber alcove: its minimal coset representative and the
     integer floor data (n_a per positive root, in datum root order)."""
@@ -105,9 +95,6 @@ class AffineWeyl:
         self._gen_prod: dict[tuple[AffineElement, int], AffineElement] = {}
         self._gen_prod_left: dict[tuple[int, AffineElement], AffineElement] = {}
         self.omega = self._build_omega()
-
-    def simple_reflection_set(self) -> SimpleReflectionSet:
-        return SimpleReflectionSet(self.finite_gens, self.affine_gen)
 
     # -- construction of elements ----------------------------------------
 
@@ -157,12 +144,6 @@ class AffineWeyl:
         if out is None:
             out = self.mult(self.gens[i], a)
             self._gen_prod_left[key] = out
-        return out
-
-    def mult_all(self, *elems: AffineElement) -> AffineElement:
-        out = self.identity
-        for e in elems:
-            out = self.mult(out, e)
         return out
 
     def inverse(self, a: AffineElement) -> AffineElement:
@@ -339,11 +320,14 @@ class AffineWeyl:
         for tok in s.split("."):
             tok = tok.strip()
             if tok.startswith("omega:"):
-                out = self.mult(out, self.omega[int(tok[6:])])
+                elems, index = self.omega, tok[6:]
             elif tok.startswith("s"):
-                out = self.mult(out, self.gens[int(tok[1:])])
+                elems, index = self.gens, tok[1:]
             else:
                 raise ValueError(f"bad word token {tok!r}")
+            if not index.isdecimal() or int(index) >= len(elems):
+                raise ValueError(f"bad word token {tok!r}: no such generator")
+            out = self.mult(out, elems[int(index)])
         return out
 
     def to_json_record(self, a: AffineElement) -> dict:

@@ -14,7 +14,6 @@ a theorem: it is the room we give merging paths near the boundary.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .affine import AffineElement, AffineWeyl
@@ -49,38 +48,18 @@ class CellPartition:
 
 
 def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
-    """All single-generator expansion edges from sources of length <= bound.
-
-    HECKE_CELLS_THREADS caps the expansion worker pool; results are collected
-    per source, so the edge list is deterministic regardless of scheduling.
-    """
+    """All single-generator expansion edges from sources of length <= bound."""
     asph = provider.asph
-    sources = aw.enumerate_fW(bound)
-
-    def expand(y):
-        out = []
+    edges = []
+    for y in aw.enumerate_fW(bound):
         ny = provider.asph_canonical(y)
         for i in range(len(aw.gens)):
             prod = asph.mul_by_kl_gen(ny, i)
             if not prod:
                 continue
             for w in provider.asph_to_canonical(prod):
-                out.append(CellEdge(frm=y, to=w, witness=i))
-        return out
-
-    workers = max(1, int(os.environ.get("HECKE_CELLS_THREADS", "1")))
-    if workers > 1:
-        # canonical-basis recursion memoizes shared prefixes; warm it
-        # sequentially so workers only read the caches
-        for y in sources:
-            provider.asph_canonical(y)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(expand, sources))
-    else:
-        chunks = [expand(y) for y in sources]
-    return [e for chunk in chunks for e in chunk]
+                edges.append(CellEdge(frm=y, to=w, witness=i))
+    return edges
 
 
 def _strongly_connected_components(nodes, succ):

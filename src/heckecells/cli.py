@@ -15,17 +15,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .affine import AffineWeyl, UnsupportedRegimeError
+from .affine import UnsupportedRegimeError
 from .cells import export_partition_json, generation_constants, decompose_fW, right_cells
 from .diagram import render_cell_diagram
-from .hecke import (
-    AsphModule,
-    BasisTableError,
-    Hecke,
-    TableBasisProvider,
-    ZeroBasisProvider,
-    load_basis_table,
-)
+from .hecke import BasisTableError, build_context
 from .orbits import (
     UnsupportedTypeError,
     build_orbit_table,
@@ -33,7 +26,7 @@ from .orbits import (
     enumerate_orbits,
     humphreys_predict,
 )
-from .rootdata import CartanType, build_root_datum
+from .rootdata import CartanType
 from .tilting import fusion_multiplicity, in_fundamental_alcove
 
 EXIT_OK = 0
@@ -63,19 +56,6 @@ def _default_bounds(type_str: str, rank: int) -> tuple[int, int]:
     return (10, 3)
 
 
-def _context(cfg: RunConfig):
-    datum = build_root_datum(cfg.cartan_type)
-    aw = AffineWeyl(datum)
-    hecke = Hecke(aw)
-    asph = AsphModule(hecke)
-    if cfg.basis_path:
-        table = load_basis_table(aw, cfg.basis_path)
-        provider = TableBasisProvider(hecke, asph, table)
-    else:
-        provider = ZeroBasisProvider(hecke, asph)
-    return datum, aw, hecke, asph, provider
-
-
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
@@ -101,16 +81,20 @@ def _partition(cfg: RunConfig, aw, provider):
 
 
 def cmd_cells(cfg: RunConfig) -> int:
-    _, aw, _, _, provider = _context(cfg)
+    _, aw, _, _, provider = build_context(cfg.cartan_type, cfg.basis_path)
     part = _partition(cfg, aw, provider)
     _emit(cfg, _json_text(export_partition_json(aw, part)))
     return EXIT_OK
 
 
-def cmd_kl(cfg: RunConfig, word: str) -> int:
-    _, aw, hecke, _, provider = _context(cfg)
+def cmd_canonical(cfg: RunConfig, command: str, word: str) -> int:
+    """kl (the algebra) or asph (the antispherical module) canonical element."""
+    _, aw, _, _, provider = build_context(cfg.cartan_type, cfg.basis_path)
     w = aw.from_word_str(word)
-    h = provider.hecke_canonical(w)
+    if command == "kl":
+        h = provider.hecke_canonical(w)
+    else:
+        h = provider.asph_canonical(w)
     terms = [
         [aw.to_word(y), h.terms[y].serialize()]
         for y in sorted(h.support(), key=aw.sort_key)
@@ -130,31 +114,8 @@ def cmd_kl(cfg: RunConfig, word: str) -> int:
     return EXIT_OK
 
 
-def cmd_asph(cfg: RunConfig, word: str) -> int:
-    _, aw, _, _, provider = _context(cfg)
-    w = aw.from_word_str(word)
-    n = provider.asph_canonical(w)
-    terms = [
-        [aw.to_word(y), n.terms[y].serialize()]
-        for y in sorted(n.support(), key=aw.sort_key)
-    ]
-    obj = {
-        "schema": 1,
-        "type": cfg.cartan_type,
-        "basis_p": provider.p,
-        "w": aw.to_word(w),
-        "terms": terms,
-    }
-    if cfg.out_format == "tsv":
-        lines = [f"{y}\t{c}" for y, c in terms]
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
-        _emit(cfg, _json_text(obj))
-    return EXIT_OK
-
-
 def cmd_verlinde(cfg: RunConfig, lam_s: str, mu_s: str) -> int:
-    datum, aw, _, _, _ = _context(cfg)
+    datum, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
     lam = _parse_weight(lam_s, datum.rank)
     mu = _parse_weight(mu_s, datum.rank)
     rows = []
@@ -206,7 +167,7 @@ def _fundamental_alcove_weights(datum, p):
 
 
 def cmd_alcove(cfg: RunConfig, lam_s: str) -> int:
-    datum, aw, _, _, _ = _context(cfg)
+    datum, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
     lam = _parse_weight(lam_s, datum.rank)
     alc = aw.alcove_of(lam, cfg.p)
     obj = {
@@ -222,7 +183,7 @@ def cmd_alcove(cfg: RunConfig, lam_s: str) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, word: str) -> int:
-    _, aw, _, _, _ = _context(cfg)
+    _, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
     w = aw.from_word_str(word)
     consts = generation_constants(aw)
     lam, z = decompose_fW(aw, consts, w)
@@ -238,7 +199,7 @@ def cmd_decompose(cfg: RunConfig, word: str) -> int:
 
 
 def cmd_humphreys(cfg: RunConfig, lam_s: str, mode: str) -> int:
-    datum, aw, _, _, provider = _context(cfg)
+    datum, aw, _, _, provider = build_context(cfg.cartan_type, cfg.basis_path)
     lam = _parse_weight(lam_s, datum.rank)
     part = _partition(cfg, aw, provider)
     table = build_orbit_table(aw, part)
@@ -248,7 +209,7 @@ def cmd_humphreys(cfg: RunConfig, lam_s: str, mode: str) -> int:
 
 
 def cmd_orbits(cfg: RunConfig) -> int:
-    datum, _, _, _, _ = _context(cfg)
+    datum, _, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
     orbits = enumerate_orbits(datum)
     try:
         leq = closure_order(datum, orbits)
@@ -273,7 +234,7 @@ def cmd_orbits(cfg: RunConfig) -> int:
 
 
 def cmd_plot(cfg: RunConfig) -> int:
-    datum, aw, _, _, provider = _context(cfg)
+    datum, aw, _, _, provider = build_context(cfg.cartan_type, cfg.basis_path)
     if datum.rank != 2:
         raise UnsupportedTypeError("alcove diagrams are drawn for rank-2 types only")
     part = _partition(cfg, aw, provider)
@@ -371,10 +332,8 @@ def main(argv=None) -> int:
         cfg = _config_from(args)
         if args.command == "cells":
             return cmd_cells(cfg)
-        if args.command == "kl":
-            return cmd_kl(cfg, args.w)
-        if args.command == "asph":
-            return cmd_asph(cfg, args.w)
+        if args.command in ("kl", "asph"):
+            return cmd_canonical(cfg, args.command, args.w)
         if args.command == "verlinde":
             return cmd_verlinde(cfg, args.lam, args.mu)
         if args.command == "alcove":

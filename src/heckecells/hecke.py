@@ -3,10 +3,11 @@
 The algebra has standard basis {H_w} with H_s^2 = 1 + (v^-1 - v) H_s and
 length-additive products.  The canonical basis elements are the unique
 bar-self-dual elements that are unitriangular with off-diagonal coefficients
-in v Z[v]; they are computed by the usual descent recursion with mu-term
-corrections.  The antispherical module is sgn tensored over the finite Hecke
-algebra, with standard basis N_w indexed by the minimal coset representatives
-fW; finite simple reflections act on the sign line by -v.
+in v Z[v]; one descent recursion with mu-term corrections computes them in
+the algebra and in the antispherical module.  The antispherical module is
+sgn tensored over the finite Hecke algebra, with standard basis N_w indexed
+by the minimal coset representatives fW; finite simple reflections act on
+the sign line by -v.
 
 Positive-characteristic canonical bases are never computed here: they are
 ingested from :class:`CanonicalBasisTable` files and only validated.
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .affine import AffineElement, AffineWeyl
 from .laurent import ONE, V, VINV, LaurentPoly
+from .rootdata import RootDatum, build_root_datum
 
 
 class BasisTableError(ValueError):
@@ -27,7 +30,12 @@ class BasisTableError(ValueError):
 
 @dataclass
 class HeckeElt:
-    """Finitely supported Z[v,v^-1]-combination of standard basis elements H_w."""
+    """Finitely supported combination of basis elements indexed by W.
+
+    The one sparse element type: H_w in the Hecke algebra, N_w in the
+    antispherical module (support in fW), and, with integer coefficients,
+    M0 and the group algebra at v = 1.
+    """
 
     terms: dict[AffineElement, LaurentPoly] = field(default_factory=dict)
 
@@ -57,53 +65,71 @@ class HeckeElt:
             out[w] = -c if n is None else n - c
         return HeckeElt(out)
 
-    def scale(self, p: LaurentPoly) -> "HeckeElt":
+    def scale(self, p) -> "HeckeElt":
         return HeckeElt({w: c * p for w, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, HeckeElt) and self.terms == other.terms
 
 
-@dataclass
-class AsphElt:
-    """Element of the antispherical module; support lies in fW."""
-
-    terms: dict[AffineElement, LaurentPoly] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def coeff(self, w: AffineElement) -> LaurentPoly:
-        return self.terms.get(w, LaurentPoly())
-
-    def support(self):
-        return self.terms.keys()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "AsphElt") -> "AsphElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w)
-            out[w] = c if n is None else n + c
-        return AsphElt(out)
-
-    def __sub__(self, other: "AsphElt") -> "AsphElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w)
-            out[w] = -c if n is None else n - c
-        return AsphElt(out)
-
-    def scale(self, p: LaurentPoly) -> "AsphElt":
-        return AsphElt({w: c * p for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, AsphElt) and self.terms == other.terms
+AsphElt = HeckeElt
 
 
-def specialize_v1(x: "HeckeElt | AsphElt") -> dict[AffineElement, int]:
+def _canonical(aw: AffineWeyl, mul_by_kl_gen, memo: dict, w: AffineElement) -> HeckeElt:
+    """Canonical basis element at w by the descent recursion with mu-terms.
+
+    With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
+    mu(y, ws) C_y for every y with ys < y.  ``mul_by_kl_gen`` is the right
+    action of H_s + v on the module (the algebra or the antispherical
+    module) and ``memo`` its cache of finished elements.
+    """
+    out = memo.get(w)
+    if out is not None:
+        return out
+    if w.length == 0:
+        out = HeckeElt({w: ONE})
+    else:
+        i = min(aw.right_descents(w))
+        lower = _canonical(aw, mul_by_kl_gen, memo, aw.mult_gen(w, i))
+        acc = dict(mul_by_kl_gen(lower, i).terms)
+        for y, c in lower.terms.items():
+            mu = c.coeff(1)
+            if mu and aw.mult_gen(y, i).length < y.length:
+                for z, cz in _canonical(aw, mul_by_kl_gen, memo, y).terms.items():
+                    prev = acc.get(z)
+                    delta = cz.scale(-mu)
+                    acc[z] = delta if prev is None else prev + delta
+        out = HeckeElt(acc)
+        assert out.coeff(w) == ONE
+    memo[w] = out
+    return out
+
+
+def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, LaurentPoly]:
+    """Expand x in a canonical basis by leading-term subtraction.
+
+    ``canonical(w)`` is the basis element at w.  The subtraction works on a
+    private copy of x's terms, so neither x nor a cached basis element is
+    changed.
+    """
+    rest = dict(x.terms)
+    out: dict[AffineElement, LaurentPoly] = {}
+    while rest:
+        w = max(rest, key=sort_key)
+        c = rest[w]
+        out[w] = c
+        for y, cy in canonical(w).terms.items():
+            prev = rest.get(y)
+            delta = cy * c
+            n = -delta if prev is None else prev - delta
+            if n:
+                rest[y] = n
+            else:
+                rest.pop(y, None)
+    return out
+
+
+def specialize_v1(x: HeckeElt) -> dict[AffineElement, int]:
     """Specialize v to 1; returns the integer coefficient map."""
     out = {}
     for w, c in x.terms.items():
@@ -193,29 +219,7 @@ class Hecke:
         """Canonical basis element; the 0-canonical one unless a table is given."""
         if table is not None:
             return table.entry(w)
-        cached = self._kl_cache.get(w)
-        if cached is not None:
-            return cached
-        if w.length == 0:
-            out = self.standard(w)
-            self._kl_cache[w] = out
-            return out
-        i = min(self.aw.right_descents(w))
-        ws = self.aw.mult_gen(w, i)
-        lower = self.kl_basis(ws)
-        prod = self.mul_by_kl_gen(lower, i)
-        acc = dict(prod.terms)
-        for y, c in lower.terms.items():
-            mu = c.coeff(1)
-            if mu and self.aw.mult_gen(y, i).length < y.length:
-                for z, cz in self.kl_basis(y).terms.items():
-                    prev = acc.get(z)
-                    delta = cz.scale(-mu)
-                    acc[z] = delta if prev is None else prev + delta
-        out = HeckeElt(acc)
-        assert out.coeff(w) == ONE
-        self._kl_cache[w] = out
-        return out
+        return _canonical(self.aw, self.mul_by_kl_gen, self._kl_cache, w)
 
     def bs_product(self, word) -> HeckeElt:
         """Product of canonical generators along a word (Bott-Samelson class)."""
@@ -228,14 +232,7 @@ class Hecke:
         self, h: HeckeElt, table: "CanonicalBasisTable | None" = None
     ) -> dict[AffineElement, LaurentPoly]:
         """Expand in the canonical basis by leading-term subtraction."""
-        rest = h
-        out: dict[AffineElement, LaurentPoly] = {}
-        while rest:
-            w = max(rest.support(), key=self.aw.sort_key)
-            c = rest.coeff(w)
-            out[w] = c
-            rest = rest - self.kl_basis(w, table).scale(c)
-        return out
+        return _to_canonical(h, lambda w: self.kl_basis(w, table), self.aw.sort_key)
 
     # -- antispherical projection ----------------------------------------------
 
@@ -327,41 +324,12 @@ class AsphModule:
             # callers that reuse one table should memoize on their side
             # (TableBasisProvider does); tables are not identity-tracked here
             return self.hecke.asph_project(table.entry(w))
-        cached = self._canon_cache.get(w)
-        if cached is not None:
-            return cached
-        if w.length == 0:
-            out = AsphElt({w: ONE})
-            self._canon_cache[w] = out
-            return out
-        i = min(self.aw.right_descents(w))
-        ws = self.aw.mult_gen(w, i)
-        lower = self.canonical(ws)
-        prod = self.mul_by_kl_gen(lower, i)
-        acc = dict(prod.terms)
-        for y, c in lower.terms.items():
-            mu = c.coeff(1)
-            if mu and self.aw.mult_gen(y, i).length < y.length:
-                for z, cz in self.canonical(y).terms.items():
-                    prev = acc.get(z)
-                    delta = cz.scale(-mu)
-                    acc[z] = delta if prev is None else prev + delta
-        out = AsphElt(acc)
-        assert out.coeff(w) == ONE
-        self._canon_cache[w] = out
-        return out
+        return _canonical(self.aw, self.mul_by_kl_gen, self._canon_cache, w)
 
     def to_canonical(
         self, n: AsphElt, table: "CanonicalBasisTable | None" = None
     ) -> dict[AffineElement, LaurentPoly]:
-        rest = n
-        out: dict[AffineElement, LaurentPoly] = {}
-        while rest:
-            w = max(rest.support(), key=self.aw.sort_key)
-            c = rest.coeff(w)
-            out[w] = c
-            rest = rest - self.canonical(w, table).scale(c)
-        return out
+        return _to_canonical(n, lambda w: self.canonical(w, table), self.aw.sort_key)
 
 
 class CanonicalBasisTable:
@@ -566,12 +534,28 @@ class TableBasisProvider:
         return out
 
     def asph_to_canonical(self, n: AsphElt):
-        sort_key = self.hecke.aw.sort_key
-        rest = n
-        out = {}
-        while rest:
-            w = max(rest.support(), key=sort_key)
-            c = rest.coeff(w)
-            out[w] = c
-            rest = rest - self.asph_canonical(w).scale(c)
-        return out
+        return _to_canonical(n, self.asph_canonical, self.hecke.aw.sort_key)
+
+
+class Context(NamedTuple):
+    """The arithmetic objects of one Cartan type, sharing their memo caches."""
+
+    datum: RootDatum
+    aw: AffineWeyl
+    hecke: Hecke
+    asph: AsphModule
+    provider: "ZeroBasisProvider | TableBasisProvider"
+
+
+def build_context(type_str: str, basis_path=None) -> Context:
+    """A fresh context; the provider reads the table file at basis_path when
+    one is given and computes the 0-canonical basis otherwise."""
+    datum = build_root_datum(type_str)
+    aw = AffineWeyl(datum)
+    hecke = Hecke(aw)
+    asph = AsphModule(hecke)
+    if basis_path:
+        provider = TableBasisProvider(hecke, asph, load_basis_table(aw, basis_path))
+    else:
+        provider = ZeroBasisProvider(hecke, asph)
+    return Context(datum, aw, hecke, asph, provider)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 Weight = tuple[int, ...]
 
@@ -291,11 +291,11 @@ class RootDatum:
                     todo.append(j)
         denom = 1
         for x in d:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // gcd(denom, x.denominator)
         ints = [int(x * denom) for x in d]
         g = 0
         for x in ints:
-            g = _gcd(g, x)
+            g = gcd(g, x)
         self.symmetrizer: tuple[int, ...] = tuple(x // g for x in ints)
 
     def _build_inverse_cartan(self):
@@ -584,10 +584,6 @@ class RootDatum:
         self._freudenthal_cache[lam] = mults
         return mults
 
-    def _below(self, lam, mu) -> bool:
-        diff = self.root_coords(tuple(a - b for a, b in zip(lam, mu)))
-        return all(c.denominator == 1 and c >= 0 for c in diff)
-
     def weight_multiplicity(self, lam, mu) -> int:
         """Multiplicity of mu in the Weyl module of highest weight lam."""
         dom, _ = self.dominant_representative(tuple(mu))
@@ -624,12 +620,6 @@ class RootDatum:
             if tuple(a - b for a, b in zip(dom, self.rho)) == nu:
                 total += sign * m
         return total
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _int_det(mat) -> int:

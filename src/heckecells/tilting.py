@@ -13,65 +13,14 @@ multiplicities over dot-translates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition, leq_R
-from .hecke import AsphElt, specialize_v1
+from .hecke import AsphElt, HeckeElt, specialize_v1
 from .rootdata import Weight
 
 
-@dataclass
-class MZeroElt:
-    """Integer combination of standard basis elements of M0 (support in fW)."""
-
-    terms: dict[AffineElement, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def coeff(self, w: AffineElement) -> int:
-        return self.terms.get(w, 0)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return MZeroElt(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return MZeroElt(out)
-
-    def scale(self, n: int):
-        return MZeroElt({w: n * c for w, c in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, MZeroElt) and self.terms == other.terms
-
-
-@dataclass
-class GroupAlgebraElt:
-    """Integer combination of affine Weyl group elements."""
-
-    terms: dict[AffineElement, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupAlgebraElt(out)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupAlgebraElt) and self.terms == other.terms
+# integer combinations of fW (standard basis of M0) and of W
+MZeroElt = GroupAlgebraElt = HeckeElt
 
 
 WeightMultiset = dict[Weight, int]

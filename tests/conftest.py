@@ -1,35 +1,21 @@
 import warnings
-from types import SimpleNamespace
 
 import pytest
 
-from heckecells.affine import AffineWeyl
-from heckecells.hecke import AsphModule, Hecke, ZeroBasisProvider
-from heckecells.rootdata import build_root_datum
+from heckecells.hecke import Context, build_context
 
 warnings.filterwarnings("ignore", message=".*Coxeter number.*")
 
 _CACHE: dict = {}
 
 
-def _build(type_str: str) -> SimpleNamespace:
-    datum = build_root_datum(type_str)
-    aw = AffineWeyl(datum)
-    hecke = Hecke(aw)
-    asph = AsphModule(hecke)
-    provider = ZeroBasisProvider(hecke, asph)
-    return SimpleNamespace(
-        datum=datum, aw=aw, hecke=hecke, asph=asph, provider=provider
-    )
-
-
 @pytest.fixture(scope="session")
 def ctx():
     """Shared per-type arithmetic contexts (memo caches persist per session)."""
 
-    def get(type_str: str) -> SimpleNamespace:
+    def get(type_str: str) -> Context:
         if type_str not in _CACHE:
-            _CACHE[type_str] = _build(type_str)
+            _CACHE[type_str] = build_context(type_str)
         return _CACHE[type_str]
 
     return get

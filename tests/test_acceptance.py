@@ -14,7 +14,6 @@ from collections import deque
 
 import pytest
 
-from heckecells.affine import AffineWeyl
 from heckecells.cells import (
     cell_generators,
     decompose_fW,
@@ -24,28 +23,17 @@ from heckecells.cells import (
 )
 from heckecells.cli import main
 from heckecells.hecke import (
-    AsphModule,
-    Hecke,
     TableBasisProvider,
-    ZeroBasisProvider,
+    build_context,
     load_basis_table,
     table_from_zero_basis,
 )
 from heckecells.orbits import build_orbit_table, humphreys_predict
-from heckecells.rootdata import build_root_datum
 from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
 
 from oracles import kl_oracle
 
 warnings.filterwarnings("ignore")
-
-
-def fresh(type_str):
-    datum = build_root_datum(type_str)
-    aw = AffineWeyl(datum)
-    hecke = Hecke(aw)
-    asph = AsphModule(hecke)
-    return datum, aw, hecke, asph, ZeroBasisProvider(hecke, asph)
 
 
 def report(num, label, ok, elapsed, limit=None):
@@ -60,7 +48,7 @@ def report(num, label, ok, elapsed, limit=None):
 def test_criterion_1_cell_counts():
     for type_str, L, m, expected in [("C2", 20, 6, 4), ("G2", 24, 8, 5)]:
         t0 = time.monotonic()
-        _, aw, _, _, provider = fresh(type_str)
+        _, aw, _, _, provider = build_context(type_str)
         part = right_cells(aw, L, m, provider)
         n_trusted = sum(part.trusted)
         ok = n_trusted == expected
@@ -76,7 +64,7 @@ def test_criterion_1_cell_counts():
         )
     t0 = time.monotonic()
     for type_str in ("A1", "A2", "C2", "G2"):
-        _, aw, _, _, provider = fresh(type_str)
+        _, aw, _, _, provider = build_context(type_str)
         part = right_cells(aw, 8, 2, provider)
         assert part.cells[part.cell_index(aw.identity)] == frozenset({aw.identity})
     report(
@@ -91,7 +79,7 @@ def test_criterion_2_kl_oracle_and_positivity():
     t0 = time.monotonic()
     ok = True
     for type_str in ("A1", "C2"):
-        _, aw, hecke, _, _ = fresh(type_str)
+        _, aw, hecke, _, _ = build_context(type_str)
         ball = aw.enumerate_W(8)
         for w in ball:
             ok = ok and hecke.kl_basis(w) == kl_oracle(hecke, w)
@@ -116,7 +104,7 @@ def test_criterion_3_antispherical_vanishing():
     t0 = time.monotonic()
     ok = True
     for type_str in ("A1", "A2", "B2", "C2", "G2"):
-        _, aw, hecke, _, _ = fresh(type_str)
+        _, aw, hecke, _, _ = build_context(type_str)
         for w in aw.enumerate_W(8):
             if not aw.in_fW(w):
                 ok = ok and not hecke.asph_project(hecke.kl_basis(w))
@@ -132,7 +120,7 @@ def test_criterion_4_length_oracle_and_char_fW():
     t0 = time.monotonic()
     ok = True
     for type_str in ("A1", "C2", "G2"):
-        datum, aw, _, _, _ = fresh(type_str)
+        datum, aw, _, _, _ = build_context(type_str)
         # BFS distance in the Cayley graph
         dist = {aw.identity: 0}
         q = deque([aw.identity])
@@ -177,7 +165,7 @@ def test_criterion_5_decomposition_suite():
     t0 = time.monotonic()
     ok = True
     for type_str in ("A2", "B2", "C2", "G2"):
-        _, aw, _, _, _ = fresh(type_str)
+        _, aw, _, _, _ = build_context(type_str)
         consts = generation_constants(aw)
         rng = random.Random(2024)
         count = 0
@@ -197,7 +185,7 @@ def test_criterion_5_decomposition_suite():
                 and aw.datum.in_root_lattice(lam)
                 and aw.mult(aw.translation(lam), z) == w
             )
-    _, aw, _, _, provider = fresh("C2")
+    _, aw, _, _, provider = build_context("C2")
     consts = generation_constants(aw)
     part = right_cells(aw, 20, 6, provider)
     for cid in part.trusted_cells():
@@ -216,7 +204,7 @@ def test_criterion_5_decomposition_suite():
 def test_criterion_6_verlinde():
     t0 = time.monotonic()
     ok = True
-    datum, aw, _, _, _ = fresh("A1")
+    datum, aw, _, _, _ = build_context("A1")
     p = 5
 
     def oracle(c_aw, c_datum, lam, mu, nu, pp, cap):
@@ -240,7 +228,7 @@ def test_criterion_6_verlinde():
         expect = 1 if nu == (0,) else 0
         ok = ok and fusion_multiplicity(aw, (3,), (3,), nu, p) == expect
 
-    datum2, aw2, _, _, _ = fresh("C2")
+    datum2, aw2, _, _, _ = build_context("C2")
     alc2 = [
         lam
         for lam in itertools.product(range(7), repeat=2)
@@ -266,7 +254,7 @@ def test_criterion_7_monotonicity_and_predictions():
     t0 = time.monotonic()
     ok = True
     for type_str, (L, m, p) in [("C2", (20, 6, 7)), ("G2", (24, 8, 11))]:
-        _, aw, _, _, provider = fresh(type_str)
+        _, aw, _, _, provider = build_context(type_str)
         part = right_cells(aw, L, m, provider)
         table = build_orbit_table(aw, part)
         trusted = part.trusted_cells()
@@ -311,7 +299,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     t0 = time.monotonic()
     ok = True
     # canonical table export -> import reproduces the partition
-    _, aw, hecke, asph, provider = fresh("C2")
+    _, aw, hecke, asph, provider = build_context("C2")
     L, m = 12, 4
     base = right_cells(aw, L, m, provider)
     table = table_from_zero_basis(hecke, L + 1, provenance="acceptance round trip")

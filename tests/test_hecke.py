@@ -7,13 +7,15 @@ from heckecells.hecke import (
     BasisTableError,
     CanonicalBasisTable,
     HeckeElt,
+    TableBasisProvider,
+    build_context,
     load_basis_table,
     specialize_v1,
     table_from_zero_basis,
 )
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 
-from oracles import kl_oracle
+from oracles import asph_canonical_oracle, kl_oracle
 
 
 def test_quadratic_relation(ctx):
@@ -93,6 +95,40 @@ def test_first_reflection_support_condition(ctx):
         s = c.aw.gens[word[0]]
         for y in c.hecke.to_canonical(prod):
             assert c.aw.mult(s, y).length < y.length
+
+
+def test_to_canonical_reconstructs_input():
+    # the leading-term expansion of the algebra, the antispherical module and
+    # a table provider sums back to its input, and its in-place subtraction
+    # leaves the memoized canonical elements intact
+    c = build_context("C2")
+    ball = c.aw.enumerate_W(2)
+    for x in ball:
+        for y in ball:
+            prod = c.hecke.mul(c.hecke.kl_basis(x), c.hecke.kl_basis(y))
+            expansion = c.hecke.to_canonical(prod)
+            total = HeckeElt()
+            for w, coeff in expansion.items():
+                total = total + c.hecke.kl_basis(w).scale(coeff)
+            assert total == prod
+
+    table = table_from_zero_basis(c.hecke, 6)
+    provider = TableBasisProvider(c.hecke, c.asph, table)
+    for y in c.aw.enumerate_fW(5):
+        for i in range(len(c.aw.gens)):
+            n = c.asph.mul_by_kl_gen(c.asph.canonical(y), i)
+            expansion = c.asph.to_canonical(n)
+            assert provider.asph_to_canonical(n) == expansion
+            for canonical in (c.asph.canonical, provider.asph_canonical):
+                total = HeckeElt()
+                for w, coeff in expansion.items():
+                    total = total + canonical(w).scale(coeff)
+                assert total == n
+
+    for w, h in c.hecke._kl_cache.items():
+        assert h == kl_oracle(c.hecke, w)
+    for w, n in c.asph._canon_cache.items():
+        assert n == asph_canonical_oracle(c.hecke, w)
 
 
 # -- antispherical module -----------------------------------------------------
