@@ -6,13 +6,12 @@ its multiplicity is nonzero.
 """
 
 import argparse
-import itertools
 import sys
 import warnings
 
 from heckecells.affine import AffineWeyl
 from heckecells.rootdata import build_root_datum
-from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
+from heckecells.tilting import fundamental_alcove_weights, fusion_multiplicity
 
 
 def main() -> int:
@@ -23,11 +22,7 @@ def main() -> int:
     warnings.simplefilter("ignore")
     datum = build_root_datum(args.type)
     aw = AffineWeyl(datum)
-    alcove = sorted(
-        lam
-        for lam in itertools.product(range(args.p), repeat=datum.rank)
-        if in_fundamental_alcove(datum, lam, args.p)
-    )
+    alcove = fundamental_alcove_weights(datum, args.p)
     print("lambda\tmu\tnu\tmultiplicity")
     for lam in alcove:
         for mu in alcove:

@@ -162,13 +162,6 @@ class AffineWeyl:
             i for i in range(len(self.gens)) if self.mult_gen(a, i).length < a.length
         ]
 
-    def left_descents(self, a: AffineElement) -> list[int]:
-        return [
-            i
-            for i in range(len(self.gens))
-            if self.mult_gen_left(i, a).length < a.length
-        ]
-
     def min_coset_rep(self, a: AffineElement) -> tuple[AffineElement, FiniteWeylElement]:
         """Minimal representative of W_f a, with the finite prefix.
 
@@ -363,14 +356,41 @@ class AffineWeyl:
         img = a.fin.apply(shifted)
         return tuple(x - r for x, r in zip(img, d.rho))
 
-    def _dot_pair(self, a: AffineElement, pair, p: int):
-        """Dot action on a perturbed point mu0 + eps*mu1 (eps infinitesimal)."""
-        mu0, mu1 = pair
+    def dot_walk(self, mu0, mu1, p: int) -> tuple[AffineElement, Weight]:
+        """Walk the point mu0 + eps*mu1 (eps > 0 infinitesimal) into the
+        fundamental p-alcove by dot-action reflections in its walls.
+
+        A step reflects in a wall the point lies strictly beyond; ties on a
+        wall are broken by mu1, and with mu1 = 0 a point on a wall stays.
+        Returns (w, nu) with w ._p nu = mu0, nu the end point's mu0 part.
+        """
         d = self.datum
-        shifted = tuple(m + p * t + r for m, t, r in zip(mu0, a.trans, d.rho))
-        img0 = tuple(x - r for x, r in zip(a.fin.apply(shifted), d.rho))
-        img1 = a.fin.apply(mu1)
-        return (img0, img1)
+        at = d.affine_root
+        nu0, nu1 = tuple(mu0), tuple(mu1)
+        fin, trans = d.identity_finite, (0,) * d.rank
+        guard = 0
+        while True:
+            guard += 1
+            if guard > 100000:
+                raise AssertionError("alcove walk failed to terminate")
+            for i in range(d.rank):
+                c0, c1 = nu0[i] + d.rho[i], nu1[i]
+                if (c0, c1) < (0, 0):
+                    root, g = d.simple_roots[i].fund, self.finite_gens[i]
+                    break
+            else:
+                c0 = sum(c * (x + r) for c, x, r in zip(at.coroot, nu0, d.rho)) - p
+                c1 = sum(c * x for c, x in zip(at.coroot, nu1))
+                if (c0, c1) <= (0, 0):
+                    break
+                root, g = at.fund, self.affine_gen
+            # s ._p nu = nu - c * root, where c is nu's signed distance past the wall
+            nu0 = tuple(x - c0 * r for x, r in zip(nu0, root))
+            nu1 = tuple(x - c1 * r for x, r in zip(nu1, root))
+            # w <- w . s, as in mult, with the length computed once at the end
+            fin = fin * g.fin
+            trans = tuple(x + y for x, y in zip(g.fin.apply_inverse(trans), g.trans))
+        return self.element(fin, trans), nu0
 
     def alcove_of(self, lam, p: int) -> Alcove:
         """The alcove whose lower closure contains the dominant weight lam.
@@ -388,34 +408,7 @@ class AffineWeyl:
             raise ValueError("alcove_of expects a dominant weight")
 
         lam = tuple(lam)
-        nu = (lam, d.rho)  # lam + eps * rho
-        w = self.identity
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100000:
-                raise AssertionError("alcove walk failed to terminate")
-            moved = False
-            for i in range(d.rank):
-                c0 = nu[0][i] + 1
-                c1 = nu[1][i]
-                if (c0, c1) < (0, 0):
-                    s = self.finite_gens[i]
-                    nu = self._dot_pair(s, nu, p)
-                    w = self.mult(w, s)
-                    moved = True
-                    break
-            if moved:
-                continue
-            at = d.affine_root
-            c0 = sum(c * (x + r) for c, x, r in zip(at.coroot, nu[0], d.rho))
-            c1 = sum(c * x for c, x in zip(at.coroot, nu[1]))
-            if (c0, c1) > (p, 0):
-                nu = self._dot_pair(self.affine_gen, nu, p)
-                w = self.mult(w, self.affine_gen)
-                continue
-            break
-
+        w, _ = self.dot_walk(lam, d.rho, p)
         floors = tuple(
             sum(c * (x + r) for c, x, r in zip(rt.coroot, lam, d.rho)) // p
             for rt in d.positive_roots
@@ -424,8 +417,10 @@ class AffineWeyl:
 
     # -- enumeration ---------------------------------------------------------
 
-    def enumerate_fW(self, bound: int) -> list[AffineElement]:
-        """All elements of fW of length <= bound, sorted by (length, word)."""
+    def _ball(self, bound: int, keep) -> list[AffineElement]:
+        """Elements of length <= bound reached from the identity by
+        length-increasing generator steps through elements passing ``keep``
+        (all of them when ``keep`` is None), sorted by (length, word)."""
         out = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -436,25 +431,16 @@ class AffineWeyl:
                 for i in range(len(self.gens)):
                     ws = self.mult_gen(w, i)
                     if ws.length == w.length + 1 and ws not in out:
-                        if self.in_fW(ws):
+                        if keep is None or keep(ws):
                             out.add(ws)
                             nxt.append(ws)
             frontier = nxt
         return sorted(out, key=self.sort_key)
 
+    def enumerate_fW(self, bound: int) -> list[AffineElement]:
+        """All elements of fW of length <= bound, sorted by (length, word)."""
+        return self._ball(bound, self.in_fW)
+
     def enumerate_W(self, bound: int) -> list[AffineElement]:
         """All elements of W of length <= bound, sorted by (length, word)."""
-        out = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                if w.length >= bound:
-                    continue
-                for i in range(len(self.gens)):
-                    ws = self.mult_gen(w, i)
-                    if ws.length == w.length + 1 and ws not in out:
-                        out.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
-        return sorted(out, key=self.sort_key)
+        return self._ball(bound, None)

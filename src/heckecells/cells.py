@@ -118,21 +118,19 @@ def right_cells(
     if not 0 <= margin <= bound:
         raise ValueError("need 0 <= margin <= length bound")
     edges = cell_edges(aw, provider, bound)
+    # Every element y of the ball is an edge source, so the edges alone name
+    # every node: N_e.(H_s0 + v) = N_s0 + v N_e, and for a right descent s of
+    # y != e the 0-canonical expansion of N_y.(H_s + v) holds (v + v^-1) N_y,
+    # to which the other terms of a p-canonical N_y add only nonnegatively.
     succ: dict[AffineElement, set[AffineElement]] = {}
-    nodes = set()
     for e in edges:
-        nodes.add(e.frm)
-        nodes.add(e.to)
         succ.setdefault(e.frm, set()).add(e.to)
-    nodes.update(aw.enumerate_fW(bound))
-    ordered_nodes = sorted(nodes, key=aw.sort_key)
-    succ_sorted = {
-        n: sorted(s, key=aw.sort_key) for n, s in succ.items()
-    }
-
-    comps = _strongly_connected_components(ordered_nodes, succ_sorted)
-    comps = [sorted(c, key=aw.sort_key) for c in comps]
-    comps.sort(key=lambda c: aw.sort_key(c[0]))
+    # The components and their final order by sort_key do not depend on the
+    # order in which the search visits nodes, so nothing is sorted for it.
+    emitted = _strongly_connected_components(succ, succ)
+    comps = sorted(
+        (sorted(c, key=aw.sort_key) for c in emitted), key=lambda c: aw.sort_key(c[0])
+    )
 
     cell_of = {}
     for i, comp in enumerate(comps):
@@ -144,20 +142,15 @@ def right_cells(
         comp[0].length <= core and comp[-1].length <= bound for comp in comps
     ]
 
-    # condensation reachability
-    cell_succ: list[set[int]] = [set() for _ in comps]
-    for e in edges:
-        a, b = cell_of[e.frm], cell_of[e.to]
-        if a != b:
-            cell_succ[a].add(b)
-    order = _topological_order(len(comps), cell_succ)
-    reach_sets: list[set[int]] = [set() for _ in comps]
-    for i in reversed(order):
+    # Tarjan emits a component only after every component it reaches, so one
+    # pass in emission order closes the condensation reachability.
+    reach: list = [None] * len(comps)
+    for comp in emitted:
+        i = cell_of[comp[0]]
         acc = {i}
-        for j in cell_succ[i]:
-            acc |= reach_sets[j]
-        reach_sets[i] = acc
-    reach = [frozenset(s) for s in reach_sets]
+        for j in {cell_of[x] for w in comp for x in succ.get(w, ())} - {i}:
+            acc |= reach[j]
+        reach[i] = frozenset(acc)
 
     return CellPartition(
         length_bound=bound,
@@ -169,32 +162,6 @@ def right_cells(
         basis_p=provider.p,
         provenance=provider.provenance,
     )
-
-
-def _topological_order(n, succ):
-    seen = [False] * n
-    out = []
-
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        seen[root] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            stack.pop()
-            out.append(node)
-    out.reverse()
-    return out
 
 
 def leq_R(

@@ -27,7 +27,7 @@ from .orbits import (
     humphreys_predict,
 )
 from .rootdata import CartanType
-from .tilting import fusion_multiplicity, in_fundamental_alcove
+from .tilting import fundamental_alcove_weights, fusion_multiplicity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,6 +35,10 @@ EXIT_REGIME = 3
 EXIT_DATA = 4
 
 DEFAULT_BOUNDS = {"G2": (24, 8), "A1": (12, 3)}
+
+# the commands that read --basis and --format; the others reject them
+BASIS_COMMANDS = ("cells", "kl", "asph", "humphreys", "plot")
+FORMAT_COMMANDS = ("kl", "asph", "verlinde")
 
 
 @dataclass
@@ -115,11 +119,11 @@ def cmd_canonical(cfg: RunConfig, command: str, word: str) -> int:
 
 
 def cmd_verlinde(cfg: RunConfig, lam_s: str, mu_s: str) -> int:
-    datum, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
+    datum, aw, _, _, _ = build_context(cfg.cartan_type)
     lam = _parse_weight(lam_s, datum.rank)
     mu = _parse_weight(mu_s, datum.rank)
     rows = []
-    for nu in _fundamental_alcove_weights(datum, cfg.p):
+    for nu in fundamental_alcove_weights(datum, cfg.p):
         mult = fusion_multiplicity(aw, lam, mu, nu, cfg.p)
         if mult:
             rows.append((nu, mult))
@@ -150,24 +154,8 @@ def cmd_verlinde(cfg: RunConfig, lam_s: str, mu_s: str) -> int:
     return EXIT_OK
 
 
-def _fundamental_alcove_weights(datum, p):
-    out = []
-
-    def rec(i, acc):
-        if i == datum.rank:
-            lam = tuple(acc)
-            if in_fundamental_alcove(datum, lam, p):
-                out.append(lam)
-            return
-        for c in range(p):
-            rec(i + 1, acc + [c])
-
-    rec(0, [])
-    return sorted(out)
-
-
 def cmd_alcove(cfg: RunConfig, lam_s: str) -> int:
-    datum, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
+    datum, aw, _, _, _ = build_context(cfg.cartan_type)
     lam = _parse_weight(lam_s, datum.rank)
     alc = aw.alcove_of(lam, cfg.p)
     obj = {
@@ -183,7 +171,7 @@ def cmd_alcove(cfg: RunConfig, lam_s: str) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, word: str) -> int:
-    _, aw, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
+    _, aw, _, _, _ = build_context(cfg.cartan_type)
     w = aw.from_word_str(word)
     consts = generation_constants(aw)
     lam, z = decompose_fW(aw, consts, w)
@@ -209,7 +197,7 @@ def cmd_humphreys(cfg: RunConfig, lam_s: str, mode: str) -> int:
 
 
 def cmd_orbits(cfg: RunConfig) -> int:
-    datum, _, _, _, _ = build_context(cfg.cartan_type, cfg.basis_path)
+    datum, _, _, _, _ = build_context(cfg.cartan_type)
     orbits = enumerate_orbits(datum)
     try:
         leq = closure_order(datum, orbits)
@@ -243,15 +231,24 @@ def cmd_plot(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as the one-line JSON usage error."""
+
+    def error(self, message):
+        _fail(EXIT_USAGE, "usage", message)
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckecells",
         description="Affine Weyl group cells, canonical bases, tilting "
         "combinatorics and support-variety predictions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_p=False):
+    def command(name, help, needs_p=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--type", required=True, help="Cartan type, e.g. C2")
         p.add_argument(
             "--p",
@@ -262,38 +259,32 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--len", type=int, default=None, dest="length_bound")
         p.add_argument("--margin", type=int, default=None)
-        p.add_argument("--basis", default=None, help="canonical basis table file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format",
-            default="json",
-            choices=["json", "tsv", "svg"],
-            dest="out_format",
-        )
+        if name in BASIS_COMMANDS:
+            p.add_argument("--basis", default=None, help="canonical basis table file")
+        if name in FORMAT_COMMANDS:
+            p.add_argument(
+                "--format", default="json", choices=["json", "tsv"], dest="out_format"
+            )
+        return p
 
-    common(sub.add_parser("cells", help="right-cell partition"))
-    p_kl = sub.add_parser("kl", help="canonical basis element of the Hecke algebra")
-    common(p_kl)
+    command("cells", "right-cell partition")
+    p_kl = command("kl", "canonical basis element of the Hecke algebra")
     p_kl.add_argument("--w", required=True, help="reduced word, e.g. s0.s1")
-    p_asph = sub.add_parser("asph", help="canonical basis element of the antispherical module")
-    common(p_asph)
+    p_asph = command("asph", "canonical basis element of the antispherical module")
     p_asph.add_argument("--w", required=True)
-    p_ver = sub.add_parser("verlinde", help="fusion multiplicities in the fundamental alcove")
-    common(p_ver, needs_p=True)
+    p_ver = command("verlinde", "fusion multiplicities in the fundamental alcove", True)
     p_ver.add_argument("--lambda", required=True, dest="lam")
     p_ver.add_argument("--mu", required=True)
-    p_alc = sub.add_parser("alcove", help="alcove of a dominant weight")
-    common(p_alc, needs_p=True)
+    p_alc = command("alcove", "alcove of a dominant weight", True)
     p_alc.add_argument("--lambda", required=True, dest="lam")
-    p_dec = sub.add_parser("decompose", help="translation factorization of an fW element")
-    common(p_dec)
+    p_dec = command("decompose", "translation factorization of an fW element")
     p_dec.add_argument("--w", required=True)
-    p_hum = sub.add_parser("humphreys", help="support-variety prediction")
-    common(p_hum, needs_p=True)
+    p_hum = command("humphreys", "support-variety prediction", True)
     p_hum.add_argument("--lambda", required=True, dest="lam")
     p_hum.add_argument("--mode", default="absolute", choices=["absolute", "relative"])
-    common(sub.add_parser("orbits", help="nilpotent orbits and closure order"))
-    common(sub.add_parser("plot", help="SVG alcove diagram colored by cell"))
+    command("orbits", "nilpotent orbits and closure order")
+    command("plot", "SVG alcove diagram colored by cell")
     return parser
 
 
@@ -311,8 +302,8 @@ def _config_from(args) -> RunConfig:
         p=args.p,
         length_bound=L,
         margin=m,
-        basis_path=args.basis,
-        out_format=args.out_format,
+        basis_path=getattr(args, "basis", None),
+        out_format=getattr(args, "out_format", "json"),
         out_path=args.out,
     )
 
@@ -353,6 +344,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_DATA, "table", str(e))
     except (ValueError, OSError) as e:
         return _fail(EXIT_USAGE, "usage", str(e))
+    except RecursionError:
+        return _fail(EXIT_REGIME, "unsupported", "input too large: recursion limit reached")
 
 
 if __name__ == "__main__":

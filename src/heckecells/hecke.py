@@ -129,6 +129,11 @@ def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, Laure
     return out
 
 
+def _check_in_fW(aw: AffineWeyl, w: AffineElement) -> None:
+    if not aw.in_fW(w):
+        raise ValueError("canonical antispherical elements are indexed by fW")
+
+
 def specialize_v1(x: HeckeElt) -> dict[AffineElement, int]:
     """Specialize v to 1; returns the integer coefficient map."""
     out = {}
@@ -213,12 +218,8 @@ class Hecke:
     def mul_by_kl_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         return self.mul_by_gen(h, i) + h.scale(V)
 
-    def kl_basis(
-        self, w: AffineElement, table: "CanonicalBasisTable | None" = None
-    ) -> HeckeElt:
-        """Canonical basis element; the 0-canonical one unless a table is given."""
-        if table is not None:
-            return table.entry(w)
+    def kl_basis(self, w: AffineElement) -> HeckeElt:
+        """The 0-canonical basis element at w."""
         return _canonical(self.aw, self.mul_by_kl_gen, self._kl_cache, w)
 
     def bs_product(self, word) -> HeckeElt:
@@ -228,11 +229,9 @@ class Hecke:
             out = self.mul_by_kl_gen(out, i)
         return out
 
-    def to_canonical(
-        self, h: HeckeElt, table: "CanonicalBasisTable | None" = None
-    ) -> dict[AffineElement, LaurentPoly]:
-        """Expand in the canonical basis by leading-term subtraction."""
-        return _to_canonical(h, lambda w: self.kl_basis(w, table), self.aw.sort_key)
+    def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
+        """Expand in the 0-canonical basis by leading-term subtraction."""
+        return _to_canonical(h, self.kl_basis, self.aw.sort_key)
 
     # -- antispherical projection ----------------------------------------------
 
@@ -309,27 +308,16 @@ class AsphModule:
             n = self.mul_by_gen(n, i)
         return n
 
-    def canonical(
-        self, w: AffineElement, table: "CanonicalBasisTable | None" = None
-    ) -> AsphElt:
-        """Canonical basis element of the antispherical module.
+    def canonical(self, w: AffineElement) -> AsphElt:
+        """0-canonical basis element of the antispherical module.
 
-        For the 0-canonical basis this uses the internal recursion; with a
-        table it is the projection of the tabulated algebra element.  Both
-        paths agree with asph_project(kl_basis(w)) (checked in the tests).
+        It equals asph_project(kl_basis(w)) (checked in the tests).
         """
-        if not self.aw.in_fW(w):
-            raise ValueError("canonical antispherical elements are indexed by fW")
-        if table is not None:
-            # callers that reuse one table should memoize on their side
-            # (TableBasisProvider does); tables are not identity-tracked here
-            return self.hecke.asph_project(table.entry(w))
+        _check_in_fW(self.aw, w)
         return _canonical(self.aw, self.mul_by_kl_gen, self._canon_cache, w)
 
-    def to_canonical(
-        self, n: AsphElt, table: "CanonicalBasisTable | None" = None
-    ) -> dict[AffineElement, LaurentPoly]:
-        return _to_canonical(n, lambda w: self.canonical(w, table), self.aw.sort_key)
+    def to_canonical(self, n: AsphElt) -> dict[AffineElement, LaurentPoly]:
+        return _to_canonical(n, self.canonical, self.aw.sort_key)
 
 
 class CanonicalBasisTable:
@@ -496,9 +484,6 @@ class ZeroBasisProvider:
         self.p = 0
         self.provenance = "computed 0-canonical basis"
 
-    def covers(self, w: AffineElement) -> bool:
-        return True
-
     def hecke_canonical(self, w: AffineElement) -> HeckeElt:
         return self.hecke.kl_basis(w)
 
@@ -510,7 +495,8 @@ class ZeroBasisProvider:
 
 
 class TableBasisProvider:
-    """Canonical-basis provider backed by an ingested table."""
+    """Canonical-basis provider backed by an ingested table; the only code
+    that reads basis elements from a table."""
 
     def __init__(self, hecke: Hecke, asph: AsphModule, table: CanonicalBasisTable):
         self.hecke = hecke
@@ -520,16 +506,15 @@ class TableBasisProvider:
         self.provenance = table.provenance or f"ingested p={table.p} table"
         self._canon: dict[AffineElement, AsphElt] = {}
 
-    def covers(self, w: AffineElement) -> bool:
-        return self.table.covers(w)
-
     def hecke_canonical(self, w: AffineElement) -> HeckeElt:
         return self.table.entry(w)
 
     def asph_canonical(self, w: AffineElement) -> AsphElt:
+        """Projection of the tabulated algebra element, memoized."""
         out = self._canon.get(w)
         if out is None:
-            out = self.asph.canonical(w, self.table)
+            _check_in_fW(self.hecke.aw, w)
+            out = self.hecke.asph_project(self.table.entry(w))
             self._canon[w] = out
         return out
 

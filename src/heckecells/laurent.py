@@ -100,9 +100,6 @@ class LaurentPoly:
         """Evaluate at v = 1."""
         return sum(self.c.values())
 
-    def min_degree(self) -> int:
-        return min(self.c) if self.c else 0
-
     def in_positive_part(self) -> bool:
         """True when every exponent is >= 1 (the ideal v Z[v])."""
         return all(k >= 1 for k in self.c)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
+from .rootdata import solve_exact
 
 
 class UnsupportedTypeError(ValueError):
@@ -58,27 +59,14 @@ def _is_distinguished(datum, I: frozenset[int], J: frozenset[int]) -> bool:
 def _grading_cocharacter(datum, I, J):
     """Coefficients x with h = sum x_i alpha_i^vee pairing 2 on I-J, 0 on J."""
     idx = sorted(I)
-    k = len(idx)
-    if k == 0:
+    if not idx:
         return {}
     C = datum.cartan
     # sum_i x_i C[i][j] = t_j for j in I
-    A = [[Fraction(C[i][j]) for i in idx] for j in idx]
-    t = [Fraction(0 if j in J else 2) for j in idx]
-    # gaussian elimination
-    for col in range(k):
-        piv = next(r for r in range(col, k) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        t[col], t[piv] = t[piv], t[col]
-        f = A[col][col]
-        A[col] = [x / f for x in A[col]]
-        t[col] = t[col] / f
-        for r in range(k):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                t[r] = t[r] - f * t[col]
-    return {i: t[pos] for pos, i in enumerate(idx)}
+    _, x = solve_exact(
+        [[C[i][j] for i in idx] for j in idx], [[0 if j in J else 2] for j in idx]
+    )
+    return {i: x[pos][0] for pos, i in enumerate(idx)}
 
 
 def _orbit_dimension(datum, I, J) -> int:
@@ -323,8 +311,9 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
 
     if datum.rank <= 2:
         if len(trusted) != len(orbits):
-            raise AssertionError(
-                f"expected {len(orbits)} trusted cells, found {len(trusted)}"
+            raise ValueError(
+                f"expected {len(orbits)} trusted cells (one per nilpotent orbit), "
+                f"found {len(trusted)}; use a larger --len/--margin"
             )
         remaining_cells = [c for c in trusted if c not in cell_map]
         remaining_orbits = sorted(

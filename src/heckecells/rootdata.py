@@ -300,25 +300,12 @@ class RootDatum:
 
     def _build_inverse_cartan(self):
         # inv_cartan[i][j]: root coordinates of the fundamental weights,
-        # i.e. varpi_j = sum_i inv_cartan[i][j] alpha_i.
-        n = self.rank
-        C = [[Fraction(self.cartan[i][j]) for j in range(n)] for i in range(n)]
-        inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if C[r][col] != 0)
-            C[col], C[piv] = C[piv], C[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            f = C[col][col]
-            C[col] = [x / f for x in C[col]]
-            inv[col] = [x / f for x in inv[col]]
-            for r in range(n):
-                if r != col and C[r][col] != 0:
-                    f = C[r][col]
-                    C[r] = [a - f * b for a, b in zip(C[r], C[col])]
-                    inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-        # alpha_j = sum_i cartan[i][j] varpi_i, so a weight x has root
+        # i.e. varpi_j = sum_i inv_cartan[i][j] alpha_i.  Since
+        # alpha_j = sum_i cartan[i][j] varpi_i, a weight x has root
         # coordinates inv(cartan) @ x.
-        self._inv_cartan = tuple(tuple(inv[i][j] for j in range(n)) for i in range(n))
+        n = self.rank
+        self._cartan_det, inv = solve_exact(self.cartan, _identity_matrix(n))
+        self._inv_cartan = tuple(tuple(row) for row in inv)
 
     def _build_reflections(self):
         n = self.rank
@@ -380,8 +367,7 @@ class RootDatum:
         return all(c >= 0 for c in weight)
 
     def fundamental_group_order(self) -> int:
-        det = _int_det(self.cartan)
-        return abs(det)
+        return abs(self._cartan_det)
 
     def inner(self, x, y) -> Fraction:
         """W-invariant inner product with (alpha_i, alpha_i)/2 = symmetrizer d_i."""
@@ -622,26 +608,28 @@ class RootDatum:
         return total
 
 
-def _int_det(mat) -> int:
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
+def solve_exact(a, b) -> tuple[int, list[list[Fraction]]]:
+    """Exact Gauss-Jordan solve of a . x = b for an invertible integer matrix.
+
+    ``b`` has one column per right-hand side.  Returns ``(det(a), x)`` with
+    the rows of ``x`` as lists of Fractions.
+    """
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(v) for v in rhs] for row, rhs in zip(a, b)]
     det = Fraction(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             det = -det
-        det *= m[col][col]
         f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
+        det *= f
+        m[col] = [v / f for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
                 g = m[r][col]
-                m[r] = [a - g * b for a, b in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+                m[r] = [u - g * v for u, v in zip(m[r], m[col])]
+    return int(det), [row[n:] for row in m]
 
 
 def build_root_datum(t: "CartanType | str") -> RootDatum:

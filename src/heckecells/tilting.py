@@ -13,6 +13,9 @@ multiplicities over dot-translates.
 
 from __future__ import annotations
 
+import itertools
+import warnings
+
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition, leq_R
 from .hecke import AsphElt, HeckeElt, specialize_v1
@@ -85,33 +88,10 @@ def wall_crossing(aw: AffineWeyl, x: MZeroElt, i: int) -> MZeroElt:
 def dot_orbit_element(aw: AffineWeyl, lam, p: int) -> "AffineElement | None":
     """The x in W with x ._p 0 = lam, or None when lam is off the orbit."""
     d = aw.datum
-    nu = tuple(lam)
-    w = aw.identity
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError("dot-orbit walk failed to terminate")
-        moved = False
-        for i in range(d.rank):
-            if nu[i] + 1 < 0:
-                s = aw.finite_gens[i]
-                nu = aw.dot_action(s, nu, p)
-                w = aw.mult(w, s)
-                moved = True
-                break
-        if moved:
-            continue
-        at = d.affine_root
-        val = sum(c * (x + 1) for c, x in zip(at.coroot, nu))
-        if val > p:
-            nu = aw.dot_action(aw.affine_gen, nu, p)
-            w = aw.mult(w, aw.affine_gen)
-            continue
-        break
-    if any(c != 0 for c in nu):
-        return None
-    return w
+    if p <= d.coxeter_number:
+        warnings.warn("dot action below the Coxeter number regime", stacklevel=2)
+    x, nu = aw.dot_walk(lam, (0,) * d.rank, p)
+    return None if any(nu) else x
 
 
 def c_of_module(aw: AffineWeyl, m: WeightMultiset, p: int) -> GroupAlgebraElt:
@@ -138,6 +118,15 @@ def in_fundamental_alcove(datum, lam, p: int) -> bool:
         return False
     at = datum.affine_root
     return sum(c * (x + 1) for c, x in zip(at.coroot, lam)) < p
+
+
+def fundamental_alcove_weights(datum, p: int) -> list[Weight]:
+    """The weights of the interior fundamental alcove C_p, sorted."""
+    return sorted(
+        lam
+        for lam in itertools.product(range(p), repeat=datum.rank)
+        if in_fundamental_alcove(datum, lam, p)
+    )
 
 
 def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:

@@ -227,6 +227,29 @@ def test_affine_a1_kl_polynomials_trivial(ctx):
             assert h.coeff(y) == LaurentPoly.v(w.length - y.length)
 
 
+def test_reach_is_transitive_closure_of_edges(ctx):
+    # right_cells reads reachability off Tarjan's emission order and takes
+    # its nodes from the edges alone; check both against plain BFS over the
+    # cell edges and the fW ball, with the computed basis and with a table
+    c = ctx("C2")
+    aw = c.aw
+    L, m = 12, 4
+    table = table_from_zero_basis(c.hecke, L + 1)
+    for provider in (c.provider, TableBasisProvider(c.hecke, c.asph, table)):
+        part = right_cells(aw, L, m, provider)
+        assert set(aw.enumerate_fW(L)) <= set(part.cell_of)
+        succ = {}
+        for e in cell_edges(aw, provider, L):
+            succ.setdefault(part.cell_of[e.frm], set()).add(part.cell_of[e.to])
+        for start in range(len(part.cells)):
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                frontier = [j for i in frontier for j in succ.get(i, ()) if j not in seen]
+                seen.update(frontier)
+            assert part.reach[start] == frozenset(seen)
+
+
 def test_export_json_deterministic(ctx):
     c = ctx("A1")
     part = small_partition(c)

@@ -147,6 +147,32 @@ def test_exit_codes(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["code"] == 2 and repr(word) in err["message"]
 
+    # options a command does not read, and bad option values, are usage
+    # errors reported as the one-line JSON record
+    for argv in (
+        ["cells", "--type", "C2", "--format", "tsv"],
+        ["verlinde", "--type", "A1", "--p", "5", "--lambda", "3", "--mu", "3",
+         "--format", "svg"],
+        ["orbits", "--type", "G2", "--basis", "table.txt"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["code"] == 2
+
+    # too few trusted cells for the orbit dictionary: usage error
+    assert main(
+        ["humphreys", "--type", "C2", "--p", "7", "--lambda", "2,1", "--len", "6",
+         "--margin", "2"]
+    ) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == 2 and "trusted cells" in err["message"]
+    # a word too long for the recursive canonical-basis engine: exit 3
+    assert main(["kl", "--type", "A1", "--w", ".".join(["s0", "s1"] * 600)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == 3
+
     bad = tmp_path / "bad_table.txt"
     bad.write_text("p 0\nw=s0 : s0:2*v^0\n")
     assert (

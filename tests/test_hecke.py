@@ -226,7 +226,7 @@ def test_table_reproduces_kl(ctx):
     c = ctx("A1")
     table = table_from_zero_basis(c.hecke, 6)
     for w in c.aw.enumerate_W(6):
-        assert c.hecke.kl_basis(w, table) == c.hecke.kl_basis(w)
+        assert TableBasisProvider(c.hecke, c.asph, table).hecke_canonical(w) == c.hecke.kl_basis(w)
 
 
 def test_empty_table_valid(ctx):

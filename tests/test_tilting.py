@@ -82,6 +82,15 @@ def test_dot_orbit_element(ctx):
     assert dot_orbit_element(aw, (6,), 5) is None
 
 
+def test_dot_orbit_element_inverts_dot_action(ctx):
+    # the shared alcove walk, run on unperturbed points, undoes w ._p 0
+    for t, p in (("C2", 7), ("G2", 13)):
+        aw = ctx(t).aw
+        zero = (0,) * aw.datum.rank
+        for w in aw.enumerate_W(8):
+            assert dot_orbit_element(aw, aw.dot_action(w, zero, p), p) == w
+
+
 def test_tensor_translate_examples(ctx):
     c = ctx("A1")
     aw = c.aw
