@@ -324,15 +324,8 @@ class AffineWeyl:
         return out
 
     def to_json_record(self, a: AffineElement) -> dict:
-        # finite part as a word over the finite generators
-        fin_word = []
-        u = a.fin
-        while self.datum.finite_length(u) > 0:
-            for i, s in enumerate(self.datum.simple_reflections):
-                if self.datum.finite_length(s * u) < self.datum.finite_length(u):
-                    fin_word.append(i + 1)
-                    u = s * u
-                    break
+        # finite part as a word over the finite generators s1..sn
+        fin_word = list(self.reduced_word(self.from_finite(a.fin)))
         return {"finite_word": fin_word, "translation": list(a.trans)}
 
     def from_json_record(self, rec: dict) -> AffineElement:

@@ -55,6 +55,8 @@ def render_cell_diagram(
     datum = aw.datum
     if datum.rank != 2:
         raise ValueError("alcove diagrams are drawn for rank-2 types only")
+    if p < 1:
+        raise ValueError(f"alcove diagrams need p >= 1, got p={p}")
     embed = _embedding(datum)
     if label_max is None:
         lengths = sorted(w.length for w in aw.enumerate_fW(bound))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .affine import AffineElement, AffineWeyl
 from .laurent import ONE, V, VINV, LaurentPoly
-from .rootdata import RootDatum, build_root_datum
+from .rootdata import CartanType, RootDatum, build_root_datum
 
 
 class BasisTableError(ValueError):
@@ -532,7 +532,7 @@ class Context(NamedTuple):
     provider: "ZeroBasisProvider | TableBasisProvider"
 
 
-def build_context(type_str: str, basis_path=None) -> Context:
+def build_context(type_str: CartanType | str, basis_path=None) -> Context:
     """A fresh context; the provider reads the table file at basis_path when
     one is given and computes the 0-canonical basis otherwise."""
     datum = build_root_datum(type_str)

@@ -154,6 +154,14 @@ def test_exit_codes(tmp_path, capsys):
         ["verlinde", "--type", "A1", "--p", "5", "--lambda", "3", "--mu", "3",
          "--format", "svg"],
         ["orbits", "--type", "G2", "--basis", "table.txt"],
+        ["kl", "--type", "C2", "--w", "s0", "--p", "7"],
+        ["orbits", "--type", "G2", "--len", "3", "--margin", "9"],
+        ["decompose", "--type", "C2", "--w", "s0", "--p", "5", "--len", "2"],
+        ["alcove", "--type", "A1", "--p", "5", "--lambda", "5", "--len", "4"],
+        ["verlinde", "--type", "A1", "--p", "5", "--lambda", "3", "--mu", "3",
+         "--margin", "2"],
+        ["plot", "--type", "C2", "--len", "6", "--margin", "2"],
+        ["cells", "--type", "X5"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -172,6 +180,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["kl", "--type", "A1", "--w", ".".join(["s0", "s1"] * 600)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == 3
+
+    # a path the user typed that cannot be read or written: usage error
+    missing = str(tmp_path / "no-such-table.txt")
+    assert main(["kl", "--type", "C2", "--w", "s0", "--basis", missing]) == 2
+    unwritable = str(tmp_path / "no-such-dir" / "out.json")
+    assert main(["orbits", "--type", "G2", "--out", unwritable]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["code"] for line in err] == [2, 2]
+    # a diagram needs a positive p
+    assert main(["plot", "--type", "C2", "--p", "0", "--len", "2", "--margin", "0"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == 2 and "p >= 1" in err["message"]
 
     bad = tmp_path / "bad_table.txt"
     bad.write_text("p 0\nw=s0 : s0:2*v^0\n")

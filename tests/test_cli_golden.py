@@ -1,0 +1,67 @@
+"""Byte-identity of CLI output: the sha256 of stdout for cheap valid calls.
+
+The digests were recorded before the CLI's argument handling was rewritten;
+any change to what a command prints shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from heckecells.cli import main
+from heckecells.hecke import table_from_zero_basis
+
+# (argv, sha256 of stdout); "{table}" is an A1 0-basis table file up to length 9
+GOLDEN = [
+    ("cells --type A1",
+     "b87f9b6ee5ae8828d68082e0d334a8e0233206c0b1f326136d4f8070cdea14fc"),
+    ("cells --type C2 --len 8 --margin 2",
+     "38b5a606daa432844d6b485fa4437a7b0560fde51e12c8b987e010d349f1eed8"),
+    ("cells --type A1 --len 8 --margin 2 --basis {table}",
+     "65cde4ba44858d20842f853edd39c4f3dbb2fc495b7f580f2acac3705c10e510"),
+    ("kl --type C2 --w s0.s1.s2.s1",
+     "b224baa1bd07e14826f8da20d8d5716c9e90a4d8771f2551387dc057658d0ae4"),
+    ("kl --type C2 --w s0.s1 --format tsv",
+     "7546fd072dc3e7de805a204a738332c5bd872ae48223b771d0e26f195d8305f3"),
+    ("kl --type A1 --w s0.s1.s0 --basis {table}",
+     "3d9c29887ebddc7c9729c9aba3f0e16c6b6039605029de7fea3968973f270c81"),
+    ("kl --type C02 --w s0",
+     "a4edecc74781ec6dfaa1cae02e799d50ccbc8a0eaf90b66ed1d328d26e147d99"),
+    ("asph --type C2 --w s0.s2.s1",
+     "d1cee08862aae6b373ece048a21052d46ff62578a6c153e1877fb863dd41e7c5"),
+    ("verlinde --type A2 --p 5 --lambda 1,1 --mu 1,0",
+     "b2e3f56ce0ca2c029ee7ec422664711b0b3373126b2bfe6d459bcf77aa6c894a"),
+    ("verlinde --type A2 --p 5 --lambda 1,1 --mu 1,0 --format tsv",
+     "edcf4dfdbe985e2c445f6a30d0c93285ca7bae7da259b1669e209af0c590c140"),
+    ("alcove --type G2 --p 11 --lambda 3,7",
+     "75cd277e26c40689c8f6ff67ffe78a32e3ab2b7856faa907630b6b282b4a38e6"),
+    ("decompose --type C2 --w s0.s2.s0.s1",
+     "db4735c1ee9df4a69ff5cb7de39012c28b8b7e2e16d7452b0a8a11fcd82c3c67"),
+    ("humphreys --type G2 --p 11 --lambda 0,0",
+     "8113e96280b8a2816000cff0848e4a9b0090842db5e29e8c7a58189d9a2d0f3c"),
+    ("humphreys --type C2 --p 7 --lambda 2,1 --len 12 --margin 4",
+     "21b28cd81e54c1eebc4ec48dd24d317183a281aabef692c390cbe789589e8105"),
+    ("humphreys --type C2 --p 7 --lambda 2,4 --mode relative --len 12 --margin 4",
+     "2aee49df1ce2ef037abfab105d7b477047f5368c2532bc2ae2262aa92a09d537"),
+    ("orbits --type G2",
+     "33f0b7149f3dfaeda68468f7b176e40c223671d6e4857bad9470dccc50651097"),
+    ("orbits --type B3",
+     "ce2d47a5b1537cc5574788f4803aa04600e77c99481753d3af56917d82cb8dbe"),
+    ("plot --type C2 --p 7 --len 6 --margin 2",
+     "af621c7ada3edea64139d24a1605469dddd69809325f08233413af85e53fb56c"),
+]
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory, ctx):
+    path = tmp_path_factory.mktemp("golden") / "a1_table.txt"
+    path.write_text(table_from_zero_basis(ctx("A1").hecke, 9).dump_text())
+    return path
+
+
+@pytest.mark.parametrize("line, want", GOLDEN, ids=[line for line, _ in GOLDEN])
+def test_cli_stdout_digest(line, want, table_path, capsys):
+    argv = [tok.format(table=table_path) for tok in line.split()]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
