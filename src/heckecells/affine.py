@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .rootdata import FiniteWeylElement, RootDatum, Weight
+from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
 
 
 class UnsupportedRegimeError(ValueError):
@@ -261,7 +261,7 @@ class AffineWeyl:
 
     def _build_omega(self) -> tuple[AffineElement, ...]:
         d = self.datum
-        out = {self.identity}
+        gens = []
         w0 = d.longest_element()
         for i in range(d.rank):
             if d.affine_root.coroot[i] != 1:
@@ -272,18 +272,10 @@ class AffineWeyl:
             omega = self.mult(self.translation(varpi), self.from_finite(u))
             if omega.length != 0:
                 raise AssertionError("constructed length-zero element has length > 0")
-            out.add(omega)
-        # close under products
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(out):
-                    for c in (self.mult(a, b), self.mult(b, a)):
-                        if c not in out:
-                            out.add(c)
-                            nxt.append(c)
-            frontier = nxt
+            gens.append(omega)
+        # the group the generators span: a finite group, so right products
+        # by the generators reach every element
+        out = closure([self.identity], lambda a: (self.mult(a, g) for g in gens))
         if len(out) != d.fundamental_group_order():
             raise AssertionError("length-zero subgroup has wrong order")
         return tuple(sorted(out, key=lambda a: (a != self.identity, a.trans)))
@@ -414,21 +406,14 @@ class AffineWeyl:
         """Elements of length <= bound reached from the identity by
         length-increasing generator steps through elements passing ``keep``
         (all of them when ``keep`` is None), sorted by (length, word)."""
-        out = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                if w.length >= bound:
-                    continue
+        def up(w):
+            if w.length < bound:
                 for i in range(len(self.gens)):
                     ws = self.mult_gen(w, i)
-                    if ws.length == w.length + 1 and ws not in out:
-                        if keep is None or keep(ws):
-                            out.add(ws)
-                            nxt.append(ws)
-            frontier = nxt
-        return sorted(out, key=self.sort_key)
+                    if ws.length == w.length + 1 and (keep is None or keep(ws)):
+                        yield ws
+
+        return sorted(closure([self.identity], up), key=self.sort_key)
 
     def enumerate_fW(self, bound: int) -> list[AffineElement]:
         """All elements of fW of length <= bound, sorted by (length, word)."""

@@ -14,6 +14,7 @@ a theorem: it is the room we give merging paths near the boundary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .affine import AffineElement, AffineWeyl
@@ -42,9 +43,6 @@ class CellPartition:
 
     def trusted_cells(self) -> list[int]:
         return [i for i, t in enumerate(self.trusted) if t]
-
-    def members(self, i: int) -> frozenset[AffineElement]:
-        return self.cells[i]
 
 
 def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
@@ -238,19 +236,11 @@ def generation_constants(aw: AffineWeyl) -> GenerationConstants:
         k_alpha.append(k)
     k_phi = max(k_alpha)
 
-    y_zero = []
-
-    def boxes(i, acc):
-        if i == d.rank:
-            lam = tuple(acc)
-            if d.in_root_lattice(lam):
-                y_zero.append(lam)
-            return
-        for c in range(k_alpha[i] + 1):
-            boxes(i + 1, acc + [c])
-
-    boxes(0, [])
-    y_zero.sort()
+    y_zero = sorted(
+        lam
+        for lam in itertools.product(*(range(k + 1) for k in k_alpha))
+        if d.in_root_lattice(lam)
+    )
 
     z_set = []
     for v in d.generate_finite_weyl():

@@ -129,6 +129,31 @@ def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, Laure
     return out
 
 
+def kl_gen_action(aw: AffineWeyl, x: HeckeElt, i: int, keep, v, vinv) -> HeckeElt:
+    """Right action of the canonical generator H_s + v on the standard basis.
+
+    x_w (H_s + v) is x_ws + v x_w when ws > w and x_ws + v^-1 x_w when
+    ws < w.  A term whose ws > w fails ``keep`` is dropped: in the
+    antispherical module (keep = in_fW) such a ws gives (-v + v) N_w = 0.
+    ``keep`` is None in the algebra; v = vinv = 1 gives the wall-crossing
+    s + 1 on M0.
+    """
+    out: dict[AffineElement, LaurentPoly] = {}
+    for w, c in x.terms.items():
+        ws = aw.mult_gen(w, i)
+        if ws.length > w.length:
+            if keep is not None and not keep(ws):
+                continue
+            cw = c * v
+        else:
+            cw = c * vinv
+        n = out.get(ws)
+        out[ws] = c if n is None else n + c
+        n = out.get(w)
+        out[w] = cw if n is None else n + cw
+    return HeckeElt(out)
+
+
 def _check_in_fW(aw: AffineWeyl, w: AffineElement) -> None:
     if not aw.in_fW(w):
         raise ValueError("canonical antispherical elements are indexed by fW")
@@ -162,20 +187,7 @@ class Hecke:
 
     def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         """Right multiplication by the standard generator H_s."""
-        out: dict[AffineElement, LaurentPoly] = {}
-
-        def add(w, c):
-            n = out.get(w)
-            out[w] = c if n is None else n + c
-
-        for w, c in h.terms.items():
-            ws = self.aw.mult_gen(w, i)
-            if ws.length > w.length:
-                add(ws, c)
-            else:
-                add(ws, c)
-                add(w, c * (VINV - V))
-        return HeckeElt(out)
+        return self.mul_by_kl_gen(h, i) - h.scale(V)
 
     def mul_by_word(self, h: HeckeElt, word) -> HeckeElt:
         for i in word:
@@ -198,7 +210,7 @@ class Hecke:
             return cached
         out = self.unit()
         for i in self.aw.reduced_word(w):
-            out = self.mul_by_gen(out, i) + out.scale(V - VINV)
+            out = self.mul_by_kl_gen(out, i) - out.scale(VINV)
         self._bar_std_cache[w] = out
         return out
 
@@ -216,7 +228,7 @@ class Hecke:
         return HeckeElt({s: ONE, self.aw.identity: V})
 
     def mul_by_kl_gen(self, h: HeckeElt, i: int) -> HeckeElt:
-        return self.mul_by_gen(h, i) + h.scale(V)
+        return kl_gen_action(self.aw, h, i, None, V, VINV)
 
     def kl_basis(self, w: AffineElement) -> HeckeElt:
         """The 0-canonical basis element at w."""
@@ -265,43 +277,11 @@ class AsphModule:
 
     def mul_by_gen(self, n: AsphElt, i: int) -> AsphElt:
         """Right action of the standard generator H_s."""
-        out: dict[AffineElement, LaurentPoly] = {}
-
-        def add(w, c):
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-
-        for w, c in n.terms.items():
-            ws = self.aw.mult_gen(w, i)
-            if ws.length > w.length:
-                if self.aw.in_fW(ws):
-                    add(ws, c)
-                else:
-                    add(w, c * LaurentPoly.v(1, -1))
-            else:
-                add(ws, c)
-                add(w, c * (VINV - V))
-        return AsphElt(out)
+        return self.mul_by_kl_gen(n, i) - n.scale(V)
 
     def mul_by_kl_gen(self, n: AsphElt, i: int) -> AsphElt:
         """Right action of the canonical generator H_s + v."""
-        out: dict[AffineElement, LaurentPoly] = {}
-
-        def add(w, c):
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-
-        for w, c in n.terms.items():
-            ws = self.aw.mult_gen(w, i)
-            if ws.length > w.length:
-                if self.aw.in_fW(ws):
-                    add(ws, c)
-                    add(w, c * V)
-                # ws outside fW: (-v + v) N_w = 0
-            else:
-                add(ws, c)
-                add(w, c * VINV)
-        return AsphElt(out)
+        return kl_gen_action(self.aw, n, i, self.aw.in_fW, V, VINV)
 
     def mul_by_word(self, n: AsphElt, word) -> AsphElt:
         for i in word:
@@ -400,10 +380,16 @@ class CanonicalBasisTable:
 
     @classmethod
     def parse(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":
+        """Read either wire format; any malformed content is a BasisTableError."""
         text = text.lstrip()
-        if text.startswith("{"):
-            return cls._parse_json(aw, text)
-        return cls._parse_text(aw, text)
+        try:
+            if text.startswith("{"):
+                return cls._parse_json(aw, text)
+            return cls._parse_text(aw, text)
+        except BasisTableError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
 
     @classmethod
     def _parse_text(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":

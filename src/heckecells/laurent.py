@@ -28,10 +28,6 @@ class LaurentPoly:
         return cls({0: n})
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({})
-
-    @classmethod
     def v(cls, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 

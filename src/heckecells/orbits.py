@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
-from .rootdata import solve_exact
+from .rootdata import closure, solve_exact
 
 
 class UnsupportedTypeError(ValueError):
@@ -87,12 +87,7 @@ def _orbit_dimension(datum, I, J) -> int:
 def _conjugacy_classes(datum, pairs):
     """Group pairs (I, J) under simultaneous Weyl conjugacy (orbit BFS)."""
     n = datum.rank
-    C = datum.cartan
-    simple_fund = [tuple(C[i][j] for i in range(n)) for j in range(n)]
-
-    def reflect(vec, k):
-        pair = vec[k]
-        return tuple(vec[i] - pair * simple_fund[k][i] for i in range(n))
+    simple_fund = [r.fund for r in datum.simple_roots]
 
     def state_of(pair):
         I, J = pair
@@ -101,33 +96,26 @@ def _conjugacy_classes(datum, pairs):
             frozenset(simple_fund[j] for j in J),
         )
 
+    def reflections(state):
+        si, sj = state
+        for k in range(n):
+            yield (
+                frozenset(datum.reflect(v, k) for v in si),
+                frozenset(datum.reflect(v, k) for v in sj),
+            )
+
     targets = {state_of(p): p for p in pairs}
     assigned: dict = {}
     classes: list[list] = []
     for p in pairs:
         if p in assigned:
             continue
-        cls = [p]
-        start = state_of(p)
-        seen = {start}
-        frontier = [start]
-        assigned[p] = len(classes)
-        while frontier:
-            nxt = []
-            for (si, sj) in frontier:
-                for k in range(n):
-                    ni = frozenset(reflect(v, k) for v in si)
-                    nj = frozenset(reflect(v, k) for v in sj)
-                    st = (ni, nj)
-                    if st in seen:
-                        continue
-                    seen.add(st)
-                    nxt.append(st)
-                    other = targets.get(st)
-                    if other is not None and other not in assigned:
-                        assigned[other] = len(classes)
-                        cls.append(other)
-            frontier = nxt
+        cls = []
+        for st in closure([state_of(p)], reflections):
+            other = targets.get(st)
+            if other is not None and other not in assigned:
+                assigned[other] = len(classes)
+                cls.append(other)
         classes.append(cls)
     return classes
 

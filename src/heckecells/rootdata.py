@@ -10,6 +10,7 @@ plain ints, with :class:`fractions.Fraction` for the few linear solves.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,6 +214,7 @@ class RootDatum:
         self._build_inverse_cartan()
         self._build_reflections()
         self._freudenthal_cache: dict[Weight, dict[Weight, int]] = {}
+        self._weights_cache: dict[Weight, dict[Weight, int]] = {}
         self._dim_cache: dict[Weight, int] = {}
         self._validate()
 
@@ -235,33 +237,15 @@ class RootDatum:
 
         # Orbit of the simple roots under the simple reflections, tracking
         # simple-root and simple-coroot coordinates simultaneously.
-        seen = {}
-        frontier = list(simples)
-        for r in simples:
-            seen[r.fund] = r
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for i in range(n):
-                    pair_i = r.fund[i]  # <beta, alpha_i^vee>
-                    fund = tuple(
-                        r.fund[k] - pair_i * C[k][i] for k in range(n)
-                    )
-                    if fund in seen:
-                        continue
-                    simple = tuple(
-                        r.simple[k] - (pair_i if k == i else 0) for k in range(n)
-                    )
-                    co_pair = sum(r.coroot[k] * C[k][i] for k in range(n))
-                    coroot = tuple(
-                        r.coroot[k] - (co_pair if k == i else 0) for k in range(n)
-                    )
-                    new = Root(fund=fund, simple=simple, coroot=coroot)
-                    seen[fund] = new
-                    nxt.append(new)
-            frontier = nxt
+        def reflections(r):
+            for i in range(n):
+                simple, coroot = list(r.simple), list(r.coroot)
+                simple[i] -= r.fund[i]  # <beta, alpha_i^vee>
+                coroot[i] -= sum(r.coroot[k] * C[k][i] for k in range(n))  # <alpha_i, beta^vee>
+                yield Root(self.reflect(r.fund, i), tuple(simple), tuple(coroot))
 
-        positives = [r for r in seen.values() if all(c >= 0 for c in r.simple)]
+        roots = closure(simples, reflections)
+        positives = [r for r in roots if all(c >= 0 for c in r.simple)]
         positives.sort(key=lambda r: (r.height, r.simple))
         self.positive_roots: list[Root] = positives
         self._posroot_fund = {r.fund: r for r in positives}
@@ -388,6 +372,13 @@ class RootDatum:
 
     # -- finite Weyl group ---------------------------------------------
 
+    def reflect(self, weight, i: int) -> Weight:
+        """The simple reflection s_i(weight) = weight - <weight, alpha_i^vee> alpha_i."""
+        pair = weight[i]
+        if not pair:
+            return weight
+        return tuple([x - pair * a for x, a in zip(weight, self.simple_roots[i].fund)])
+
     def finite_length(self, w: FiniteWeylElement) -> int:
         out = self._finite_length_cache.get(w)
         if out is None:
@@ -421,47 +412,22 @@ class RootDatum:
         while True:
             for i in range(self.rank):
                 if w[i] < 0:
-                    pair = w[i]
-                    w = tuple(
-                        w[k] - pair * self.cartan[k][i] for k in range(self.rank)
-                    )
+                    w = self.reflect(w, i)
                     sign = -sign
                     break
             else:
                 return w, sign
 
     def weyl_orbit(self, weight) -> set[Weight]:
-        start = tuple(weight)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(self.rank):
-                    pair = x[i]
-                    y = tuple(
-                        x[k] - pair * self.cartan[k][i] for k in range(self.rank)
-                    )
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
+        return set(
+            closure([tuple(weight)], lambda w: [self.reflect(w, i) for i in range(self.rank)])
+        )
 
     def generate_finite_weyl(self) -> list[FiniteWeylElement]:
         """All elements of W_f (use with care in high rank)."""
-        seen = {self.identity_finite}
-        frontier = [self.identity_finite]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in self.simple_reflections:
-                    ws = w * s
-                    if ws not in seen:
-                        seen.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
-        return list(seen)
+        return closure(
+            [self.identity_finite], lambda w: [w * s for s in self.simple_reflections]
+        )
 
     def longest_element(self, subset: "list[int] | None" = None) -> FiniteWeylElement:
         """Longest element of the parabolic generated by the given indices."""
@@ -515,24 +481,14 @@ class RootDatum:
         # Dominant mu with lam - mu a nonnegative integer root combination;
         # the combination coefficients are bounded by the root coordinates
         # of lam (dominant weights have nonnegative root coordinates).
-        lam_rc = self.root_coords(lam)
-        bounds = [int(c) for c in lam_rc]
         candidates = []
-
-        def descend(i, acc):
-            if i == self.rank:
-                mu = tuple(
-                    lam[k]
-                    - sum(acc[m] * self.cartan[k][m] for m in range(self.rank))
-                    for k in range(self.rank)
-                )
-                if all(c >= 0 for c in mu):
-                    candidates.append((sum(acc), mu))
-                return
-            for c in range(bounds[i] + 1):
-                descend(i + 1, acc + [c])
-
-        descend(0, [])
+        for acc in itertools.product(*(range(int(c) + 1) for c in self.root_coords(lam))):
+            # mu = lam - sum_m acc[m] alpha_m
+            mu = tuple(
+                x - sum(a * c for a, c in zip(acc, row)) for x, row in zip(lam, self.cartan)
+            )
+            if self.is_dominant(mu):
+                candidates.append((sum(acc), mu))
         candidates.sort()
 
         norm_lam = self.inner(lam, lam)
@@ -576,11 +532,16 @@ class RootDatum:
         return self.dominant_weight_multiplicities(lam).get(dom, 0)
 
     def all_weights(self, lam) -> dict[Weight, int]:
-        """Full weight multiset of the Weyl module V(lam)."""
-        out: dict[Weight, int] = {}
-        for mu, m in self.dominant_weight_multiplicities(lam).items():
-            for nu in self.weyl_orbit(mu):
-                out[nu] = m
+        """Full weight multiset of the Weyl module V(lam), memoized per
+        highest weight (do not mutate the result)."""
+        lam = tuple(lam)
+        out = self._weights_cache.get(lam)
+        if out is None:
+            out = {}
+            for mu, m in self.dominant_weight_multiplicities(lam).items():
+                for nu in self.weyl_orbit(mu):
+                    out[nu] = m
+            self._weights_cache[lam] = out
         return out
 
     def tensor_multiplicity(self, lam, mu, nu) -> int:
@@ -606,6 +567,23 @@ class RootDatum:
             if tuple(a - b for a, b in zip(dom, self.rho)) == nu:
                 total += sign * m
         return total
+
+
+def closure(starts, step) -> list:
+    """Everything reachable from ``starts`` along ``step``, in breadth-first
+    order: the starts first, each element once.  ``step(x)`` yields the
+    neighbours of x."""
+    seen = dict.fromkeys(starts)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen[y] = None
+                    nxt.append(y)
+        frontier = nxt
+    return list(seen)
 
 
 def solve_exact(a, b) -> tuple[int, list[list[Fraction]]]:

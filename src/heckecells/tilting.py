@@ -18,7 +18,7 @@ import warnings
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition, leq_R
-from .hecke import AsphElt, HeckeElt, specialize_v1
+from .hecke import HeckeElt, kl_gen_action, specialize_v1
 from .rootdata import Weight
 
 
@@ -43,17 +43,13 @@ def tensor_character(m1: WeightMultiset, m2: WeightMultiset) -> WeightMultiset:
     return out
 
 
-def specialize_asph(n: AsphElt) -> MZeroElt:
-    return MZeroElt(specialize_v1(n))
-
-
 def tilting_class(provider, w: AffineElement) -> MZeroElt:
     """Standard-basis class of the indecomposable tilting object at w . 0.
 
     With the 0-canonical basis this is exact only in the large-p regime; the
     provider's p label travels with any serialized output.
     """
-    return specialize_asph(provider.asph_canonical(w))
+    return MZeroElt(specialize_v1(provider.asph_canonical(w)))
 
 
 def mzero_act_elem(aw: AffineWeyl, x: MZeroElt, g: AffineElement) -> MZeroElt:
@@ -74,15 +70,8 @@ def mzero_act(aw: AffineWeyl, x: MZeroElt, c: GroupAlgebraElt) -> MZeroElt:
 
 
 def wall_crossing(aw: AffineWeyl, x: MZeroElt, i: int) -> MZeroElt:
-    """Right multiplication by s + 1 (the v = 1 canonical generator)."""
-    out: dict[AffineElement, int] = {}
-    for w, c in x.terms.items():
-        ws = aw.mult_gen(w, i)
-        if aw.in_fW(ws):
-            out[ws] = out.get(ws, 0) + c
-            out[w] = out.get(w, 0) + c
-        # ws outside fW: (s+1) kills the term
-    return MZeroElt(out)
+    """Right multiplication by s + 1: the canonical generator at v = 1."""
+    return kl_gen_action(aw, x, i, aw.in_fW, 1, 1)
 
 
 def dot_orbit_element(aw: AffineWeyl, lam, p: int) -> "AffineElement | None":
@@ -122,6 +111,8 @@ def in_fundamental_alcove(datum, lam, p: int) -> bool:
 
 def fundamental_alcove_weights(datum, p: int) -> list[Weight]:
     """The weights of the interior fundamental alcove C_p, sorted."""
+    if p < 1:
+        raise ValueError(f"the fundamental alcove needs p >= 1, got p={p}")
     return sorted(
         lam
         for lam in itertools.product(range(p), repeat=datum.rank)

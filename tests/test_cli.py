@@ -193,6 +193,28 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == 2 and "p >= 1" in err["message"]
 
+    # the fundamental alcove needs a positive p
+    for p in ("0", "-3"):
+        assert main(["verlinde", "--type", "A1", "--p", p, "--lambda", "1", "--mu", "1"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["code"] == 2 and "p >= 1" in err["message"]
+
+    # malformed table contents, in either wire format, are data errors
+    for name, text in (
+        ("no_w.json", '{"p": 0, "entries": [{"terms": []}]}'),
+        ("int_entries.json", '{"p": 0, "entries": 5}'),
+        ("word_p.txt", "p zero\nw=s0 : s0:1*v^0\n"),
+        ("bad_term.txt", "p 0\nw=s0 : s0:1*v\n"),
+        ("bad_token.txt", "p 0\nw=s7 : s7:1*v^0\n"),
+        ("short_term.json", '{"p": 0, "entries": [{"w": "s0", "terms": [["s0"]]}]}'),
+        ("int_word.json", '{"p": 0, "entries": [{"w": 5, "terms": []}]}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["kl", "--type", "A1", "--w", "s0", "--basis", str(path)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["code"] == 4
+
     bad = tmp_path / "bad_table.txt"
     bad.write_text("p 0\nw=s0 : s0:2*v^0\n")
     assert (

@@ -49,6 +49,15 @@ GOLDEN = [
      "ce2d47a5b1537cc5574788f4803aa04600e77c99481753d3af56917d82cb8dbe"),
     ("plot --type C2 --p 7 --len 6 --margin 2",
      "af621c7ada3edea64139d24a1605469dddd69809325f08233413af85e53fb56c"),
+    # recorded before the orbit searches and the generator action were shared
+    ("cells --type B3 --len 6 --margin 2",
+     "04d408d447a3fa1d9766ce2379cf33db58d0fefb6a9dc078bddca7f152f8b07b"),
+    ("decompose --type B3 --w s0.s1.s2.s3.s2",
+     "4e96892a7802a2a2269f3d386245ddd607b12483ebd0d3b82a1a1e8642549303"),
+    ("orbits --type C3",
+     "551892431f27ffcf0db14957ee196f78a82306fecf77d3a63d92f7c41fcaddc1"),
+    ("verlinde --type G2 --p 13 --lambda 1,0 --mu 0,1",
+     "d79c1d09983877155a58dd1eed9f7ef1ed398ae240adb998bc153bba24eeaf0d"),
 ]
 
 

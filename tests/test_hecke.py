@@ -25,6 +25,16 @@ def test_quadratic_relation(ctx):
     assert sq == HeckeElt({c.aw.identity: ONE, s1: VINV - V})
 
 
+def test_quadratic_relation_on_kl_basis(ctx):
+    # (h H_s) H_s = h + (v^-1 - v) h H_s, through the shared generator action
+    c = ctx("C2")
+    for w in c.aw.enumerate_W(5):
+        h = c.hecke.kl_basis(w)
+        for i in range(len(c.aw.gens)):
+            hs = c.hecke.mul_by_gen(h, i)
+            assert c.hecke.mul_by_gen(hs, i) == h + hs.scale(VINV - V)
+
+
 def test_kl_generator_square(ctx):
     # (H_s + v)(H_s + v) = (v + v^-1)(H_s + v)
     c = ctx("C2")

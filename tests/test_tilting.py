@@ -5,6 +5,7 @@ import pytest
 
 from heckecells.affine import UnsupportedRegimeError
 from heckecells.cells import right_cells
+from heckecells.hecke import specialize_v1
 from heckecells.tilting import (
     GroupAlgebraElt,
     MZeroElt,
@@ -56,6 +57,17 @@ def test_wall_crossing_examples(ctx):
     assert not wall_crossing(aw, ne, 1)  # finite wall kills the unit class
     assert wall_crossing(aw, ne, 0) == tilting_class(c.provider, aw.gens[0])
     assert not wall_crossing(aw, MZeroElt(), 0)
+
+
+def test_wall_crossing_specializes_the_module_action(ctx):
+    # specializing v to 1 commutes with the action of H_s + v
+    c = ctx("C2")
+    for y in c.aw.enumerate_fW(8):
+        for i in range(len(c.aw.gens)):
+            prod = c.asph.mul_by_kl_gen(c.asph.canonical(y), i)
+            assert wall_crossing(c.aw, tilting_class(c.provider, y), i) == MZeroElt(
+                specialize_v1(prod)
+            )
 
 
 def test_c_of_module_examples(ctx):
