@@ -27,20 +27,24 @@ class UnsupportedRegimeError(ValueError):
 class AffineElement:
     """Element of the extended affine Weyl group, as (finite part, translation).
 
-    Instances are immutable; equality and hashing use the canonical form, so
-    elements are safe dictionary keys across any construction path.
+    Interned: an :class:`AffineWeyl` context holds one object per element;
+    equality and hashing use the canonical form, so an element equals (and
+    hashes like) the same element of another context of the same type.  The
+    context caches its products with the i-th generator, ``right[i]`` and
+    ``left[i]``, and its reduced ``word`` on it; caches only gain entries.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash")
+    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word")
 
-    def __init__(self, fin: FiniteWeylElement, trans: Weight, length: int):
+    def __init__(self, fin: FiniteWeylElement, trans: Weight, length: int, ngens: int):
         self.fin = fin
         self.trans = trans
         self.length = length
         self._hash = hash((fin.mat, trans))
+        self.right, self.left, self.word = [None] * ngens, [None] * ngens, None
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AffineElement)
             and self.fin.mat == other.fin.mat
             and self.trans == other.trans
@@ -71,14 +75,17 @@ class CosetMinimality:
 class AffineWeyl:
     """Arithmetic context for one affine Weyl group.
 
-    All caches are append-only: concurrent readers always observe the same
-    values, so instances may be shared across threads.
+    Every operation returns the context's one instance of each element (see
+    :meth:`element`).  All caches only grow and every write stores the same
+    value, so instances may be shared across threads.
     """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         d = datum
+        self._elements: dict[tuple, AffineElement] = {}
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
+        self.identity.word = ()
         finite_gens = tuple(
             self.element(s, (0,) * d.rank) for s in d.simple_reflections
         )
@@ -91,16 +98,21 @@ class AffineWeyl:
         self.affine_gen = s0
         self.finite_gens = finite_gens
         self.gens: tuple[AffineElement, ...] = (s0,) + finite_gens
-        self._word_cache: dict[AffineElement, tuple[int, ...]] = {}
-        self._gen_prod: dict[tuple[AffineElement, int], AffineElement] = {}
-        self._gen_prod_left: dict[tuple[int, AffineElement], AffineElement] = {}
         self.omega = self._build_omega()
+        self._omega_inv = tuple(self.inverse(om) for om in self.omega)
 
     # -- construction of elements ----------------------------------------
 
     def element(self, fin: FiniteWeylElement, trans) -> AffineElement:
+        """The context's one instance of fin . t_trans; its length is computed once."""
         trans = tuple(trans)
-        return AffineElement(fin, trans, self._length(fin, trans))
+        key = (fin.mat, trans)
+        out = self._elements.get(key)
+        if out is None:
+            out = self._elements.setdefault(
+                key, AffineElement(fin, trans, self._length(fin, trans), self.datum.rank + 1)
+            )
+        return out
 
     def _length(self, fin: FiniteWeylElement, trans) -> int:
         d = self.datum
@@ -129,21 +141,17 @@ class AffineWeyl:
         return self.element(fin, trans)
 
     def mult_gen(self, a: AffineElement, i: int) -> AffineElement:
-        """Right multiplication by the i-th simple generator, cached."""
-        key = (a, i)
-        out = self._gen_prod.get(key)
+        """Right multiplication by the i-th simple generator, cached on a."""
+        out = a.right[i]
         if out is None:
-            out = self.mult(a, self.gens[i])
-            self._gen_prod[key] = out
+            out = a.right[i] = self.mult(a, self.gens[i])
         return out
 
     def mult_gen_left(self, i: int, a: AffineElement) -> AffineElement:
-        """Left multiplication by the i-th simple generator, cached."""
-        key = (i, a)
-        out = self._gen_prod_left.get(key)
+        """Left multiplication by the i-th simple generator, cached on a."""
+        out = a.left[i]
         if out is None:
-            out = self.mult(self.gens[i], a)
-            self._gen_prod_left[key] = out
+            out = a.left[i] = self.mult(self.gens[i], a)
         return out
 
     def inverse(self, a: AffineElement) -> AffineElement:
@@ -157,42 +165,32 @@ class AffineWeyl:
 
     # -- descents, cosets, words -------------------------------------------
 
-    def right_descents(self, a: AffineElement) -> list[int]:
-        return [
-            i for i in range(len(self.gens)) if self.mult_gen(a, i).length < a.length
-        ]
-
     def min_coset_rep(self, a: AffineElement) -> tuple[AffineElement, FiniteWeylElement]:
         """Minimal representative of W_f a, with the finite prefix.
 
         Returns (rep, u) where a = u . rep and u is in W_f.
         """
-        rep = a
-        u = self.datum.identity_finite
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.finite_gens)):
-                srep = self.mult_gen_left(i + 1, rep)
+        rep, u = a, self.datum.identity_finite
+        while True:
+            for i in range(1, len(self.gens)):
+                srep = self.mult_gen_left(i, rep)
                 if srep.length < rep.length:
-                    rep = srep
-                    u = u * self.datum.simple_reflections[i]
-                    changed = True
+                    rep, u = srep, u * self.datum.simple_reflections[i - 1]
                     break
-        return rep, u
+            else:
+                return rep, u
 
     def coset_minimality(self, a: AffineElement) -> CosetMinimality:
-        nfin = len(self.finite_gens)
-        in_fw = not any(
-            self.mult_gen_left(i + 1, a).length < a.length for i in range(nfin)
-        )
+        in_fw = self.in_fW(a)
         in_fwf = in_fw and not any(
-            self.mult_gen(a, i + 1).length < a.length for i in range(nfin)
+            self.mult_gen(a, i).length < a.length for i in range(1, len(self.gens))
         )
         return CosetMinimality(in_fw, in_fwf)
 
     def in_fW(self, a: AffineElement) -> bool:
-        return self.coset_minimality(a).in_fW
+        return not any(
+            self.mult_gen_left(i, a).length < a.length for i in range(1, len(self.gens))
+        )
 
     def w_lambda(self, lam) -> AffineElement:
         """The unique shortest element of the coset W_f t_lambda."""
@@ -203,27 +201,23 @@ class AffineWeyl:
         """Lexicographically smallest reduced word (generator indices).
 
         Only valid on W; elements with a nontrivial length-zero part keep
-        that part out of the word (see :meth:`to_word`).
+        that part out of the word (see :meth:`to_word`).  It is the first
+        left descent i, then the word of s_i a; each element passed keeps its.
         """
-        cached = self._word_cache.get(a)
-        if cached is not None:
-            return cached
-        word = []
-        cur = a
-        while cur.length > 0:
+        path, cur = [], a
+        while cur.word is None:
+            if cur.length == 0:
+                raise ValueError("element is not in W; use to_word for W_ext")
             for i in range(len(self.gens)):
                 nxt = self.mult_gen_left(i, cur)
                 if nxt.length < cur.length:
-                    word.append(i)
-                    cur = nxt
                     break
-            else:
-                raise ValueError("element of positive length with no descent")
-        if cur != self.identity:
-            raise ValueError("element is not in W; use to_word for W_ext")
-        out = tuple(word)
-        self._word_cache[a] = out
-        return out
+            path.append((cur, i))
+            cur = nxt
+        word = cur.word
+        for elem, i in reversed(path):
+            word = elem.word = (i,) + word
+        return word
 
     def sort_key(self, a: AffineElement):
         return (a.length, self.reduced_word(a))
@@ -231,7 +225,7 @@ class AffineWeyl:
     def from_word(self, word) -> AffineElement:
         out = self.identity
         for i in word:
-            out = self.mult(out, self.gens[i])
+            out = self.mult_gen(out, i)
         return out
 
     # -- Bruhat order ------------------------------------------------------
@@ -241,21 +235,17 @@ class AffineWeyl:
         if not (self.in_affine_weyl(a) and self.in_affine_weyl(b)):
             raise ValueError("Bruhat order is only defined on W")
         y, w = a, b
-        while True:
-            if y.length > w.length:
-                return False
-            if y == w:
-                return True
-            if w == self.identity:
-                return y == self.identity
+        # with ws < w: y <= w iff min(y, ys) <= ws; at equal length, iff y = w
+        while y.length < w.length:
             for i in range(len(self.gens)):
                 ws = self.mult_gen(w, i)
                 if ws.length < w.length:
-                    ys = self.mult_gen(y, i)
-                    if ys.length < y.length:
-                        y = ys
-                    w = ws
                     break
+            ys = self.mult_gen(y, i)
+            if ys.length < y.length:
+                y = ys
+            w = ws
+        return y == w
 
     # -- length-zero subgroup ------------------------------------------------
 
@@ -282,8 +272,8 @@ class AffineWeyl:
 
     def omega_part(self, a: AffineElement) -> tuple[int, AffineElement]:
         """Write a = omega . w with w in W; returns (omega index, w)."""
-        for k, om in enumerate(self.omega):
-            w = self.mult(self.inverse(om), a)
+        for k, om_inv in enumerate(self._omega_inv):
+            w = self.mult(om_inv, a) if k else a  # omega[0] is the identity
             if self.in_affine_weyl(w):
                 return k, w
         raise ValueError("element has no length-zero decomposition")
@@ -312,7 +302,8 @@ class AffineWeyl:
                 raise ValueError(f"bad word token {tok!r}")
             if not index.isdecimal() or int(index) >= len(elems):
                 raise ValueError(f"bad word token {tok!r}: no such generator")
-            out = self.mult(out, elems[int(index)])
+            k = int(index)
+            out = self.mult_gen(out, k) if elems is self.gens else self.mult(out, elems[k])
         return out
 
     def to_json_record(self, a: AffineElement) -> dict:

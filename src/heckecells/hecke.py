@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import NamedTuple
 
 from .affine import AffineElement, AffineWeyl
@@ -89,7 +90,7 @@ def _canonical(aw: AffineWeyl, mul_by_kl_gen, memo: dict, w: AffineElement) -> H
     if w.length == 0:
         out = HeckeElt({w: ONE})
     else:
-        i = min(aw.right_descents(w))
+        i = next(i for i in range(len(aw.gens)) if aw.mult_gen(w, i).length < w.length)
         lower = _canonical(aw, mul_by_kl_gen, memo, aw.mult_gen(w, i))
         acc = dict(mul_by_kl_gen(lower, i).terms)
         for y, c in lower.terms.items():
@@ -304,8 +305,9 @@ class CanonicalBasisTable:
     """Ingested canonical-basis table: w -> expansion of the basis element.
 
     The label p records which p-canonical basis the table claims to hold
-    (0 means the ordinary Kazhdan-Lusztig basis); provenance is free text.
-    Entries are validated to be unitriangular with diagonal coefficient 1.
+    (0 means the ordinary Kazhdan-Lusztig basis, otherwise it is a prime
+    below 2^31; never a bool); provenance is free text.  Entries are validated
+    to be unitriangular with diagonal coefficient 1.
     """
 
     def __init__(self, aw: AffineWeyl, p: int, entries: dict, provenance: str = ""):
@@ -316,6 +318,12 @@ class CanonicalBasisTable:
         self._validate()
 
     def _validate(self):
+        p = self.p
+        # trial division; 2^31 bounds its cost and exceeds every practical p
+        if type(p) is not int or not (
+            p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
+        ):
+            raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
         for w, h in self.entries.items():
             diag = h.coeff(w)
             if diag != ONE:
@@ -421,8 +429,6 @@ class CanonicalBasisTable:
                 entries[w] = HeckeElt(terms)
             else:
                 raise BasisTableError(f"unparseable line {lineno}: {line!r}")
-        if p is None:
-            raise BasisTableError("missing 'p <prime>' header")
         return cls(aw, p, entries, provenance)
 
     @classmethod
@@ -442,9 +448,7 @@ class CanonicalBasisTable:
                     for word, poly in rec["terms"]
                 }
             )
-        if "p" not in obj:
-            raise BasisTableError("missing p label")
-        return cls(aw, int(obj["p"]), entries, obj.get("provenance", ""))
+        return cls(aw, obj.get("p"), entries, obj.get("provenance", ""))
 
 
 def load_basis_table(aw: AffineWeyl, path) -> CanonicalBasisTable:

@@ -290,6 +290,7 @@ class RootDatum:
         n = self.rank
         self._cartan_det, inv = solve_exact(self.cartan, _identity_matrix(n))
         self._inv_cartan = tuple(tuple(row) for row in inv)
+        self._adj_cartan = tuple(tuple(int(self._cartan_det * c) for c in row) for row in inv)
 
     def _build_reflections(self):
         n = self.rank
@@ -345,7 +346,9 @@ class RootDatum:
         )
 
     def in_root_lattice(self, weight) -> bool:
-        return all(c.denominator == 1 for c in self.root_coords(weight))
+        """True when the root coordinates adj(cartan) . weight / det are integers."""
+        det = self._cartan_det
+        return all(sum(a * x for a, x in zip(row, weight)) % det == 0 for row in self._adj_cartan)
 
     def is_dominant(self, weight) -> bool:
         return all(c >= 0 for c in weight)

@@ -59,6 +59,46 @@ def test_mult_associative_and_inverse(type_str, wa, wb):
     assert aw.mult(aw.inverse(a), ab) == b
 
 
+# -- interning and the caches on each element ---------------------------------
+
+
+def test_elements_are_interned(ctx):
+    for t in ("A1", "C2", "G2"):
+        aw = ctx(t).aw
+        other = AffineWeyl(aw.datum)
+        for w in aw.enumerate_W(5):
+            for x in [aw.mult(om, w) for om in aw.omega]:
+                word = aw.to_word(x)
+                assert aw.from_word_str(word) is x
+                assert aw.from_json_record(aw.to_json_record(x)) is x
+                assert aw.inverse(aw.inverse(x)) is x
+                for i, s in enumerate(aw.gens):
+                    assert aw.mult_gen(x, i) is aw.mult(x, s)
+                    assert aw.mult_gen_left(i, x) is aw.mult(s, x)
+                twin = other.from_word_str(word)
+                assert twin == x and hash(twin) == hash(x) and twin is not x
+
+
+def greedy_word(aw, a):
+    """Lexicographically smallest reduced word by uncached greedy descent."""
+    word = []
+    while a.length:
+        i = next(i for i, s in enumerate(aw.gens) if aw.mult(s, a).length < a.length)
+        word.append(i)
+        a = aw.mult(aw.gens[i], a)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("type_str,bound", [("A2", 8), ("C2", 8), ("G2", 8), ("B3", 6)])
+def test_element_caches_match_uncached_products(type_str, bound):
+    aw = AffineWeyl(build_root_datum(type_str))
+    for w in aw.enumerate_W(bound):
+        for i, s in enumerate(aw.gens):
+            assert aw.mult_gen(w, i) == aw.mult(w, s)
+            assert aw.mult_gen_left(i, w) == aw.mult(s, w)
+        assert aw.reduced_word(w) == greedy_word(aw, w)
+
+
 # -- length -----------------------------------------------------------------
 
 

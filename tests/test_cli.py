@@ -199,8 +199,15 @@ def test_exit_codes(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["code"] == 2 and "p >= 1" in err["message"]
 
-    # malformed table contents, in either wire format, are data errors
+    # malformed table contents, in either wire format, are data errors; the
+    # p label must be 0 or a prime (the s0 entry is otherwise valid)
+    s0_json = '"entries": [{"w": "s0", "terms": [["e", "1*v^1"], ["s0", "1*v^0"]]}]'
     for name, text in (
+        ("float_p.json", '{"p": 0.5, %s}' % s0_json),
+        ("bool_p.json", '{"p": true, %s}' % s0_json),
+        ("false_p.json", '{"p": false, %s}' % s0_json),
+        ("composite_p.json", '{"p": 4, %s}' % s0_json),
+        ("negative_p.txt", "p -3\nw=s0 : e:1*v^1, s0:1*v^0\n"),
         ("no_w.json", '{"p": 0, "entries": [{"terms": []}]}'),
         ("int_entries.json", '{"p": 0, "entries": 5}'),
         ("word_p.txt", "p zero\nw=s0 : s0:1*v^0\n"),

@@ -184,6 +184,17 @@ def test_tensor_symmetric_and_dimension_sum(ctx):
                 assert total == d.weyl_dimension(lam) * d.weyl_dimension(mu)
 
 
+# -- root lattice ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "C2", "G2", "B3", "D4"])
+def test_in_root_lattice_matches_rational_root_coords(type_str):
+    d = build_root_datum(type_str)
+    for w in itertools.product(range(-6, 7), repeat=d.rank):
+        expect = all(c.denominator == 1 for c in d.root_coords(w))
+        assert d.in_root_lattice(w) == expect
+
+
 # -- inner product sanity ------------------------------------------------------
 
 
