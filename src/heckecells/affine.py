@@ -8,6 +8,9 @@ The length function is the Iwahori-Matsumoto hyperplane count
     l(w t_lambda) = sum_{a>0, w(a)>0} |<lambda, a^vee>|
                   + sum_{a>0, w(a)<0} |1 + <lambda, a^vee>|.
 
+Each finite part gets its flags [w(a) < 0] once, so a length costs one
+pairing per root, and each pair of finite parts gets its product once.
+
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
 
@@ -84,6 +88,8 @@ class AffineWeyl:
         self.datum = datum
         d = datum
         self._elements: dict[tuple, AffineElement] = {}
+        self._inversions: dict[tuple, tuple[int, ...]] = {}
+        self._fin_products: dict[tuple, FiniteWeylElement] = {}
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
         self.identity.word = ()
         finite_gens = tuple(
@@ -116,14 +122,15 @@ class AffineWeyl:
 
     def _length(self, fin: FiniteWeylElement, trans) -> int:
         d = self.datum
-        total = 0
-        for r in d.positive_roots:
-            pair = sum(c * x for c, x in zip(r.coroot, trans))
-            if fin.apply(r.fund) in d._posroot_fund:
-                total += abs(pair)
-            else:
-                total += abs(1 + pair)
-        return total
+        flags = self._inversions.get(fin.mat)
+        if flags is None:
+            flags = self._inversions[fin.mat] = tuple(
+                int(fin.apply(r.fund) not in d._posroot_fund) for r in d.positive_roots
+            )
+        return sum(
+            abs(sum(map(mul, r.coroot, trans)) + f)
+            for r, f in zip(d.positive_roots, flags)
+        )
 
     def translation(self, lam) -> AffineElement:
         return self.element(self.datum.identity_finite, lam)
@@ -135,7 +142,10 @@ class AffineWeyl:
 
     def mult(self, a: AffineElement, b: AffineElement) -> AffineElement:
         # (w t_lam)(w' t_mu) = w w' t_{w'^{-1}(lam) + mu}
-        fin = a.fin * b.fin
+        key = (a.fin.mat, b.fin.mat)
+        fin = self._fin_products.get(key)
+        if fin is None:
+            fin = self._fin_products[key] = a.fin * b.fin
         moved = b.fin.apply_inverse(a.trans)
         trans = tuple(x + y for x, y in zip(moved, b.trans))
         return self.element(fin, trans)

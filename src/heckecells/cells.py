@@ -5,6 +5,11 @@ an edge y -> w (with witness s) whenever the canonical basis element indexed
 by w appears in N_y-bar . (H_s + v).  Cells are the strongly connected
 components of that edge graph, computed on a length-truncated ball.
 
+For p = 0 the targets are read off the W-graph: y when ys < y, else ys (if
+in fW) and each z with zs < z and mu(z, y) != 0, the v^1 coefficient stored
+in N_y.  A table's p-canonical basis keeps the leading-term expansion.  Under
+both, AffineWeyl forms each finite-part product and inversion-flag tuple once.
+
 Truncation policy: edges are expanded from every source of length <= L, so
 targets up to length L+1 are known exactly.  A component is *trusted* when it
 reaches down to the core zone (some member of length <= L - margin) and no
@@ -47,17 +52,12 @@ class CellPartition:
 
 def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
     """All single-generator expansion edges from sources of length <= bound."""
-    asph = provider.asph
-    edges = []
-    for y in aw.enumerate_fW(bound):
-        ny = provider.asph_canonical(y)
-        for i in range(len(aw.gens)):
-            prod = asph.mul_by_kl_gen(ny, i)
-            if not prod:
-                continue
-            for w in provider.asph_to_canonical(prod):
-                edges.append(CellEdge(frm=y, to=w, witness=i))
-    return edges
+    return [
+        CellEdge(frm=y, to=w, witness=i)
+        for y in aw.enumerate_fW(bound)
+        for i in range(len(aw.gens))
+        for w in provider.kl_gen_targets(y, i)
+    ]
 
 
 def _strongly_connected_components(nodes, succ):

@@ -130,14 +130,15 @@ def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, Laure
     return out
 
 
-def kl_gen_action(aw: AffineWeyl, x: HeckeElt, i: int, keep, v, vinv) -> HeckeElt:
-    """Right action of the canonical generator H_s + v on the standard basis.
+def kl_gen_action(aw: AffineWeyl, x: HeckeElt, i: int, keep, up, down) -> HeckeElt:
+    """Right action of a generator on the standard basis.
 
-    x_w (H_s + v) is x_ws + v x_w when ws > w and x_ws + v^-1 x_w when
-    ws < w.  A term whose ws > w fails ``keep`` is dropped: in the
-    antispherical module (keep = in_fW) such a ws gives (-v + v) N_w = 0.
-    ``keep`` is None in the algebra; v = vinv = 1 gives the wall-crossing
-    s + 1 on M0.
+    x_w goes to x_ws + up x_w when ws > w and to x_ws + down x_w when
+    ws < w: (up, down) = (v, v^-1) is the canonical generator H_s + v,
+    (0, v^-1 - v) is H_s and (v - v^-1, 0) is H_s^-1.  A term whose ws > w
+    fails ``keep`` is dropped: in the antispherical module (keep = in_fW)
+    such a ws gives (-v + v) N_w = 0 under H_s + v.  ``keep`` is None in
+    the algebra; up = down = 1 gives the wall-crossing s + 1 on M0.
     """
     out: dict[AffineElement, LaurentPoly] = {}
     for w, c in x.terms.items():
@@ -145,9 +146,9 @@ def kl_gen_action(aw: AffineWeyl, x: HeckeElt, i: int, keep, v, vinv) -> HeckeEl
         if ws.length > w.length:
             if keep is not None and not keep(ws):
                 continue
-            cw = c * v
+            cw = c * up
         else:
-            cw = c * vinv
+            cw = c * down
         n = out.get(ws)
         out[ws] = c if n is None else n + c
         n = out.get(w)
@@ -188,7 +189,7 @@ class Hecke:
 
     def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         """Right multiplication by the standard generator H_s."""
-        return self.mul_by_kl_gen(h, i) - h.scale(V)
+        return kl_gen_action(self.aw, h, i, None, LaurentPoly(), VINV - V)
 
     def mul_by_word(self, h: HeckeElt, word) -> HeckeElt:
         for i in word:
@@ -211,7 +212,7 @@ class Hecke:
             return cached
         out = self.unit()
         for i in self.aw.reduced_word(w):
-            out = self.mul_by_kl_gen(out, i) - out.scale(VINV)
+            out = kl_gen_action(self.aw, out, i, None, V - VINV, LaurentPoly())
         self._bar_std_cache[w] = out
         return out
 
@@ -483,6 +484,19 @@ class ZeroBasisProvider:
     def asph_to_canonical(self, n: AsphElt):
         return self.asph.to_canonical(n)
 
+    def kl_gen_targets(self, y: AffineElement, i: int):
+        """Canonical-basis support of N_y (H_s + v), read off the W-graph:
+        y when ys < y, else ys (if in fW) and each z with zs < z and
+        mu(z, y) != 0, the v^1 coefficient of N_y at z (Kazhdan-Lusztig
+        1979, Soergel 1997)."""
+        aw = self.hecke.aw
+        ys = aw.mult_gen(y, i)
+        if ys.length < y.length:
+            return [y]
+        ny = self.asph_canonical(y).terms
+        mus = [z for z, c in ny.items() if c.coeff(1) and aw.mult_gen(z, i).length < z.length]
+        return [ys] + mus if aw.in_fW(ys) else mus
+
 
 class TableBasisProvider:
     """Canonical-basis provider backed by an ingested table; the only code
@@ -510,6 +524,11 @@ class TableBasisProvider:
 
     def asph_to_canonical(self, n: AsphElt):
         return _to_canonical(n, self.asph_canonical, self.hecke.aw.sort_key)
+
+    def kl_gen_targets(self, y: AffineElement, i: int):
+        """Canonical-basis support of N_y (H_s + v), by leading-term
+        expansion: the W-graph rule of the 0-basis fails for p > 0."""
+        return self.asph_to_canonical(self.asph.mul_by_kl_gen(self.asph_canonical(y), i))
 
 
 class Context(NamedTuple):

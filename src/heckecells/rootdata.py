@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 Weight = tuple[int, ...]
 
@@ -169,14 +170,10 @@ class FiniteWeylElement:
         return FiniteWeylElement(self.inv, self.mat)
 
     def apply(self, weight) -> Weight:
-        return tuple(
-            sum(row[j] * weight[j] for j in range(len(weight))) for row in self.mat
-        )
+        return tuple(sum(map(mul, row, weight)) for row in self.mat)
 
     def apply_inverse(self, weight) -> Weight:
-        return tuple(
-            sum(row[j] * weight[j] for j in range(len(weight))) for row in self.inv
-        )
+        return tuple(sum(map(mul, row, weight)) for row in self.inv)
 
     def __repr__(self):
         return f"FiniteWeylElement({self.mat})"

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they are checking: the canonical
-basis oracle solves the bar-invariance equations triangularly, and the
-antispherical oracle goes through the full algebra and projects.
+basis oracle solves the bar-invariance equations triangularly, the
+antispherical oracle goes through the full algebra and projects, and the
+length oracle applies the finite part to every positive root.
 """
 
 from heckecells.hecke import Hecke, HeckeElt
@@ -34,6 +35,20 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
         if hz:
             coeffs[z] = hz
     return HeckeElt(coeffs)
+
+
+def length_oracle(aw, fin, trans) -> int:
+    """Iwahori-Matsumoto hyperplane count of fin . t_trans, applying fin to
+    every positive root."""
+    d = aw.datum
+    total = 0
+    for r in d.positive_roots:
+        pair = sum(c * x for c, x in zip(r.coroot, trans))
+        if fin.apply(r.fund) in d._posroot_fund:
+            total += abs(pair)
+        else:
+            total += abs(1 + pair)
+    return total
 
 
 def asph_canonical_oracle(hecke: Hecke, w) -> "object":

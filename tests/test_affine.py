@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
 from heckecells.rootdata import build_root_datum
 
+from oracles import length_oracle
+
 
 def bfs_ball(aw, radius):
     """Graph distance from the identity in the Cayley graph of (W, S)."""
@@ -97,6 +99,12 @@ def test_element_caches_match_uncached_products(type_str, bound):
             assert aw.mult_gen(w, i) == aw.mult(w, s)
             assert aw.mult_gen_left(i, w) == aw.mult(s, w)
         assert aw.reduced_word(w) == greedy_word(aw, w)
+        assert w.length == length_oracle(aw, w.fin, w.trans)
+    # every memoized finite product is the product of its two factors
+    fins = {w.fin.mat: w.fin for w in aw._elements.values()}
+    assert aw._fin_products
+    for (a, b), prod in aw._fin_products.items():
+        assert prod == fins[a] * fins[b]
 
 
 # -- length -----------------------------------------------------------------

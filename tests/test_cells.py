@@ -66,6 +66,27 @@ def test_edge_count_matches_full_algebra_oracle(ctx):
     assert edges == oracle_edges
 
 
+@pytest.mark.parametrize(
+    "type_str,L", [("A1", 12), ("A2", 12), ("C2", 16), ("G2", 16), ("B3", 12)]
+)
+def test_wgraph_edges_match_leading_term_expansion(ctx, type_str, L):
+    # the 0-basis reads its edges off the W-graph; expanding each product
+    # N_y.(H_s + v) by leading terms must give the same (frm, to, witness) set
+    c = ctx(type_str)
+    aw = c.aw
+    edges = [(e.frm, e.to, e.witness) for e in cell_edges(aw, c.provider, L)]
+    assert len(set(edges)) == len(edges)
+    oracle = {
+        (y, w, i)
+        for y in aw.enumerate_fW(L)
+        for i in range(len(aw.gens))
+        for w in c.provider.asph_to_canonical(
+            c.asph.mul_by_kl_gen(c.asph.canonical(y), i)
+        )
+    }
+    assert set(edges) == oracle
+
+
 def test_identity_is_singleton_cell(ctx):
     for t in ("A1", "A2", "C2", "G2"):
         c = ctx(t)

@@ -316,3 +316,19 @@ def test_universal_entries_only_in_higher_rank(ctx):
     assert table.orbit_of_cell(id_cell).name == "[4]"
     rec = humphreys_predict(c.aw, part, table, (0, 0, 0), 7)
     assert rec.orbit.name == "[4]" and rec.status == "theorem"
+
+
+@pytest.mark.parametrize("type_str,trusted", [("B3", 7), ("C3", 8)])
+def test_rank3_trusted_cells_reach_orbit_count(ctx, type_str, trusted):
+    # Lusztig's bijection beyond rank 2: at length 34 and margin 10 the
+    # trusted cells are as many as the nilpotent orbits, and the orbit
+    # table pins the regular, subregular and zero orbits on them
+    c = ctx(type_str)
+    part = right_cells(c.aw, 34, 10, c.provider)
+    assert len(part.trusted_cells()) == trusted == len(enumerate_orbits(c.datum))
+    table = build_orbit_table(c.aw, part)
+    dims = sorted(o.dimension for o in table.orbits)
+    pinned = sorted(table.orbit_of_cell(i).dimension for i in table.cell_map)
+    assert pinned == [dims[0], dims[-2], dims[-1]]
+    id_cell = part.cell_index(c.aw.identity)
+    assert table.orbit_of_cell(id_cell).dimension == dims[-1]
