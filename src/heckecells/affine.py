@@ -70,12 +70,6 @@ class Alcove:
     floors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CosetMinimality:
-    in_fW: bool
-    in_fWf: bool
-
-
 class AffineWeyl:
     """Arithmetic context for one affine Weyl group.
 
@@ -175,37 +169,35 @@ class AffineWeyl:
 
     # -- descents, cosets, words -------------------------------------------
 
-    def min_coset_rep(self, a: AffineElement) -> tuple[AffineElement, FiniteWeylElement]:
-        """Minimal representative of W_f a, with the finite prefix.
+    def min_coset_rep(self, a: AffineElement) -> AffineElement:
+        """Minimal representative rep of W_f a.
 
-        Returns (rep, u) where a = u . rep and u is in W_f.
+        a = u . rep with u in W_f of length a.length - rep.length: each
+        step strips one finite reflection and lowers the length by one.
         """
-        rep, u = a, self.datum.identity_finite
         while True:
             for i in range(1, len(self.gens)):
-                srep = self.mult_gen_left(i, rep)
-                if srep.length < rep.length:
-                    rep, u = srep, u * self.datum.simple_reflections[i - 1]
+                sa = self.mult_gen_left(i, a)
+                if sa.length < a.length:
+                    a = sa
                     break
             else:
-                return rep, u
-
-    def coset_minimality(self, a: AffineElement) -> CosetMinimality:
-        in_fw = self.in_fW(a)
-        in_fwf = in_fw and not any(
-            self.mult_gen(a, i).length < a.length for i in range(1, len(self.gens))
-        )
-        return CosetMinimality(in_fw, in_fwf)
+                return a
 
     def in_fW(self, a: AffineElement) -> bool:
         return not any(
             self.mult_gen_left(i, a).length < a.length for i in range(1, len(self.gens))
         )
 
+    def in_fWf(self, a: AffineElement) -> bool:
+        """True if a is minimal in both W_f a and a W_f."""
+        return self.in_fW(a) and not any(
+            self.mult_gen(a, i).length < a.length for i in range(1, len(self.gens))
+        )
+
     def w_lambda(self, lam) -> AffineElement:
         """The unique shortest element of the coset W_f t_lambda."""
-        rep, _ = self.min_coset_rep(self.translation(lam))
-        return rep
+        return self.min_coset_rep(self.translation(lam))
 
     def reduced_word(self, a: AffineElement) -> tuple[int, ...]:
         """Lexicographically smallest reduced word (generator indices).
@@ -260,23 +252,17 @@ class AffineWeyl:
     # -- length-zero subgroup ------------------------------------------------
 
     def _build_omega(self) -> tuple[AffineElement, ...]:
+        """The length-zero elements: the identity and, for each minuscule
+        fundamental weight varpi_i, the inverse of w_{-varpi_i}."""
         d = self.datum
-        gens = []
-        w0 = d.longest_element()
+        out = [self.identity]
         for i in range(d.rank):
-            if d.affine_root.coroot[i] != 1:
-                continue
-            others = [j for j in range(d.rank) if j != i]
-            u = d.longest_element(others) * w0
-            varpi = tuple(1 if k == i else 0 for k in range(d.rank))
-            omega = self.mult(self.translation(varpi), self.from_finite(u))
-            if omega.length != 0:
-                raise AssertionError("constructed length-zero element has length > 0")
-            gens.append(omega)
-        # the group the generators span: a finite group, so right products
-        # by the generators reach every element
-        out = closure([self.identity], lambda a: (self.mult(a, g) for g in gens))
-        if len(out) != d.fundamental_group_order():
+            if d.affine_root.coroot[i] == 1:
+                varpi = tuple(-1 if k == i else 0 for k in range(d.rank))
+                out.append(self.inverse(self.w_lambda(varpi)))
+        if any(om.length for om in out):
+            raise AssertionError("constructed length-zero element has length > 0")
+        if len(set(out)) != d.fundamental_group_order():
             raise AssertionError("length-zero subgroup has wrong order")
         return tuple(sorted(out, key=lambda a: (a != self.identity, a.trans)))
 
@@ -322,12 +308,10 @@ class AffineWeyl:
         return {"finite_word": fin_word, "translation": list(a.trans)}
 
     def from_json_record(self, rec: dict) -> AffineElement:
-        u = self.datum.identity_finite
-        for i in rec["finite_word"]:
-            u = u * self.datum.simple_reflections[i - 1]
-        return self.mult(
-            self.from_finite(u), self.translation(tuple(rec["translation"]))
-        )
+        word, trans = rec["finite_word"], tuple(rec["translation"])
+        if not all(1 <= i <= self.datum.rank for i in word) or len(trans) != self.datum.rank:
+            raise ValueError(f"bad JSON record for type {self.datum.cartan_type}: {rec!r}")
+        return self.mult(self.from_word(word), self.translation(trans))
 
     # -- dot action and alcoves --------------------------------------------------
 

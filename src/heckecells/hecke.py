@@ -156,6 +156,23 @@ def kl_gen_action(aw: AffineWeyl, x: HeckeElt, i: int, keep, up, down) -> HeckeE
     return HeckeElt(out)
 
 
+def coset_project(aw: AffineWeyl, x: HeckeElt, strip) -> HeckeElt:
+    """Rewrite each x_w onto the minimal representative rep of W_f w.
+
+    w = u . rep with u in W_f, and each of the l(u) = l(w) - l(rep)
+    stripped finite reflections multiplies the coefficient by ``strip``:
+    -v in the antispherical module, -1 on M0 at v = 1.
+    """
+    out: dict = {}
+    for w, c in x.terms.items():
+        rep = aw.min_coset_rep(w)
+        for _ in range(w.length - rep.length):
+            c = c * strip
+        n = out.get(rep)
+        out[rep] = c if n is None else n + c
+    return HeckeElt(out)
+
+
 def _check_in_fW(aw: AffineWeyl, w: AffineElement) -> None:
     if not aw.in_fW(w):
         raise ValueError("canonical antispherical elements are indexed by fW")
@@ -250,18 +267,8 @@ class Hecke:
     # -- antispherical projection ----------------------------------------------
 
     def asph_project(self, h: HeckeElt) -> AsphElt:
-        """Image of 1 (x) h in the antispherical module.
-
-        Each stripped finite reflection contributes a factor -v.
-        """
-        out: dict[AffineElement, LaurentPoly] = {}
-        for w, c in h.terms.items():
-            rep, u = self.aw.min_coset_rep(w)
-            k = self.aw.datum.finite_length(u)
-            contrib = c * LaurentPoly.v(k, -1 if k % 2 else 1)
-            n = out.get(rep)
-            out[rep] = contrib if n is None else n + contrib
-        return AsphElt(out)
+        """Image of 1 (x) h in the antispherical module."""
+        return coset_project(self.aw, h, -V)
 
 
 class AsphModule:

@@ -195,9 +195,7 @@ def closure_order(datum, orbits: list[NilpotentOrbit]):
     """
     n = len(orbits)
     if datum.cartan_type.series == "A":
-        parts = [
-            tuple(int(x) for x in o.name.strip("[]").split(",")) for o in orbits
-        ]
+        parts = [_partition_of_pair(datum, o.bala_carter[0]) for o in orbits]
 
         def dominated(a, b):
             sa = sb = 0
@@ -435,7 +433,7 @@ def humphreys_predict(
     if mode == "relative":
         if aw.dot_action(w, (0,) * datum.rank, p) != lam:
             raise ValueError("relative mode needs lam = w ._p 0 exactly")
-        if not aw.coset_minimality(w).in_fWf:
+        if not aw.in_fWf(w):
             return PredictionRecord(
                 cartan_type=str(datum.cartan_type),
                 p=p,

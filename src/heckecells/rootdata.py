@@ -14,18 +14,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 
 Weight = tuple[int, ...]
-
-_EXCEPTIONAL_WEYL_ORDER = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -106,17 +98,6 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
         # alpha_1 short, alpha_2 long: <alpha_2, alpha_1^vee> = -3
         bond(0, 1, cij=-3, cji=-1)
     return tuple(tuple(row) for row in C)
-
-
-def _finite_weyl_order(ct: CartanType) -> int:
-    n = ct.rank
-    if ct.series == "A":
-        return factorial(n + 1)
-    if ct.series in ("B", "C"):
-        return 2**n * factorial(n)
-    if ct.series == "D":
-        return 2 ** (n - 1) * factorial(n)
-    return _EXCEPTIONAL_WEYL_ORDER[(ct.series, n)]
 
 
 @dataclass(frozen=True)
@@ -204,7 +185,6 @@ class RootDatum:
         self.rank = cartan_type.rank
         self.cartan = cartan_matrix(cartan_type)
         self.rho: Weight = (1,) * self.rank
-        self.finite_weyl_order = _finite_weyl_order(cartan_type)
 
         self._build_roots()
         self._build_symmetrizer()
@@ -246,9 +226,6 @@ class RootDatum:
         positives.sort(key=lambda r: (r.height, r.simple))
         self.positive_roots: list[Root] = positives
         self._posroot_fund = {r.fund: r for r in positives}
-        self._negroot_fund = {
-            tuple(-c for c in r.fund): r for r in positives
-        }
 
         self.highest_root = max(positives, key=lambda r: r.height)
         # the root whose coroot is the highest coroot (affine wall data)
@@ -280,13 +257,10 @@ class RootDatum:
         self.symmetrizer: tuple[int, ...] = tuple(x // g for x in ints)
 
     def _build_inverse_cartan(self):
-        # inv_cartan[i][j]: root coordinates of the fundamental weights,
-        # i.e. varpi_j = sum_i inv_cartan[i][j] alpha_i.  Since
-        # alpha_j = sum_i cartan[i][j] varpi_i, a weight x has root
-        # coordinates inv(cartan) @ x.
+        # Since alpha_j = sum_i cartan[i][j] varpi_i, a weight x has root
+        # coordinates inv(cartan) @ x = adj(cartan) @ x / det(cartan).
         n = self.rank
         self._cartan_det, inv = solve_exact(self.cartan, _identity_matrix(n))
-        self._inv_cartan = tuple(tuple(row) for row in inv)
         self._adj_cartan = tuple(tuple(int(self._cartan_det * c) for c in row) for row in inv)
 
     def _build_reflections(self):
@@ -306,9 +280,6 @@ class RootDatum:
             )
             gens.append(FiniteWeylElement(mat, mat))
         self.simple_reflections: list[FiniteWeylElement] = gens
-        self._finite_length_cache: dict[FiniteWeylElement, int] = {
-            self.identity_finite: 0
-        }
 
     def _validate(self):
         for i in range(self.rank):
@@ -336,11 +307,8 @@ class RootDatum:
 
     def root_coords(self, weight) -> tuple[Fraction, ...]:
         """Expansion of a weight over the simple roots (rational in general)."""
-        n = self.rank
-        return tuple(
-            sum(self._inv_cartan[i][j] * weight[j] for j in range(n))
-            for i in range(n)
-        )
+        det = self._cartan_det
+        return tuple(Fraction(sum(map(mul, row, weight)), det) for row in self._adj_cartan)
 
     def in_root_lattice(self, weight) -> bool:
         """True when the root coordinates adj(cartan) . weight / det are integers."""
@@ -378,17 +346,6 @@ class RootDatum:
         if not pair:
             return weight
         return tuple([x - pair * a for x, a in zip(weight, self.simple_roots[i].fund)])
-
-    def finite_length(self, w: FiniteWeylElement) -> int:
-        out = self._finite_length_cache.get(w)
-        if out is None:
-            out = sum(
-                1
-                for r in self.positive_roots
-                if w.apply(r.fund) in self._negroot_fund
-            )
-            self._finite_length_cache[w] = out
-        return out
 
     def reflection(self, root: Root) -> FiniteWeylElement:
         n = self.rank
@@ -428,25 +385,6 @@ class RootDatum:
         return closure(
             [self.identity_finite], lambda w: [w * s for s in self.simple_reflections]
         )
-
-    def longest_element(self, subset: "list[int] | None" = None) -> FiniteWeylElement:
-        """Longest element of the parabolic generated by the given indices."""
-        gens = (
-            self.simple_reflections
-            if subset is None
-            else [self.simple_reflections[i] for i in subset]
-        )
-        w = self.identity_finite
-        lw = 0
-        while True:
-            for s in gens:
-                ws = w * s
-                lws = self.finite_length(ws)
-                if lws > lw:
-                    w, lw = ws, lws
-                    break
-            else:
-                return w
 
     # -- representation-theoretic quantities -----------------------------
 

@@ -18,7 +18,7 @@ import warnings
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition, leq_R
-from .hecke import HeckeElt, kl_gen_action, specialize_v1
+from .hecke import HeckeElt, coset_project, kl_gen_action, specialize_v1
 from .rootdata import Weight
 
 
@@ -52,21 +52,15 @@ def tilting_class(provider, w: AffineElement) -> MZeroElt:
     return MZeroElt(specialize_v1(provider.asph_canonical(w)))
 
 
-def mzero_act_elem(aw: AffineWeyl, x: MZeroElt, g: AffineElement) -> MZeroElt:
-    """Right action of a group element on M0 with the sign rewriting."""
-    out: dict[AffineElement, int] = {}
-    for w, c in x.terms.items():
-        z = aw.mult(w, g)
-        rep, u = aw.min_coset_rep(z)
-        sign = -1 if aw.datum.finite_length(u) % 2 else 1
-        out[rep] = out.get(rep, 0) + sign * c
-    return MZeroElt(out)
-
 def mzero_act(aw: AffineWeyl, x: MZeroElt, c: GroupAlgebraElt) -> MZeroElt:
-    out = MZeroElt()
+    """Right action of a group-algebra element on M0: the product x c in
+    Z[W], rewritten onto fW with a sign per stripped finite reflection."""
+    prod: dict[AffineElement, int] = {}
     for g, n in c.terms.items():
-        out = out + mzero_act_elem(aw, x, g).scale(n)
-    return out
+        for w, m in x.terms.items():
+            z = aw.mult(w, g)
+            prod[z] = prod.get(z, 0) + m * n
+    return coset_project(aw, MZeroElt(prod), -1)
 
 
 def wall_crossing(aw: AffineWeyl, x: MZeroElt, i: int) -> MZeroElt:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
+from heckecells.hecke import HeckeElt, coset_project
+from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import build_root_datum
 
 from oracles import length_oracle
@@ -218,14 +220,10 @@ def test_bruhat_rejects_extended_elements(ctx):
 
 def test_coset_minimality_examples(ctx):
     aw = ctx("C2").aw
-    assert aw.coset_minimality(aw.identity) == aw.coset_minimality(aw.identity)
-    cm = aw.coset_minimality(aw.identity)
-    assert cm.in_fW and cm.in_fWf
+    assert aw.in_fW(aw.identity) and aw.in_fWf(aw.identity)
     for s in aw.finite_gens:
-        cm = aw.coset_minimality(s)
-        assert not cm.in_fW and not cm.in_fWf
-    cm = aw.coset_minimality(aw.affine_gen)
-    assert cm.in_fW and cm.in_fWf
+        assert not aw.in_fW(s) and not aw.in_fWf(s)
+    assert aw.in_fW(aw.affine_gen) and aw.in_fWf(aw.affine_gen)
 
 
 def test_w_lambda_examples(ctx):
@@ -257,7 +255,7 @@ def test_char_fW_equivalences(ctx):
             )
             cond2 = d.is_dominant(lam) and w.length == aw.translation(
                 lam
-            ).length - d.finite_length(v)
+            ).length - length_oracle(aw, v, (0,) * d.rank)
             cond3 = d.is_dominant(lam) and all(
                 d.pairing(lam, r) >= 1
                 for r in d.positive_roots
@@ -273,9 +271,29 @@ def test_fWf_matches_antidominant_w_lambda(ctx):
     d = ctx("C2").datum
     for w in aw.enumerate_W(8):
         lam = w.trans
-        rep, _ = aw.min_coset_rep(aw.translation(lam))
+        rep = aw.min_coset_rep(aw.translation(lam))
         expected = rep == w and d.is_dominant(tuple(-c for c in lam))
-        assert aw.coset_minimality(w).in_fWf == expected
+        assert aw.in_fWf(w) == expected
+
+
+@pytest.mark.parametrize("type_str,bound", [("A2", 8), ("C2", 8), ("G2", 8), ("B3", 6)])
+def test_coset_length_drop_matches_prefix_oracle(type_str, bound):
+    # x = u . rep with u = x . rep^-1 finite; the length drop is l(u), and
+    # both coset projections scale by the stripped scalar to that power
+    aw = AffineWeyl(build_root_datum(type_str))
+    zero = (0,) * aw.datum.rank
+    for w in aw.enumerate_W(bound):
+        for x in [aw.mult(om, w) for om in aw.omega]:
+            rep = aw.min_coset_rep(x)
+            u = aw.mult(x, aw.inverse(rep))
+            assert u.trans == zero and aw.in_fW(rep)
+            k = length_oracle(aw, u.fin, zero)
+            assert x.length - rep.length == k
+            sign = -1 if k % 2 else 1
+            assert coset_project(aw, HeckeElt({x: 1}), -1) == HeckeElt({rep: sign})
+            assert coset_project(aw, HeckeElt({x: ONE}), -V) == HeckeElt(
+                {rep: LaurentPoly.v(k, sign)}
+            )
 
 
 def test_length_fW_dominant_translation(ctx):
@@ -379,6 +397,21 @@ def test_omega_group(ctx):
             assert om.length == 0
 
 
+def test_omega_is_the_length_zero_part_of_small_translations():
+    # every length-zero element is u . t_lam with lam a W_f-image of a
+    # minuscule weight, so its coordinates lie in {-1, 0, 1}
+    for t in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"):
+        d = build_root_datum(t)
+        aw = AffineWeyl(d)
+        length_zero = {
+            x
+            for u in d.generate_finite_weyl()
+            for lam in itertools.product((-1, 0, 1), repeat=d.rank)
+            if (x := aw.element(u, lam)).length == 0
+        }
+        assert set(aw.omega) == length_zero
+
+
 def test_word_serialization_round_trip(ctx):
     aw = ctx("C2").aw
     rng = random.Random(3)
@@ -396,3 +429,14 @@ def test_json_record_shape(ctx):
     assert set(rec) == {"finite_word", "translation"}
     assert rec["translation"] == [-2]
     assert rec["finite_word"] == [1]
+
+
+def test_json_record_rejects_bad_records(ctx):
+    aw = ctx("C2").aw
+    for rec in (
+        {"finite_word": [0], "translation": [0, 0]},
+        {"finite_word": [3], "translation": [0, 0]},
+        {"finite_word": [1], "translation": [0]},
+    ):
+        with pytest.raises(ValueError):
+            aw.from_json_record(rec)

@@ -163,7 +163,7 @@ def test_g2_middle_cell_double_coset_chain(ctx):
         cid for cid, i in table.cell_map.items() if table.orbits[i].name == "middle"
     )
     fwf = sorted(
-        (w for w in part.cells[mid] if aw.coset_minimality(w).in_fWf),
+        (w for w in part.cells[mid] if aw.in_fWf(w)),
         key=aw.sort_key,
     )
     assert len(fwf) >= 2
@@ -175,7 +175,7 @@ def test_g2_middle_cell_double_coset_chain(ctx):
         cid for cid, i in table.cell_map.items() if table.orbits[i].name == "minimal"
     )
     fwf_min = sorted(
-        (w for w in part.cells[mn] if aw.coset_minimality(w).in_fWf),
+        (w for w in part.cells[mn] if aw.in_fWf(w)),
         key=aw.sort_key,
     )
     assert any(
@@ -248,7 +248,7 @@ def test_relative_mode(ctx):
     w = next(
         w
         for w in aw.enumerate_fW(6)
-        if aw.in_fW(w) and not aw.coset_minimality(w).in_fWf
+        if aw.in_fW(w) and not aw.in_fWf(w)
     )
     lam = aw.dot_action(w, (0, 0), p)
     rec = humphreys_predict(aw, part, table, lam, p, mode="relative")

@@ -1,10 +1,12 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckecells.rootdata import CartanType, build_root_datum
+from heckecells.rootdata import CartanType, build_root_datum, solve_exact
 
 
 def test_cartan_type_parsing():
@@ -190,9 +192,16 @@ def test_tensor_symmetric_and_dimension_sum(ctx):
 @pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "C2", "G2", "B3", "D4"])
 def test_in_root_lattice_matches_rational_root_coords(type_str):
     d = build_root_datum(type_str)
-    for w in itertools.product(range(-6, 7), repeat=d.rank):
-        expect = all(c.denominator == 1 for c in d.root_coords(w))
-        assert d.in_root_lattice(w) == expect
+    # reference: the inverse Cartan matrix from one exact solve, over the
+    # common denominator of its entries
+    n = d.rank
+    _, inv = solve_exact(d.cartan, [[int(i == j) for j in range(n)] for i in range(n)])
+    den = math.lcm(*(c.denominator for row in inv for c in row))
+    num = [[int(c * den) for c in row] for row in inv]
+    for w in itertools.product(range(-6, 7), repeat=n):
+        ref = tuple(Fraction(sum(a * x for a, x in zip(row, w)), den) for row in num)
+        assert d.root_coords(w) == ref
+        assert d.in_root_lattice(w) == all(c.denominator == 1 for c in ref)
 
 
 # -- inner product sanity ------------------------------------------------------

@@ -23,6 +23,8 @@ from heckecells.tilting import (
     weyl_module_character,
 )
 
+from oracles import length_oracle
+
 
 def fusion_oracle(c, lam, mu, nu, p, length_cap=36):
     """Brute-force alternating sum over a long fW enumeration."""
@@ -133,7 +135,8 @@ def test_translation_one_step_matches_character_oracle(ctx):
         # ch M(w.0) (x) M = sum_tau m_tau chi(w.0 + tau); a regular term in
         # the principal block contributes det(u) N(rep) where u.rep is the
         # coset factorization of the orbit element (the finite dot-reflection
-        # sign); other terms vanish or sit in other blocks
+        # sign, with u the finite part of y . rep^-1); other terms vanish or
+        # sit in other blocks
         out = {}
         lam = aw.dot_action(w, (0,), p)
         for tau, mult in m.items():
@@ -141,8 +144,9 @@ def test_translation_one_step_matches_character_oracle(ctx):
             y = dot_orbit_element(aw, eta, p)
             if y is None:
                 continue
-            rep, u = aw.min_coset_rep(y)
-            s2 = -1 if d.finite_length(u) % 2 else 1
+            rep = aw.min_coset_rep(y)
+            u = aw.mult(y, aw.inverse(rep)).fin
+            s2 = -1 if length_oracle(aw, u, (0,) * d.rank) % 2 else 1
             out[rep] = out.get(rep, 0) + mult * s2
         return MZeroElt(out)
 
