@@ -9,7 +9,9 @@ The length function is the Iwahori-Matsumoto hyperplane count
                   + sum_{a>0, w(a)<0} |1 + <lambda, a^vee>|.
 
 Each finite part gets its flags [w(a) < 0] once, so a length costs one
-pairing per root, and each pair of finite parts gets its product once.
+pairing per root, and each pair of finite parts gets its product once.  It
+also gets one (coroot, bound) pair per generator, so that deciding a left
+descent costs one pairing and builds no element (Bjorner-Brenti, 8.3).
 
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
@@ -82,7 +84,7 @@ class AffineWeyl:
         self.datum = datum
         d = datum
         self._elements: dict[tuple, AffineElement] = {}
-        self._inversions: dict[tuple, tuple[int, ...]] = {}
+        self._finite_records: dict[tuple, tuple] = {}
         self._fin_products: dict[tuple, FiniteWeylElement] = {}
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
         self.identity.word = ()
@@ -114,16 +116,32 @@ class AffineWeyl:
             )
         return out
 
+    def _finite_record(self, fin: FiniteWeylElement) -> tuple:
+        """Computed once per finite part w: the flags [w(a) < 0] of the
+        positive roots, and per generator i a pair (c, n) with s_i . w t_lam
+        shorter than w t_lam iff <lam, c> < n.  With beta = w^-1(alpha_i)
+        (the affine root for i = 0), k = <lam, beta^vee> and n0 = [beta < 0],
+        the test is k < n0 for i >= 1 and k > n0 for i = 0."""
+        rec = self._finite_records.get(fin.mat)
+        if rec is None:
+            d, inv, pos = self.datum, fin.inverse(), self.datum._posroot_fund
+            flags = tuple(int(fin.apply(r.fund) not in pos) for r in d.positive_roots)
+            descents = []
+            for i, root in enumerate([d.affine_root] + d.simple_roots):
+                beta = inv.apply(root.fund)
+                n0 = int(beta not in pos)
+                coroot = pos[tuple(-x for x in beta) if n0 else beta].coroot
+                # c = beta^vee; for s0, c and n are negated so that k > n0 reads c < n
+                sign = (-1) ** (n0 + (i == 0))
+                descents.append((tuple(sign * c for c in coroot), -n0 if i == 0 else n0))
+            rec = self._finite_records[fin.mat] = (flags, tuple(descents))
+        return rec
+
     def _length(self, fin: FiniteWeylElement, trans) -> int:
-        d = self.datum
-        flags = self._inversions.get(fin.mat)
-        if flags is None:
-            flags = self._inversions[fin.mat] = tuple(
-                int(fin.apply(r.fund) not in d._posroot_fund) for r in d.positive_roots
-            )
+        flags = self._finite_record(fin)[0]
         return sum(
             abs(sum(map(mul, r.coroot, trans)) + f)
-            for r, f in zip(d.positive_roots, flags)
+            for r, f in zip(self.datum.positive_roots, flags)
         )
 
     def translation(self, lam) -> AffineElement:
@@ -169,25 +187,28 @@ class AffineWeyl:
 
     # -- descents, cosets, words -------------------------------------------
 
+    def left_descent(self, a: AffineElement, start: int = 0) -> int | None:
+        """The first generator i >= start with s_i a < a, or None; one
+        pairing per generator tried, and no element is built."""
+        descents, trans = self._finite_record(a.fin)[1], a.trans
+        for i in range(start, len(descents)):
+            c, n = descents[i]
+            if sum(map(mul, c, trans)) < n:
+                return i
+        return None
+
     def min_coset_rep(self, a: AffineElement) -> AffineElement:
         """Minimal representative rep of W_f a.
 
         a = u . rep with u in W_f of length a.length - rep.length: each
         step strips one finite reflection and lowers the length by one.
         """
-        while True:
-            for i in range(1, len(self.gens)):
-                sa = self.mult_gen_left(i, a)
-                if sa.length < a.length:
-                    a = sa
-                    break
-            else:
-                return a
+        while (i := self.left_descent(a, 1)) is not None:
+            a = self.mult_gen_left(i, a)
+        return a
 
     def in_fW(self, a: AffineElement) -> bool:
-        return not any(
-            self.mult_gen_left(i, a).length < a.length for i in range(1, len(self.gens))
-        )
+        return self.left_descent(a, 1) is None
 
     def in_fWf(self, a: AffineElement) -> bool:
         """True if a is minimal in both W_f a and a W_f."""
@@ -208,14 +229,11 @@ class AffineWeyl:
         """
         path, cur = [], a
         while cur.word is None:
-            if cur.length == 0:
+            i = self.left_descent(cur)
+            if i is None:
                 raise ValueError("element is not in W; use to_word for W_ext")
-            for i in range(len(self.gens)):
-                nxt = self.mult_gen_left(i, cur)
-                if nxt.length < cur.length:
-                    break
             path.append((cur, i))
-            cur = nxt
+            cur = self.mult_gen_left(i, cur)
         word = cur.word
         for elem, i in reversed(path):
             word = elem.word = (i,) + word
@@ -233,21 +251,27 @@ class AffineWeyl:
     # -- Bruhat order ------------------------------------------------------
 
     def bruhat_leq(self, a: AffineElement, b: AffineElement) -> bool:
-        """Bruhat order on W via the one-sided descent recursion."""
-        if not (self.in_affine_weyl(a) and self.in_affine_weyl(b)):
+        """Bruhat order on W by the lifting property along the reduced word
+        of b: its last letter s is a right descent, and y <= w iff
+        min(y, ys) <= ws; at equal length, iff y = w.
+
+        Right multiplication keeps y in its coset of W, so a walk that ends
+        at w in W proves y in W; a is checked only when it does not."""
+        if not self.in_affine_weyl(b):
             raise ValueError("Bruhat order is only defined on W")
         y, w = a, b
-        # with ws < w: y <= w iff min(y, ys) <= ws; at equal length, iff y = w
-        while y.length < w.length:
-            for i in range(len(self.gens)):
-                ws = self.mult_gen(w, i)
-                if ws.length < w.length:
-                    break
+        for i in reversed(self.reduced_word(b)):
+            if y.length >= w.length:
+                break
             ys = self.mult_gen(y, i)
             if ys.length < y.length:
                 y = ys
-            w = ws
-        return y == w
+            w = self.mult_gen(w, i)
+        if y == w:
+            return True
+        if not self.in_affine_weyl(a):
+            raise ValueError("Bruhat order is only defined on W")
+        return False
 
     # -- length-zero subgroup ------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -315,7 +316,8 @@ class CanonicalBasisTable:
     The label p records which p-canonical basis the table claims to hold
     (0 means the ordinary Kazhdan-Lusztig basis, otherwise it is a prime
     below 2^31; never a bool); provenance is free text.  Entries are validated
-    to be unitriangular with diagonal coefficient 1.
+    to be indexed by W and unitriangular with diagonal coefficient 1.  A
+    parse or dump resolves each distinct word and polynomial once.
     """
 
     def __init__(self, aw: AffineWeyl, p: int, entries: dict, provenance: str = ""):
@@ -333,6 +335,8 @@ class CanonicalBasisTable:
         ):
             raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
         for w, h in self.entries.items():
+            if not self.aw.in_affine_weyl(w):
+                raise BasisTableError(f"entry {self.aw.to_word(w)} is not in W")
             diag = h.coeff(w)
             if diag != ONE:
                 raise BasisTableError(
@@ -363,17 +367,21 @@ class CanonicalBasisTable:
 
     # -- wire formats --------------------------------------------------------
 
+    def _rows(self) -> list:
+        """(word of w, [(word of y, coefficient text), ...]) per entry, both
+        in (length, word) order; each element's word is printed once."""
+        to_word, key = lru_cache(None)(self.aw.to_word), self.aw.sort_key
+        return [
+            (to_word(w), [(to_word(y), h.terms[y].serialize()) for y in sorted(h.terms, key=key)])
+            for w, h in sorted(self.entries.items(), key=lambda e: key(e[0]))
+        ]
+
     def dump_text(self) -> str:
         lines = [f"p {self.p}"]
         if self.provenance:
             lines.append(f"provenance {self.provenance}")
-        for w in sorted(self.entries, key=self.aw.sort_key):
-            h = self.entries[w]
-            terms = ", ".join(
-                f"{self.aw.to_word(y)}:{h.terms[y].serialize()}"
-                for y in sorted(h.support(), key=self.aw.sort_key)
-            )
-            lines.append(f"w={self.aw.to_word(w)} : {terms}")
+        for w, terms in self._rows():
+            lines.append(f"w={w} : " + ", ".join(f"{y}:{c}" for y, c in terms))
         return "\n".join(lines) + "\n"
 
     def dump_json(self) -> str:
@@ -381,16 +389,7 @@ class CanonicalBasisTable:
             "schema": 1,
             "p": self.p,
             "provenance": self.provenance,
-            "entries": [
-                {
-                    "w": self.aw.to_word(w),
-                    "terms": [
-                        [self.aw.to_word(y), self.entries[w].terms[y].serialize()]
-                        for y in sorted(self.entries[w].support(), key=self.aw.sort_key)
-                    ],
-                }
-                for w in sorted(self.entries, key=self.aw.sort_key)
-            ],
+            "entries": [{"w": w, "terms": terms} for w, terms in self._rows()],
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -398,17 +397,19 @@ class CanonicalBasisTable:
     def parse(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":
         """Read either wire format; any malformed content is a BasisTableError."""
         text = text.lstrip()
+        # call-local memos: exceptions are not cached, so a bad token still raises
+        word, poly = lru_cache(None)(aw.from_word_str), lru_cache(None)(LaurentPoly.deserialize)
         try:
             if text.startswith("{"):
-                return cls._parse_json(aw, text)
-            return cls._parse_text(aw, text)
+                return cls._parse_json(aw, text, word, poly)
+            return cls._parse_text(aw, text, word, poly)
         except BasisTableError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
 
     @classmethod
-    def _parse_text(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":
+    def _parse_text(cls, aw: AffineWeyl, text: str, word, poly) -> "CanonicalBasisTable":
         p = None
         provenance = ""
         entries: dict[AffineElement, HeckeElt] = {}
@@ -422,16 +423,14 @@ class CanonicalBasisTable:
                 provenance = line[len("provenance "):]
             elif line.startswith("w="):
                 head, _, body = line.partition(":")
-                w = aw.from_word_str(head[2:].strip())
+                w = word(head[2:].strip())
                 terms = {}
                 for item in body.split(","):
                     item = item.strip()
                     if not item:
                         continue
-                    word, _, poly = item.rpartition(":")
-                    terms[aw.from_word_str(word.strip())] = LaurentPoly.deserialize(
-                        poly.strip()
-                    )
+                    y, _, c = item.rpartition(":")
+                    terms[word(y.strip())] = poly(c.strip())
                 if w in entries:
                     raise BasisTableError(f"duplicate entry at line {lineno}")
                 entries[w] = HeckeElt(terms)
@@ -440,22 +439,17 @@ class CanonicalBasisTable:
         return cls(aw, p, entries, provenance)
 
     @classmethod
-    def _parse_json(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":
+    def _parse_json(cls, aw: AffineWeyl, text: str, word, poly) -> "CanonicalBasisTable":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise BasisTableError(f"bad JSON table: {e}") from e
         entries = {}
         for rec in obj.get("entries", []):
-            w = aw.from_word_str(rec["w"])
+            w = word(rec["w"])
             if w in entries:
                 raise BasisTableError(f"duplicate entry {rec['w']}")
-            entries[w] = HeckeElt(
-                {
-                    aw.from_word_str(word): LaurentPoly.deserialize(poly)
-                    for word, poly in rec["terms"]
-                }
-            )
+            entries[w] = HeckeElt({word(y): poly(c) for y, c in rec["terms"]})
         return cls(aw, obj.get("p"), entries, obj.get("provenance", ""))
 
 

@@ -41,7 +41,7 @@ class LaurentPoly:
                 out[k] = n
             else:
                 out.pop(k, None)
-        return LaurentPoly(out)
+        return _clean(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.c)
@@ -51,10 +51,10 @@ class LaurentPoly:
                 out[k] = n
             else:
                 out.pop(k, None)
-        return LaurentPoly(out)
+        return _clean(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self.c.items()})
+        return _clean({k: -v for k, v in self.c.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
@@ -66,16 +66,16 @@ class LaurentPoly:
                     out[k] = n
                 else:
                     out.pop(k, None)
-        return LaurentPoly(out)
+        return _clean(out)
 
     def scale(self, n: int) -> "LaurentPoly":
         if n == 0:
             return LaurentPoly()
-        return LaurentPoly({k: n * v for k, v in self.c.items()})
+        return _clean({k: n * v for k, v in self.c.items()})
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v^exp."""
-        return LaurentPoly({k + exp: v for k, v in self.c.items()})
+        return _clean({k + exp: v for k, v in self.c.items()})
 
     # -- queries --------------------------------------------------------------
 
@@ -90,7 +90,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^{-1}."""
-        return LaurentPoly({-k: v for k, v in self.c.items()})
+        return _clean({-k: v for k, v in self.c.items()})
 
     def at_one(self) -> int:
         """Evaluate at v = 1."""
@@ -104,7 +104,7 @@ class LaurentPoly:
         return all(v >= 0 for v in self.c.values())
 
     def positive_part(self) -> "LaurentPoly":
-        return LaurentPoly({k: v for k, v in self.c.items() if k >= 1})
+        return _clean({k: v for k, v in self.c.items() if k >= 1})
 
     def __str__(self):
         if not self.c:
@@ -143,6 +143,14 @@ class LaurentPoly:
                 raise ValueError(f"bad Laurent term {term!r}")
             out[int(exp)] = out.get(int(exp), 0) + int(coeff)
         return cls(out)
+
+
+def _clean(coeffs: dict) -> LaurentPoly:
+    """Wrap a coefficient dict that holds no zero, as is: the constructor
+    for results of the ring operations, which never store one."""
+    out = object.__new__(LaurentPoly)
+    out.c = coeffs
+    return out
 
 
 ZERO = LaurentPoly()

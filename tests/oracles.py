@@ -51,6 +51,11 @@ def length_oracle(aw, fin, trans) -> int:
     return total
 
 
+def left_descent_oracle(aw, a, i) -> bool:
+    """True if s_i a < a, by building the product s_i . a."""
+    return aw.mult(aw.gens[i], a).length < a.length
+
+
 def asph_canonical_oracle(hecke: Hecke, w) -> "object":
     """Projection of the algebra canonical basis element (dual path)."""
     return hecke.asph_project(hecke.kl_basis(w))

@@ -11,7 +11,7 @@ from heckecells.hecke import HeckeElt, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import build_root_datum
 
-from oracles import length_oracle
+from oracles import left_descent_oracle, length_oracle
 
 
 def bfs_ball(aw, radius):
@@ -199,23 +199,84 @@ def test_bruhat_examples(ctx):
     assert not aw.bruhat_leq(s0s1, s0)
 
 
-def test_bruhat_against_subword_oracle(ctx):
-    aw = ctx("C2").aw
-    ball = aw.enumerate_W(6)
-    rng = random.Random(7)
-    pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(80)]
-    for y, w in pairs:
-        assert aw.bruhat_leq(y, w) == subword_leq(aw, y, w)
+def test_bruhat_against_subword_oracle():
+    # all pairs of a small ball
+    for type_str, bound in (("A2", 6), ("C2", 7), ("G2", 8), ("B3", 5)):
+        aw = AffineWeyl(build_root_datum(type_str))
+        ball = aw.enumerate_W(bound)
+        for y in ball:
+            for w in ball:
+                assert aw.bruhat_leq(y, w) == subword_leq(aw, y, w), (type_str, y, w)
 
 
-def test_bruhat_rejects_extended_elements(ctx):
-    aw = ctx("A1").aw
-    omega = aw.omega[1]
-    with pytest.raises(ValueError):
-        aw.bruhat_leq(omega, aw.identity)
+def test_bruhat_rejects_extended_elements():
+    # (Omega, W), (W, Omega) and (Omega, Omega), also when y's walk runs;
+    # G2 is left out, its Omega is trivial
+    for type_str in ("A1", "A2", "C2", "B3"):
+        aw = AffineWeyl(build_root_datum(type_str))
+        ball = aw.enumerate_W(3)
+        for om in aw.omega[1:]:
+            for w in ball:
+                x = aw.mult(om, w)
+                for y, v in ((x, w), (w, x), (x, x), (om, w), (aw.mult(w, om), w)):
+                    with pytest.raises(ValueError, match="only defined on W"):
+                        aw.bruhat_leq(y, v)
 
 
 # -- coset minimality and w_lambda ----------------------------------------
+
+
+def _left_descents(aw, a):
+    out, i = set(), aw.left_descent(a)
+    while i is not None:
+        out.add(i)
+        i = aw.left_descent(a, i + 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "type_str,bound",
+    [("A1", 8), ("A2", 6), ("C2", 6), ("G2", 8), ("B3", 4), ("C3", 4), ("D4", 3)],
+)
+def test_left_descents_match_product_oracle(type_str, bound):
+    # every generator, s0 included, on a W ball and its Omega-twists on both
+    # sides; the ball is built by products alone, with no descent decision
+    aw = AffineWeyl(build_root_datum(type_str))
+    ball = list(bfs_ball(aw, bound))
+    elems = ball + [aw.mult(om, w) for om in aw.omega[1:] for w in ball]
+    elems += [aw.mult(w, om) for om in aw.omega[1:] for w in ball]
+    for a in elems:
+        expected = {i for i in range(len(aw.gens)) if left_descent_oracle(aw, a, i)}
+        assert _left_descents(aw, a) == expected
+        assert aw.in_fW(a) == (not expected - {0})
+
+
+def test_descent_decisions_build_only_the_path_taken():
+    aw = AffineWeyl(build_root_datum("C2"))
+    rng = random.Random(3)
+    words = [[rng.randrange(3) for _ in range(rng.randrange(1, 12))] for _ in range(40)]
+    fresh = [aw.from_word(w) for w in words]
+    fresh += [aw.mult(aw.omega[1], a) for a in fresh]
+    fresh = [a for a in fresh if a.left == [None] * 3]
+    assert len(fresh) > 40
+    # in_fW builds no element and fills no left slot
+    count = len(aw._elements)
+    for a in fresh:
+        aw.in_fW(a)
+        assert a.left == [None] * 3
+    assert len(aw._elements) == count
+    # reduced_word and min_coset_rep fill at most one left slot per step
+    def filled():
+        return sum(x is not None for e in aw._elements.values() for x in e.left)
+
+    for a in fresh:
+        if aw.in_affine_weyl(a):
+            before = filled()
+            steps = len(aw.reduced_word(a))
+            assert filled() - before <= steps
+        before = filled()
+        steps = a.length - aw.min_coset_rep(a).length
+        assert filled() - before <= steps
 
 
 def test_coset_minimality_examples(ctx):

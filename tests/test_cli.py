@@ -222,6 +222,14 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["code"] == 4
 
+    # an entry outside W (here the length-zero omega:1) is a data error
+    # that names the entry, not a usage error raised later by the query
+    outside = tmp_path / "omega_entry.json"
+    outside.write_text('{"p":0,"entries":[{"w":"omega:1","terms":[["omega:1","1*v^0"]]}]}')
+    assert main(["kl", "--type", "C2", "--w", "omega:1", "--basis", str(outside)]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == 4 and "omega:1" in err["message"]
+
     bad = tmp_path / "bad_table.txt"
     bad.write_text("p 0\nw=s0 : s0:2*v^0\n")
     assert (
