@@ -250,28 +250,26 @@ class AffineWeyl:
 
     # -- Bruhat order ------------------------------------------------------
 
-    def bruhat_leq(self, a: AffineElement, b: AffineElement) -> bool:
-        """Bruhat order on W by the lifting property along the reduced word
-        of b: its last letter s is a right descent, and y <= w iff
-        min(y, ys) <= ws; at equal length, iff y = w.
+    def bruhat_interval(self, b: AffineElement) -> set[AffineElement]:
+        """The lower Bruhat interval {y : y <= b} of b in W, by the subword
+        property (Bjorner-Brenti, Thm 2.2.2): each letter s of the reduced
+        word of b adds ys for every y found so far.
 
-        Right multiplication keeps y in its coset of W, so a walk that ends
-        at w in W proves y in W; a is checked only when it does not."""
-        if not self.in_affine_weyl(b):
+        >>> from heckecells.rootdata import build_root_datum
+        >>> aw = AffineWeyl(build_root_datum("A1"))
+        >>> sorted(aw.to_word(y) for y in aw.bruhat_interval(aw.from_word((0, 1))))
+        ['e', 's0', 's0.s1', 's1']
+        """
+        below = {self.identity}
+        for i in self.reduced_word(b):
+            below |= {self.mult_gen(y, i) for y in below}
+        return below
+
+    def bruhat_leq(self, a: AffineElement, b: AffineElement) -> bool:
+        """Bruhat order on W: a lies in the lower interval of b."""
+        if not (self.in_affine_weyl(a) and self.in_affine_weyl(b)):
             raise ValueError("Bruhat order is only defined on W")
-        y, w = a, b
-        for i in reversed(self.reduced_word(b)):
-            if y.length >= w.length:
-                break
-            ys = self.mult_gen(y, i)
-            if ys.length < y.length:
-                y = ys
-            w = self.mult_gen(w, i)
-        if y == w:
-            return True
-        if not self.in_affine_weyl(a):
-            raise ValueError("Bruhat order is only defined on W")
-        return False
+        return a in self.bruhat_interval(b)
 
     # -- length-zero subgroup ------------------------------------------------
 

@@ -266,7 +266,7 @@ def decompose_fW(
     Follows the reduction that peels varpi_alpha off the translation part
     while some pairing exceeds k_alpha.
     """
-    if not aw.in_fW(w):
+    if not (aw.in_fW(w) and aw.in_affine_weyl(w)):
         raise ValueError("decompose_fW expects an element of fW")
     d = aw.datum
     lam = [0] * d.rank

@@ -58,9 +58,9 @@ def render_cell_diagram(
     if p < 1:
         raise ValueError(f"alcove diagrams need p >= 1, got p={p}")
     embed = _embedding(datum)
+    elements = aw.enumerate_fW(bound)  # sorted by length
     if label_max is None:
-        lengths = sorted(w.length for w in aw.enumerate_fW(bound))
-        label_max = lengths[min(15, len(lengths) - 1)]
+        label_max = elements[min(15, len(elements) - 1)].length
 
     # vertices of the closed fundamental simplex in rho-shifted coordinates
     at = datum.affine_root
@@ -82,7 +82,6 @@ def render_cell_diagram(
             out.append(embed(img))
         return out
 
-    elements = aw.enumerate_fW(bound)
     polys = []
     labels = []
     xs, ys = [], []

@@ -426,47 +426,28 @@ def humphreys_predict(
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValueError("prediction needs a dominant weight")
-    alc = aw.alcove_of(lam, p)
-    w = alc.element
-    w_word = aw.to_word(w)
-
-    if mode == "relative":
-        if aw.dot_action(w, (0,) * datum.rank, p) != lam:
-            raise ValueError("relative mode needs lam = w ._p 0 exactly")
-        if not aw.in_fWf(w):
-            return PredictionRecord(
-                cartan_type=str(datum.cartan_type),
-                p=p,
-                mode=mode,
-                lam=lam,
-                w_word=w_word,
-                cell=partition.cell_index(w),
-                orbit=None,
-                closure_chain=[],
-                status="theorem",
-                empty_variety=True,
-                basis_p=partition.basis_p,
-            )
-
+    w = aw.alcove_of(lam, p).element
+    if mode == "relative" and aw.dot_action(w, (0,) * datum.rank, p) != lam:
+        raise ValueError("relative mode needs lam = w ._p 0 exactly")
+    empty = mode == "relative" and not aw.in_fWf(w)
     cell = partition.cell_index(w)
     orbit = None
     chain: list[str] = []
-    if cell is not None and partition.trusted[cell]:
+    if not empty and cell is not None and partition.trusted[cell]:
         idx = table.cell_map.get(cell)
         if idx is not None:
             orbit = table.orbits[idx]
             chain = table.closure_chain(idx)
-    status = _status_for(datum, p, orbit)
     return PredictionRecord(
         cartan_type=str(datum.cartan_type),
         p=p,
         mode=mode,
         lam=lam,
-        w_word=w_word,
+        w_word=aw.to_word(w),
         cell=cell,
         orbit=orbit,
         closure_chain=chain,
-        status=status,
-        empty_variety=False,
+        status="theorem" if empty else _status_for(datum, p, orbit),
+        empty_variety=empty,
         basis_p=partition.basis_p,
     )

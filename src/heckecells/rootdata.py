@@ -10,7 +10,6 @@ plain ints, with :class:`fractions.Fraction` for the few linear solves.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,7 +189,6 @@ class RootDatum:
         self._build_symmetrizer()
         self._build_inverse_cartan()
         self._build_reflections()
-        self._freudenthal_cache: dict[Weight, dict[Weight, int]] = {}
         self._weights_cache: dict[Weight, dict[Weight, int]] = {}
         self._dim_cache: dict[Weight, int] = {}
         self._validate()
@@ -404,81 +402,39 @@ class RootDatum:
         self._dim_cache[lam] = int(num)
         return int(num)
 
-    def dominant_weight_multiplicities(self, lam) -> dict[Weight, int]:
-        """Multiplicities of the dominant weights of the Weyl module V(lam).
-
-        Freudenthal recursion, memoized per highest weight.
-        """
-        lam = tuple(lam)
-        if not self.is_dominant(lam):
-            raise ValueError("weight not dominant")
-        cached = self._freudenthal_cache.get(lam)
-        if cached is not None:
-            return cached
-
-        # Dominant mu with lam - mu a nonnegative integer root combination;
-        # the combination coefficients are bounded by the root coordinates
-        # of lam (dominant weights have nonnegative root coordinates).
-        candidates = []
-        for acc in itertools.product(*(range(int(c) + 1) for c in self.root_coords(lam))):
-            # mu = lam - sum_m acc[m] alpha_m
-            mu = tuple(
-                x - sum(a * c for a, c in zip(acc, row)) for x, row in zip(lam, self.cartan)
-            )
-            if self.is_dominant(mu):
-                candidates.append((sum(acc), mu))
-        candidates.sort()
-
-        norm_lam = self.inner(lam, lam)
-        rho = self.rho
-        lam_rho = tuple(a + b for a, b in zip(lam, rho))
-        norm_lam_rho = self.inner(lam_rho, lam_rho)
-        mults: dict[Weight, int] = {lam: 1}
-        for _depth, mu in candidates:
-            if mu in mults:
-                continue
-            total = Fraction(0)
-            for r in self.positive_roots:
-                k = 1
-                prev_norm = None
-                while True:
-                    nu = tuple(mu[j] + k * r.fund[j] for j in range(self.rank))
-                    norm_nu = self.inner(nu, nu)
-                    if norm_nu > norm_lam and (
-                        prev_norm is not None and norm_nu >= prev_norm
-                    ):
-                        break
-                    dom, _ = self.dominant_representative(nu)
-                    m = mults.get(dom, 0)
-                    if m:
-                        total += m * self.inner(nu, r.fund)
-                    prev_norm = norm_nu
-                    k += 1
-            mur = tuple(a + b for a, b in zip(mu, rho))
-            denom = norm_lam_rho - self.inner(mur, mur)
-            assert denom > 0
-            val = 2 * total / denom
-            assert val.denominator == 1
-            if val:
-                mults[mu] = int(val)
-        self._freudenthal_cache[lam] = mults
-        return mults
-
     def weight_multiplicity(self, lam, mu) -> int:
         """Multiplicity of mu in the Weyl module of highest weight lam."""
-        dom, _ = self.dominant_representative(tuple(mu))
-        return self.dominant_weight_multiplicities(lam).get(dom, 0)
+        return self.all_weights(lam).get(tuple(mu), 0)
 
     def all_weights(self, lam) -> dict[Weight, int]:
         """Full weight multiset of the Weyl module V(lam), memoized per
-        highest weight (do not mutate the result)."""
+        highest weight (do not mutate the result).
+
+        Demazure character formula ch V(lam) = D_{w0}(e^lam) (Jantzen,
+        II.14.18): one step D_i per letter of the walk from rho to -rho, a
+        reduced word of w0.  With n = <mu, alpha_i^vee>, D_i sends e^mu to
+        e^mu + ... + e^(mu - n alpha_i) for n >= 0, to 0 for n = -1, and to
+        -(e^(mu + alpha_i) + ... + e^(mu + (-n-1) alpha_i)) for n <= -2.
+
+        >>> build_root_datum("A2").all_weights((1, 1))[(0, 0)]
+        2
+        """
         lam = tuple(lam)
         out = self._weights_cache.get(lam)
         if out is None:
-            out = {}
-            for mu, m in self.dominant_weight_multiplicities(lam).items():
-                for nu in self.weyl_orbit(mu):
-                    out[nu] = m
+            if not self.is_dominant(lam):
+                raise ValueError("weight not dominant")
+            out, walk = {lam: 1}, self.rho
+            while (i := next((j for j, c in enumerate(walk) if c > 0), None)) is not None:
+                walk = self.reflect(walk, i)
+                alpha, step = self.simple_roots[i].fund, {}
+                for mu, m in out.items():
+                    n = mu[i]
+                    ks, sign = (range(0, -n - 1, -1), m) if n >= 0 else (range(1, -n), -m)
+                    for k in ks:
+                        nu = tuple(x + k * a for x, a in zip(mu, alpha))
+                        step[nu] = step.get(nu, 0) + sign
+                out = {mu: m for mu, m in step.items() if m}
             self._weights_cache[lam] = out
         return out
 

@@ -19,8 +19,7 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
     in vZ[v]; any inconsistency raises.
     """
     aw = hecke.aw
-    interval = [y for y in aw.enumerate_W(w.length) if aw.bruhat_leq(y, w)]
-    interval.sort(key=aw.sort_key, reverse=True)
+    interval = sorted(aw.bruhat_interval(w), key=aw.sort_key, reverse=True)
     assert interval[0] == w
     bar_rows = {y: hecke.bar_standard(y) for y in interval}
     coeffs = {w: ONE}

@@ -141,6 +141,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["humphreys", "--type", "C2", "--p", "3", "--lambda", "0,0"]) == 3
     assert main(["plot", "--type", "A3", "--p", "7"]) == 3
 
+    # a length-zero element other than the identity is in fW but not in W
+    for t, word in (("A1", "omega:1"), ("A3", "omega:2")):
+        assert main(["decompose", "--type", t, "--w", word]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["code"] == 2 and "fW" in err["message"]
+
     # generator tokens out of range or negative are usage errors
     for word in ("s9", "omega:9", "s-1"):
         assert main(["kl", "--type", "C2", "--w", word]) == 2

@@ -84,6 +84,15 @@ def test_kl_self_dual_and_triangular(ctx):
                 assert c.aw.bruhat_leq(y, w)
 
 
+@pytest.mark.parametrize("type_str,bound", [("A2", 6), ("C2", 7), ("G2", 8), ("B3", 5)])
+def test_bruhat_interval_is_kl_support(ctx, type_str, bound):
+    # P_{y,w}(0) = 1 for every y <= w, so the lower Bruhat interval of w is
+    # the support of its canonical basis element
+    c = ctx(type_str)
+    for w in c.aw.enumerate_W(bound):
+        assert c.aw.bruhat_interval(w) == set(c.hecke.kl_basis(w).support()), w
+
+
 def test_structure_constants_nonnegative_sample(ctx):
     c = ctx("C2")
     ball = c.aw.enumerate_W(3)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,43 @@ def test_weight_multiplicity_weyl_invariant(ctx):
             assert d.weight_multiplicity(lam, orbit_elt) == d.weight_multiplicity(
                 lam, mu
             )
+
+
+def _char_mul(a, b):
+    """Product of two characters, as dicts weight -> multiplicity."""
+    out = {}
+    for x, m in a.items():
+        for y, n in b.items():
+            key = tuple(map(add, x, y))
+            out[key] = out.get(key, 0) + m * n
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "type_str,top",
+    [("A1", 5), ("A2", 2), ("A3", 1), ("B2", 2), ("B3", 1), ("C2", 2), ("C3", 1),
+     ("D4", 1), ("G2", 2)],
+)
+def test_all_weights_satisfy_weyl_character_formula(type_str, top):
+    # ch V(lam) . e^rho prod_{a>0} (1 - e^-a) = sum_w sign(w) e^{w(lam+rho)};
+    # lam + rho is regular, so each orbit point has one sign
+    d = build_root_datum(type_str)
+    zero = (0,) * d.rank
+    denominator = {d.rho: 1}
+    for r in d.positive_roots:
+        denominator = _char_mul(denominator, {zero: 1, tuple(-c for c in r.fund): -1})
+    for lam in itertools.product(range(top + 1), repeat=d.rank):
+        shifted = tuple(map(add, lam, d.rho))
+        alternating = {nu: d.dominant_representative(nu)[1] for nu in d.weyl_orbit(shifted)}
+        assert _char_mul(d.all_weights(lam), denominator) == alternating, (type_str, lam)
+
+
+def test_all_weights_rejects_non_dominant_weights(ctx):
+    d = ctx("C2").datum
+    with pytest.raises(ValueError, match="not dominant"):
+        d.all_weights((1, -1))
+    with pytest.raises(ValueError, match="not dominant"):
+        d.weight_multiplicity((-1, 0), (0, 0))
 
 
 # -- tensor multiplicities ----------------------------------------------------

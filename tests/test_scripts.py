@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import heckecells.affine
 import heckecells.laurent
 import heckecells.rootdata
 
@@ -41,7 +42,9 @@ def test_script_exits_zero(script, tmp_path):
     assert proc.stdout
 
 
-@pytest.mark.parametrize("module", [heckecells.laurent, heckecells.rootdata])
+@pytest.mark.parametrize(
+    "module", [heckecells.laurent, heckecells.rootdata, heckecells.affine]
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted and not result.failed
