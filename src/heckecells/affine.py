@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import mul
+from itertools import groupby
+from operator import attrgetter, mul
 
 from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
 
@@ -36,18 +37,18 @@ class AffineElement:
     Interned: an :class:`AffineWeyl` context holds one object per element;
     equality and hashing use the canonical form, so an element equals (and
     hashes like) the same element of another context of the same type.  The
-    context caches its products with the i-th generator, ``right[i]`` and
-    ``left[i]``, and its reduced ``word`` on it; caches only gain entries.
+    context caches on it its products with the i-th generator, ``right[i]``
+    and ``left[i]``, its reduced ``word`` and ``fmin`` (is it in fW).
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word")
+    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin")
 
     def __init__(self, fin: FiniteWeylElement, trans: Weight, length: int, ngens: int):
         self.fin = fin
         self.trans = trans
         self.length = length
         self._hash = hash((fin.mat, trans))
-        self.right, self.left, self.word = [None] * ngens, [None] * ngens, None
+        self.right, self.left, self.word, self.fmin = [None] * ngens, [None] * ngens, None, None
 
     def __eq__(self, other):
         return self is other or (
@@ -208,7 +209,10 @@ class AffineWeyl:
         return a
 
     def in_fW(self, a: AffineElement) -> bool:
-        return self.left_descent(a, 1) is None
+        """True if a is minimal in W_f a, cached on a."""
+        if a.fmin is None:
+            a.fmin = self.left_descent(a, 1) is None
+        return a.fmin
 
     def in_fWf(self, a: AffineElement) -> bool:
         """True if a is minimal in both W_f a and a W_f."""
@@ -264,6 +268,22 @@ class AffineWeyl:
         for i in self.reduced_word(b):
             below |= {self.mult_gen(y, i) for y in below}
         return below
+
+    def bruhat_intervals(self, elements):
+        """Yield (w, lower Bruhat interval of w) for elements of W in (length,
+        word) order: with s the last letter of w, I(ws) and its right translate
+        by s when ws came one length before, else :meth:`bruhat_interval`."""
+        prev = {}
+        for _, group in groupby(sorted(elements, key=self.sort_key), key=attrgetter("length")):
+            cur = {}
+            for w in group:
+                word = self.reduced_word(w)
+                lower = prev.get(self.mult_gen(w, word[-1])) if word else None
+                cur[w] = below = self.bruhat_interval(w) if lower is None else (
+                    lower | {self.mult_gen(y, word[-1]) for y in lower}
+                )
+                yield w, below
+            prev = cur
 
     def bruhat_leq(self, a: AffineElement, b: AffineElement) -> bool:
         """Bruhat order on W: a lies in the lower interval of b."""

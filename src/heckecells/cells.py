@@ -62,50 +62,39 @@ def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
 
 def _strongly_connected_components(nodes, succ):
     """Iterative Tarjan; returns components as lists of nodes."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
+    index, low, on_stack, stack, comps, work = {}, {}, set(), [], [], []
+
+    def push(node):
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ.get(node, ()))))
 
     for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        if root not in index:
+            push(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
+                    push(nxt)
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    on_stack.discard(x)
-                    comp.append(x)
-                    if x == node:
-                        break
-                comps.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        x = stack.pop()
+                        on_stack.discard(x)
+                        comp.append(x)
+                        if x == node:
+                            break
+                    comps.append(comp)
     return comps
 
 
@@ -226,13 +215,9 @@ def generation_constants(aw: AffineWeyl) -> GenerationConstants:
     varpi = []
     k_alpha = []
     for i in range(d.rank):
-        k = 1
-        while True:
-            cand = tuple(k if j == i else 0 for j in range(d.rank))
-            if d.in_root_lattice(cand):
-                break
-            k += 1
-        varpi.append(cand)
+        unit = tuple(int(j == i) for j in range(d.rank))
+        k = next(k for k in itertools.count(1) if d.in_root_lattice(tuple(k * x for x in unit)))
+        varpi.append(tuple(k * x for x in unit))
         k_alpha.append(k)
     k_phi = max(k_alpha)
 
@@ -242,20 +227,11 @@ def generation_constants(aw: AffineWeyl) -> GenerationConstants:
         if d.in_root_lattice(lam)
     )
 
-    z_set = []
-    for v in d.generate_finite_weyl():
-        for lam in y_zero:
-            w = aw.mult(aw.translation(lam), aw.from_finite(v))
-            if aw.in_fW(w):
-                z_set.append(w)
-    z_set = sorted(set(z_set), key=aw.sort_key)
-    return GenerationConstants(
-        varpi=varpi,
-        k_alpha=k_alpha,
-        k_phi=k_phi,
-        y_zero=y_zero,
-        z_set=z_set,
-    )
+    z_set = {
+        w for v in d.generate_finite_weyl() for lam in y_zero
+        if aw.in_fW(w := aw.mult(aw.translation(lam), aw.from_finite(v)))
+    }
+    return GenerationConstants(varpi, k_alpha, k_phi, y_zero, sorted(z_set, key=aw.sort_key))
 
 
 def decompose_fW(
@@ -278,8 +254,7 @@ def decompose_fW(
             if mu[i] > consts.k_alpha[i]:
                 shift = aw.translation(tuple(-c for c in consts.varpi[i]))
                 cur = aw.mult(shift, cur)
-                for j in range(d.rank):
-                    lam[j] += consts.varpi[i][j]
+                lam = [a + b for a, b in zip(lam, consts.varpi[i])]
                 break
         else:
             break
@@ -339,9 +314,7 @@ def observed_stabilization_bound(
     d = aw.datum
     core = partition.length_bound - partition.margin
     best = 0
-    subsets = []
-    for mask in range(1, 1 << d.rank):
-        subsets.append([i for i in range(d.rank) if mask & (1 << i)])
+    subsets = [[i for i in range(d.rank) if mask & (1 << i)] for mask in range(1, 1 << d.rank)]
     for i, comp in enumerate(partition.cells):
         if not partition.trusted[i]:
             continue
@@ -388,13 +361,11 @@ def cell_generators(
     for w in members:
         if w.length > core:
             continue
-        ok = False
-        for v in by_fin.get(w.fin, ()):
-            mu = tuple(a - b for a, b in zip(w.fin.apply(w.trans), v.fin.apply(v.trans)))
-            if all(c >= 0 for c in mu) and d.in_root_lattice(mu):
-                ok = True
-                break
-        if not ok:
+        diffs = (
+            tuple(a - b for a, b in zip(w.fin.apply(w.trans), v.fin.apply(v.trans)))
+            for v in by_fin.get(w.fin, ())
+        )
+        if not any(all(c >= 0 for c in mu) and d.in_root_lattice(mu) for mu in diffs):
             raise AssertionError(
                 f"cell member {aw.to_word(w)} does not factor through K"
             )

@@ -289,17 +289,18 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    warnings.simplefilter("ignore")
-    try:
-        return args.run(args)
-    except (UnsupportedRegimeError, UnsupportedTypeError) as e:
-        return _fail(EXIT_REGIME, "unsupported", str(e))
-    except BasisTableError as e:
-        return _fail(EXIT_DATA, "table", str(e))
-    except (ValueError, OSError) as e:
-        return _fail(EXIT_USAGE, "usage", str(e))
-    except RecursionError:
-        return _fail(EXIT_REGIME, "unsupported", "input too large: recursion limit reached")
+    with warnings.catch_warnings():  # silent regime warnings, for this run only
+        warnings.simplefilter("ignore")
+        try:
+            return args.run(args)
+        except (UnsupportedRegimeError, UnsupportedTypeError) as e:
+            return _fail(EXIT_REGIME, "unsupported", str(e))
+        except BasisTableError as e:
+            return _fail(EXIT_DATA, "table", str(e))
+        except (ValueError, OSError) as e:
+            return _fail(EXIT_USAGE, "usage", str(e))
+        except RecursionError:
+            return _fail(EXIT_REGIME, "unsupported", "input too large: recursion limit reached")
 
 
 if __name__ == "__main__":

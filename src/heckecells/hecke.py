@@ -4,10 +4,13 @@ The algebra has standard basis {H_w} with H_s^2 = 1 + (v^-1 - v) H_s and
 length-additive products.  The canonical basis elements are the unique
 bar-self-dual elements that are unitriangular with off-diagonal coefficients
 in v Z[v]; one descent recursion with mu-term corrections computes them in
-the algebra and in the antispherical module.  The antispherical module is
-sgn tensored over the finite Hecke algebra, with standard basis N_w indexed
-by the minimal coset representatives fW; finite simple reflections act on
-the sign line by -v.
+the algebra and in the antispherical module, on Kronecker-coded integers: a
+coefficient n(v) is held as n(2^64) next to n(1).  It is nonnegative
+(Kazhdan-Lusztig 1980; Elias-Williamson 2014), so its base-2^64 digits are
+exact while n(1) < 2^63; a failed check raises UnsupportedRegimeError (exit
+3).  The antispherical module is sgn tensored over the finite Hecke algebra,
+with standard basis N_w indexed by the minimal coset representatives fW;
+finite simple reflections act on the sign line by -v.
 
 Positive-characteristic canonical bases are never computed here: they are
 ingested from :class:`CanonicalBasisTable` files and only validated.
@@ -21,8 +24,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .affine import AffineElement, AffineWeyl
-from .laurent import ONE, V, VINV, LaurentPoly
+from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
+from .laurent import ONE, V, VINV, ZERO, LaurentPoly
 from .rootdata import CartanType, RootDatum, build_root_datum
 
 
@@ -61,11 +64,7 @@ class HeckeElt:
         return HeckeElt(out)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            n = out.get(w)
-            out[w] = -c if n is None else n - c
-        return HeckeElt(out)
+        return self + HeckeElt({w: -c for w, c in other.terms.items()})
 
     def scale(self, p) -> "HeckeElt":
         return HeckeElt({w: c * p for w, c in self.terms.items()})
@@ -77,34 +76,80 @@ class HeckeElt:
 AsphElt = HeckeElt
 
 
-def _canonical(aw: AffineWeyl, mul_by_kl_gen, memo: dict, w: AffineElement) -> HeckeElt:
-    """Canonical basis element at w by the descent recursion with mu-terms.
+_BITS, _MASK, _BOUND = 64, (1 << 64) - 1, 1 << 63
+
+
+def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[dict, dict]:
+    """Coded canonical basis element at w by the descent recursion with mu-terms.
 
     With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
-    mu(y, ws) C_y for every y with ys < y.  ``mul_by_kl_gen`` is the right
-    action of H_s + v on the module (the algebra or the antispherical
-    module) and ``memo`` its cache of finished elements.
+    mu(y, ws) C_y for every y with ys < y; H_s + v acts as in ``kl_gen_action``
+    with ``keep``, and ``memo`` caches finished elements, each a pair of maps
+    z -> n(2^64) and z -> n(1) for its coefficient n at z.  Off the diagonal
+    n lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
     """
     out = memo.get(w)
     if out is not None:
         return out
     if w.length == 0:
-        out = HeckeElt({w: ONE})
+        out = ({w: 1}, {w: 1})
     else:
-        i = next(i for i in range(len(aw.gens)) if aw.mult_gen(w, i).length < w.length)
-        lower = _canonical(aw, mul_by_kl_gen, memo, aw.mult_gen(w, i))
-        acc = dict(mul_by_kl_gen(lower, i).terms)
-        for y, c in lower.terms.items():
-            mu = c.coeff(1)
-            if mu and aw.mult_gen(y, i).length < y.length:
-                for z, cz in _canonical(aw, mul_by_kl_gen, memo, y).terms.items():
-                    prev = acc.get(z)
-                    delta = cz.scale(-mu)
-                    acc[z] = delta if prev is None else prev + delta
-        out = HeckeElt(acc)
-        assert out.coeff(w) == ONE
+        mult_gen = aw.mult_gen
+        i = next(i for i in range(len(aw.gens)) if mult_gen(w, i).length < w.length)
+        codes, ones = _canonical(aw, keep, memo, mult_gen(w, i))
+        acc, acc1 = {}, {}
+        # codes and ones list their terms in the same order
+        for (x, c), n in zip(codes.items(), ones.values()):
+            xs = mult_gen(x, i)
+            if xs.length > x.length:
+                if keep is not None and not keep(xs):
+                    continue
+                cx = c << _BITS
+            else:
+                cx = c >> _BITS
+                mu = cx & _MASK
+                if mu:
+                    ycodes, yones = _canonical(aw, keep, memo, x)
+                    for (z, cz), nz in zip(ycodes.items(), yones.values()):
+                        acc[z] = acc.get(z, 0) - mu * cz
+                        acc1[z] = acc1.get(z, 0) - mu * nz
+            acc[xs] = acc.get(xs, 0) + c
+            acc1[xs] = acc1.get(xs, 0) + n
+            acc[x] = acc.get(x, 0) + cx
+            acc1[x] = acc1.get(x, 0) + n
+        codes = {z: c for z, c in acc.items() if c}
+        ones = {z: acc1[z] for z in codes}
+        if codes.get(w) != 1 or max(ones.values()) >= _BOUND:
+            raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
+        out = (codes, ones)
     memo[w] = out
     return out
+
+
+@lru_cache(maxsize=1 << 12)
+def _decode(code: int, one: int) -> LaurentPoly:
+    """The coefficient n(v) with code = n(2^64) and one = n(1).
+
+    As n has no negative coefficient, a carry would lower the digit sum
+    below n(1): a negative code, a digit of 2^63 or more, or a digit sum
+    other than n(1) raises the exit-3 error.
+
+    >>> print(_decode(1 << 64 | 3 << 128, 4))
+    v + 3*v^2
+    """
+    digits, k, rest = {}, 0, max(code, 0)
+    while rest:
+        if rest & _MASK:
+            digits[k] = rest & _MASK
+        rest >>= _BITS
+        k += 1
+    if code < 0 or max(digits.values(), default=0) >= _BOUND or sum(digits.values()) != one:
+        raise UnsupportedRegimeError(f"coded coefficient {code} (n(1) = {one}) is not exact")
+    return LaurentPoly(digits)
+
+
+def _decode_elt(coded: tuple[dict, dict]) -> HeckeElt:
+    return HeckeElt({z: _decode(c, coded[1][z]) for z, c in coded[0].items()})
 
 
 def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, LaurentPoly]:
@@ -121,9 +166,7 @@ def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, Laure
         c = rest[w]
         out[w] = c
         for y, cy in canonical(w).terms.items():
-            prev = rest.get(y)
-            delta = cy * c
-            n = -delta if prev is None else prev - delta
+            n = rest.get(y, ZERO) - cy * c
             if n:
                 rest[y] = n
             else:
@@ -181,12 +224,7 @@ def _check_in_fW(aw: AffineWeyl, w: AffineElement) -> None:
 
 def specialize_v1(x: HeckeElt) -> dict[AffineElement, int]:
     """Specialize v to 1; returns the integer coefficient map."""
-    out = {}
-    for w, c in x.terms.items():
-        n = c.at_one()
-        if n:
-            out[w] = n
-    return out
+    return {w: n for w, c in x.terms.items() if (n := c.at_one())}
 
 
 class Hecke:
@@ -194,7 +232,8 @@ class Hecke:
 
     def __init__(self, aw: AffineWeyl):
         self.aw = aw
-        self._kl_cache: dict[AffineElement, HeckeElt] = {}
+        self._kl_cache: dict[AffineElement, tuple[dict, dict]] = {}
+        self._kl_elts: dict[AffineElement, HeckeElt] = {}
         self._bar_std_cache: dict[AffineElement, HeckeElt] = {}
 
     # -- standard basis ------------------------------------------------
@@ -242,23 +281,11 @@ class Hecke:
 
     # -- canonical basis ------------------------------------------------------
 
-    def kl_gen(self, i: int) -> HeckeElt:
-        """The canonical generator H_s + v."""
-        s = self.aw.gens[i]
-        return HeckeElt({s: ONE, self.aw.identity: V})
-
-    def mul_by_kl_gen(self, h: HeckeElt, i: int) -> HeckeElt:
-        return kl_gen_action(self.aw, h, i, None, V, VINV)
-
     def kl_basis(self, w: AffineElement) -> HeckeElt:
-        """The 0-canonical basis element at w."""
-        return _canonical(self.aw, self.mul_by_kl_gen, self._kl_cache, w)
-
-    def bs_product(self, word) -> HeckeElt:
-        """Product of canonical generators along a word (Bott-Samelson class)."""
-        out = self.unit()
-        for i in word:
-            out = self.mul_by_kl_gen(out, i)
+        """The 0-canonical basis element at w, decoded once."""
+        out = self._kl_elts.get(w)
+        if out is None:
+            out = self._kl_elts[w] = _decode_elt(_canonical(self.aw, None, self._kl_cache, w))
         return out
 
     def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
@@ -278,7 +305,8 @@ class AsphModule:
     def __init__(self, hecke: Hecke):
         self.hecke = hecke
         self.aw = hecke.aw
-        self._canon_cache: dict[AffineElement, AsphElt] = {}
+        self._canon_cache: dict[AffineElement, tuple[dict, dict]] = {}
+        self._canon_elts: dict[AffineElement, AsphElt] = {}
 
     def standard(self, w: AffineElement) -> AsphElt:
         if not self.aw.in_fW(w):
@@ -303,8 +331,15 @@ class AsphModule:
 
         It equals asph_project(kl_basis(w)) (checked in the tests).
         """
-        _check_in_fW(self.aw, w)
-        return _canonical(self.aw, self.mul_by_kl_gen, self._canon_cache, w)
+        out = self._canon_elts.get(w)
+        if out is None:
+            _check_in_fW(self.aw, w)
+            out = self._canon_elts[w] = _decode_elt(self._coded(w))
+        return out
+
+    def _coded(self, w: AffineElement) -> tuple[dict, dict]:
+        """The canonical element at w in fW as ``_canonical`` codes it."""
+        return _canonical(self.aw, self.aw.in_fW, self._canon_cache, w)
 
     def to_canonical(self, n: AsphElt) -> dict[AffineElement, LaurentPoly]:
         return _to_canonical(n, self.canonical, self.aw.sort_key)
@@ -316,7 +351,8 @@ class CanonicalBasisTable:
     The label p records which p-canonical basis the table claims to hold
     (0 means the ordinary Kazhdan-Lusztig basis, otherwise it is a prime
     below 2^31; never a bool); provenance is free text.  Entries are validated
-    to be indexed by W and unitriangular with diagonal coefficient 1.  A
+    to be indexed by W and unitriangular with diagonal coefficient 1, each
+    against its lower Bruhat interval, built from its prefix's.  A
     parse or dump resolves each distinct word and polynomial once.
     """
 
@@ -334,15 +370,16 @@ class CanonicalBasisTable:
             p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
         ):
             raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
-        for w, h in self.entries.items():
+        for w in self.entries:
             if not self.aw.in_affine_weyl(w):
                 raise BasisTableError(f"entry {self.aw.to_word(w)} is not in W")
+        for w, below in self.aw.bruhat_intervals(self.entries):
+            h = self.entries[w]
             diag = h.coeff(w)
             if diag != ONE:
                 raise BasisTableError(
                     f"diagonal coefficient of {self.aw.to_word(w)} is {diag}, not 1"
                 )
-            below = self.aw.bruhat_interval(w)
             for y, c in h.terms.items():
                 if y not in below:
                     raise BasisTableError(
@@ -486,15 +523,14 @@ class ZeroBasisProvider:
 
     def kl_gen_targets(self, y: AffineElement, i: int):
         """Canonical-basis support of N_y (H_s + v), read off the W-graph:
-        y when ys < y, else ys (if in fW) and each z with zs < z and
-        mu(z, y) != 0, the v^1 coefficient of N_y at z (Kazhdan-Lusztig
-        1979, Soergel 1997)."""
+        y when ys < y, else ys (if in fW) and each z with zs < z and mu(z, y)
+        != 0, digit 1 of N_y's code at z (Kazhdan-Lusztig 1979, Soergel 1997)."""
         aw = self.hecke.aw
         ys = aw.mult_gen(y, i)
         if ys.length < y.length:
             return [y]
-        ny = self.asph_canonical(y).terms
-        mus = [z for z, c in ny.items() if c.coeff(1) and aw.mult_gen(z, i).length < z.length]
+        mus = [z for z, c in self.asph._coded(y)[0].items()
+               if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
         return [ys] + mus if aw.in_fW(ys) else mus
 
 

@@ -100,12 +100,6 @@ class LaurentPoly:
         """True when every exponent is >= 1 (the ideal v Z[v])."""
         return all(k >= 1 for k in self.c)
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.c.values())
-
-    def positive_part(self) -> "LaurentPoly":
-        return _clean({k: v for k, v in self.c.items() if k >= 1})
-
     def __str__(self):
         if not self.c:
             return "0"

@@ -327,15 +327,6 @@ class RootDatum:
             start=Fraction(0),
         )
 
-    def root_half_norm(self, root: Root) -> int:
-        """(beta, beta)/2 in the symmetrizer normalization."""
-        for i in range(self.rank):
-            if root.coroot[i] != 0:
-                val = Fraction(root.simple[i] * self.symmetrizer[i], root.coroot[i])
-                assert val.denominator == 1
-                return int(val)
-        raise AssertionError("zero root")
-
     # -- finite Weyl group ---------------------------------------------
 
     def reflect(self, weight, i: int) -> Weight:
@@ -372,11 +363,6 @@ class RootDatum:
                     break
             else:
                 return w, sign
-
-    def weyl_orbit(self, weight) -> set[Weight]:
-        return set(
-            closure([tuple(weight)], lambda w: [self.reflect(w, i) for i in range(self.rank)])
-        )
 
     def generate_finite_weyl(self) -> list[FiniteWeylElement]:
         """All elements of W_f (use with care in high rank)."""

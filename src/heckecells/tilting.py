@@ -34,15 +34,6 @@ def weyl_module_character(datum, lam) -> WeightMultiset:
     return dict(datum.all_weights(lam))
 
 
-def tensor_character(m1: WeightMultiset, m2: WeightMultiset) -> WeightMultiset:
-    out: dict[Weight, int] = {}
-    for a, ma in m1.items():
-        for b, mb in m2.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0) + ma * mb
-    return out
-
-
 def tilting_class(provider, w: AffineElement) -> MZeroElt:
     """Standard-basis class of the indecomposable tilting object at w . 0.
 

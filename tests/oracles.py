@@ -2,12 +2,17 @@
 
 These deliberately avoid the code paths they are checking: the canonical
 basis oracle solves the bar-invariance equations triangularly, the
-antispherical oracle goes through the full algebra and projects, and the
-length oracle applies the finite part to every positive root.
+antispherical oracle projects that solve from the full algebra, the
+recursion oracle runs the descent recursion on ``LaurentPoly`` coefficients,
+and the length oracle applies the finite part to every positive root.  The
+helpers at the end have callers only in the tests.
 """
 
-from heckecells.hecke import Hecke, HeckeElt
-from heckecells.laurent import ONE, LaurentPoly
+from fractions import Fraction
+
+from heckecells.hecke import Hecke, HeckeElt, kl_gen_action
+from heckecells.laurent import ONE, V, VINV, LaurentPoly
+from heckecells.rootdata import closure
 
 
 def kl_oracle(hecke: Hecke, w) -> HeckeElt:
@@ -29,7 +34,7 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
             known = known + hy.bar() * bar_rows[y].coeff(z)
         # h_z - bar(h_z) = known, h_z in vZ[v]
         assert known.coeff(0) == 0, "constant term obstructs bar-invariance"
-        hz = known.positive_part()
+        hz = positive_part(known)
         assert hz - hz.bar() == known, "bar equation not antisymmetric"
         if hz:
             coeffs[z] = hz
@@ -56,5 +61,91 @@ def left_descent_oracle(aw, a, i) -> bool:
 
 
 def asph_canonical_oracle(hecke: Hecke, w) -> "object":
-    """Projection of the algebra canonical basis element (dual path)."""
-    return hecke.asph_project(hecke.kl_basis(w))
+    """Projection of the bar-involution solve in the algebra (dual path)."""
+    return hecke.asph_project(kl_oracle(hecke, w))
+
+
+def laurent_canonical(aw, mul_by_kl_gen, memo: dict, w) -> HeckeElt:
+    """Canonical basis element at w by the descent recursion with mu-terms.
+
+    With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
+    mu(y, ws) C_y for every y with ys < y.  ``mul_by_kl_gen`` is the right
+    action of H_s + v on the module (the algebra or the antispherical
+    module) and ``memo`` its cache of finished elements.
+    """
+    out = memo.get(w)
+    if out is not None:
+        return out
+    if w.length == 0:
+        out = HeckeElt({w: ONE})
+    else:
+        i = next(i for i in range(len(aw.gens)) if aw.mult_gen(w, i).length < w.length)
+        lower = laurent_canonical(aw, mul_by_kl_gen, memo, aw.mult_gen(w, i))
+        acc = dict(mul_by_kl_gen(lower, i).terms)
+        for y, c in lower.terms.items():
+            mu = c.coeff(1)
+            if mu and aw.mult_gen(y, i).length < y.length:
+                for z, cz in laurent_canonical(aw, mul_by_kl_gen, memo, y).terms.items():
+                    prev = acc.get(z)
+                    delta = cz.scale(-mu)
+                    acc[z] = delta if prev is None else prev + delta
+        out = HeckeElt(acc)
+        assert out.coeff(w) == ONE
+    memo[w] = out
+    return out
+
+
+# -- helpers with callers only in the tests ------------------------------------
+
+
+def kl_gen(hecke: Hecke, i: int) -> HeckeElt:
+    """The canonical generator H_s + v."""
+    return HeckeElt({hecke.aw.gens[i]: ONE, hecke.aw.identity: V})
+
+
+def kl_mul(hecke: Hecke, h: HeckeElt, i: int) -> HeckeElt:
+    """Right multiplication by the canonical generator H_s + v."""
+    return kl_gen_action(hecke.aw, h, i, None, V, VINV)
+
+
+def bs_product(hecke: Hecke, word) -> HeckeElt:
+    """Product of canonical generators along a word (Bott-Samelson class)."""
+    out = hecke.unit()
+    for i in word:
+        out = kl_mul(hecke, out, i)
+    return out
+
+
+def is_nonnegative(p: LaurentPoly) -> bool:
+    return all(v >= 0 for v in p.c.values())
+
+
+def positive_part(p: LaurentPoly) -> LaurentPoly:
+    """The terms of p with exponent >= 1."""
+    return LaurentPoly({k: v for k, v in p.c.items() if k >= 1})
+
+
+def root_half_norm(datum, root) -> int:
+    """(beta, beta)/2 in the symmetrizer normalization."""
+    for i in range(datum.rank):
+        if root.coroot[i] != 0:
+            val = Fraction(root.simple[i] * datum.symmetrizer[i], root.coroot[i])
+            assert val.denominator == 1
+            return int(val)
+    raise AssertionError("zero root")
+
+
+def weyl_orbit(datum, weight) -> set:
+    return set(
+        closure([tuple(weight)], lambda w: [datum.reflect(w, i) for i in range(datum.rank)])
+    )
+
+
+def tensor_character(m1: dict, m2: dict) -> dict:
+    """Weight multiset of a tensor product: the product of two characters."""
+    out: dict = {}
+    for a, ma in m1.items():
+        for b, mb in m2.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ma * mb
+    return out

@@ -501,3 +501,28 @@ def test_json_record_rejects_bad_records(ctx):
     ):
         with pytest.raises(ValueError):
             aw.from_json_record(rec)
+
+
+@pytest.mark.parametrize("type_str,bound", [("A2", 6), ("C2", 7), ("G2", 8), ("A3", 5)])
+def test_bruhat_intervals_from_prefixes(ctx, type_str, bound, monkeypatch):
+    aw = ctx(type_str).aw
+    full = aw.bruhat_interval
+    calls = []
+    monkeypatch.setattr(aw, "bruhat_interval", lambda w: calls.append(w) or full(w))
+
+    def prefix(w):
+        return aw.mult_gen(w, aw.reduced_word(w)[-1])
+
+    # a prefix-closed set: only the identity is built by the full walk
+    ball = aw.enumerate_W(bound)
+    assert dict(aw.bruhat_intervals(reversed(ball))) == {w: full(w) for w in ball}
+    assert calls == [aw.identity]
+    # with one element u missing, each w whose prefix is u takes the full walk
+    u = next(w for w in ball if w.length == bound // 2)
+    rest = [w for w in ball if w != u]
+    calls.clear()
+    assert dict(aw.bruhat_intervals(rest)) == {w: full(w) for w in rest}
+    fallback = {w for w in rest if w.length and prefix(w) == u}
+    assert fallback and sorted(calls, key=aw.sort_key) == sorted(
+        {aw.identity} | fallback, key=aw.sort_key
+    )

@@ -17,7 +17,7 @@ from heckecells.cells import (
 from heckecells.hecke import TableBasisProvider, table_from_zero_basis
 from heckecells.laurent import LaurentPoly
 
-from oracles import asph_canonical_oracle
+from oracles import asph_canonical_oracle, kl_gen
 
 
 def small_partition(c, L=12, margin=3):
@@ -55,7 +55,7 @@ def test_edge_count_matches_full_algebra_oracle(ctx):
         hy = c.hecke.kl_basis(y)
         for i in range(len(aw.gens)):
             prod = c.hecke.asph_project(
-                c.hecke.mul(hy, c.hecke.kl_gen(i))
+                c.hecke.mul(hy, kl_gen(c.hecke, i))
             )
             rest = prod
             while rest:

@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -267,3 +268,15 @@ def test_basis_table_cli_round_trip(tmp_path, ctx):
     a, b = json.loads(base), json.loads(redo)
     assert a["cells"] == b["cells"]
     assert a["preorder"] == b["preorder"]
+
+
+def test_main_leaves_warning_filters_unchanged(tmp_path):
+    # A1 at p = 2 = h warns in the alcove walk; the run stays silent and the
+    # caller's filters are the same afterwards, also after an error exit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = list(warnings.filters)
+        assert run_cli(["alcove", "--type", "A1", "--p", "2", "--lambda", "0"], tmp_path)[0] == 0
+        assert main(["humphreys", "--type", "C2", "--p", "3", "--lambda", "0,0"]) == 3
+        assert warnings.filters == before
+    assert not caught

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import heckecells.hecke
+from heckecells.affine import UnsupportedRegimeError
+from heckecells.cli import main
 from heckecells.hecke import (
     AsphElt,
     BasisTableError,
@@ -13,9 +16,18 @@ from heckecells.hecke import (
     specialize_v1,
     table_from_zero_basis,
 )
+from heckecells.hecke import _decode
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 
-from oracles import asph_canonical_oracle, kl_oracle
+from oracles import (
+    asph_canonical_oracle,
+    bs_product,
+    is_nonnegative,
+    kl_gen,
+    kl_mul,
+    kl_oracle,
+    laurent_canonical,
+)
 
 
 def test_quadratic_relation(ctx):
@@ -39,15 +51,15 @@ def test_kl_generator_square(ctx):
     # (H_s + v)(H_s + v) = (v + v^-1)(H_s + v)
     c = ctx("C2")
     for i in range(3):
-        kg = c.hecke.kl_gen(i)
-        assert c.hecke.mul_by_kl_gen(kg, i) == kg.scale(V + VINV)
+        kg = kl_gen(c.hecke, i)
+        assert kl_mul(c.hecke, kg, i) == kg.scale(V + VINV)
 
 
 def test_bs_product_examples(ctx):
     c = ctx("A1")
-    assert c.hecke.bs_product([]) == c.hecke.unit()
-    assert c.hecke.bs_product([1]) == c.hecke.kl_gen(1)
-    assert c.hecke.bs_product([1, 1]) == c.hecke.kl_gen(1).scale(V + VINV)
+    assert bs_product(c.hecke, []) == c.hecke.unit()
+    assert bs_product(c.hecke, [1]) == kl_gen(c.hecke, 1)
+    assert bs_product(c.hecke, [1, 1]) == kl_gen(c.hecke, 1).scale(V + VINV)
 
 
 def test_kl_basis_examples(ctx):
@@ -70,6 +82,70 @@ def test_kl_matches_bar_solve_oracle_small(ctx):
     c = ctx("C2")
     for w in c.aw.enumerate_W(4):
         assert c.hecke.kl_basis(w) == kl_oracle(c.hecke, w)
+
+
+@pytest.mark.parametrize(
+    "type_str,bound", [("A1", 10), ("A2", 8), ("C2", 10), ("G2", 10), ("B3", 8), ("A4", 8)]
+)
+def test_coded_recursion_matches_laurent_recursion(type_str, bound):
+    # the recursion on coded integers against the same recursion on
+    # LaurentPoly coefficients, on every element of the ball, in the algebra
+    # and in the antispherical module; and the W-graph targets read off the
+    # codes against those read off the oracle's mu
+    c = build_context(type_str)
+    aw = c.aw
+    kl_memo, asph_memo = {}, {}
+
+    def mul(h, i):
+        return kl_mul(c.hecke, h, i)
+
+    for w in aw.enumerate_W(bound):
+        assert c.hecke.kl_basis(w) == laurent_canonical(aw, mul, kl_memo, w), w
+    for y in aw.enumerate_fW(bound):
+        ny = laurent_canonical(aw, c.asph.mul_by_kl_gen, asph_memo, y)
+        assert c.asph.canonical(y) == ny, y
+        for i in range(len(aw.gens)):
+            ys = aw.mult_gen(y, i)
+            if ys.length < y.length:
+                expected = [y]
+            else:
+                expected = [ys] if aw.in_fW(ys) else []
+                expected += [
+                    z for z, n in ny.terms.items()
+                    if n.coeff(1) and aw.mult_gen(z, i).length < z.length
+                ]
+            got = c.provider.kl_gen_targets(y, i)
+            assert sorted(got, key=aw.sort_key) == sorted(expected, key=aw.sort_key)
+
+
+@pytest.mark.parametrize(
+    "code,one",
+    [
+        (1 << 128, 1 << 64),  # 2^64 v carried into one v^2
+        (1 << 63 << 64, 1 << 63),  # a digit of 2^63, with a matching sum
+        (-(1 << 64), -1),  # a negative code
+        (3 << 64, 2),  # digit sum 3 against the value 2 at v = 1
+    ],
+    ids=["carry", "digit", "negative", "sum"],
+)
+def test_decode_guard_raises_exit_3_error(code, one):
+    with pytest.raises(UnsupportedRegimeError):
+        _decode(code, one)
+
+
+def test_decode_reads_digits_as_coefficients():
+    assert _decode(1, 1) == ONE
+    assert _decode((2 << 64) + (5 << 192), 7) == LaurentPoly({1: 2, 3: 5})
+
+
+def test_recursion_guard_exits_3(monkeypatch, capsys):
+    # with the bound on n(1) lowered to 2, the first coefficient with
+    # n(1) = 2 (v^2 + v^4 at e in C_{s0 s1 s2 s0} of A2) trips the guard
+    monkeypatch.setattr(heckecells.hecke, "_BOUND", 2)
+    assert main(["kl", "--type", "A2", "--w", "s0.s1.s0"]) == 0
+    capsys.readouterr()
+    assert main(["kl", "--type", "A2", "--w", "s0.s1.s2.s0"]) == 3
+    assert '"code": 3' in capsys.readouterr().err
 
 
 def test_kl_self_dual_and_triangular(ctx):
@@ -100,7 +176,7 @@ def test_structure_constants_nonnegative_sample(ctx):
         for y in ball:
             prod = c.hecke.mul(c.hecke.kl_basis(x), c.hecke.kl_basis(y))
             for coeff in c.hecke.to_canonical(prod).values():
-                assert coeff.is_nonnegative()
+                assert is_nonnegative(coeff)
 
 
 def test_first_reflection_support_condition(ctx):
@@ -110,7 +186,7 @@ def test_first_reflection_support_condition(ctx):
     rng = random.Random(11)
     for _ in range(25):
         word = [rng.randrange(3) for _ in range(rng.randrange(1, 7))]
-        prod = c.hecke.bs_product(word)
+        prod = bs_product(c.hecke, word)
         s = c.aw.gens[word[0]]
         for y in c.hecke.to_canonical(prod):
             assert c.aw.mult(s, y).length < y.length
@@ -144,9 +220,9 @@ def test_to_canonical_reconstructs_input():
                     total = total + canonical(w).scale(coeff)
                 assert total == n
 
-    for w, h in c.hecke._kl_cache.items():
+    for w, h in c.hecke._kl_elts.items():
         assert h == kl_oracle(c.hecke, w)
-    for w, n in c.asph._canon_cache.items():
+    for w, n in c.asph._canon_elts.items():
         assert n == asph_canonical_oracle(c.hecke, w)
 
 
@@ -305,6 +381,23 @@ def test_table_rejects_negative_degree_at_p0(ctx):
     bad = HeckeElt({aw.gens[0]: ONE, aw.identity: VINV})
     with pytest.raises(BasisTableError):
         CanonicalBasisTable(aw, 0, {aw.gens[0]: bad})
+
+
+def test_table_validates_with_a_prefix_missing(ctx):
+    # entries whose prefix is absent take their interval from the full walk
+    c = ctx("C2")
+    table = table_from_zero_basis(c.hecke, 6)
+    u = c.aw.from_word((0, 1, 2))
+    entries = {w: h for w, h in table.entries.items() if w != u}
+    CanonicalBasisTable(c.aw, 0, entries)
+    assert u.length == 3
+    aw = c.aw
+    w = next(w for w in entries if w.length == 4 and aw.mult_gen(w, aw.reduced_word(w)[-1]) == u)
+    y = next(y for y in entries if y.length == 4 and y != w)
+    bad = dict(entries)
+    bad[w] = bad[w] + HeckeElt({y: V})  # y is not below w
+    with pytest.raises(BasisTableError, match="not unitriangular"):
+        CanonicalBasisTable(c.aw, 0, bad)
 
 
 def test_table_parse_errors(ctx):

@@ -3,6 +3,8 @@ from hypothesis import strategies as st
 
 from heckecells.laurent import ONE, V, VINV, ZERO, LaurentPoly
 
+from oracles import positive_part
+
 polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(
     LaurentPoly
 )
@@ -50,4 +52,4 @@ def test_small_identities():
     assert p.at_one() == 5
     assert not p.in_positive_part()
     assert LaurentPoly({1: 1, 2: 3}).in_positive_part()
-    assert p.positive_part() == LaurentPoly({1: 2})
+    assert positive_part(p) == LaurentPoly({1: 2})

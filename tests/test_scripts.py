@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import heckecells.affine
+import heckecells.hecke
 import heckecells.laurent
 import heckecells.rootdata
 
@@ -43,7 +44,7 @@ def test_script_exits_zero(script, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "module", [heckecells.laurent, heckecells.rootdata, heckecells.affine]
+    "module", [heckecells.laurent, heckecells.rootdata, heckecells.affine, heckecells.hecke]
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -16,14 +16,13 @@ from heckecells.tilting import (
     leq_T,
     mzero_act,
     summand_multiplicity,
-    tensor_character,
     tensor_translate,
     tilting_class,
     wall_crossing,
     weyl_module_character,
 )
 
-from oracles import length_oracle
+from oracles import length_oracle, tensor_character
 
 
 def fusion_oracle(c, lam, mu, nu, p, length_cap=36):
