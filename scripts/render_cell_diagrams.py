@@ -33,7 +33,7 @@ def main() -> int:
     for type_str, p, bound, margin in JOBS:
         _, aw, _, _, provider = build_context(type_str)
         part = right_cells(aw, bound, margin, provider)
-        svg = render_cell_diagram(aw, part, p, bound)
+        svg = render_cell_diagram(aw, part, p)
         path = outdir / f"cells_{type_str}_p{p}_L{bound}.svg"
         path.write_text(svg)
         print(

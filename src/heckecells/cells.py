@@ -239,30 +239,20 @@ def decompose_fW(
 ) -> tuple[tuple[int, ...], AffineElement]:
     """Write w in fW as t_lambda . z with lambda dominant in Y and z in Z.
 
-    Follows the reduction that peels varpi_alpha off the translation part
-    while some pairing exceeds k_alpha.
+    Peeling varpi_i = k_i e_i off the translation part mu of w changes only
+    mu_i, so it happens n_i = max(0, ceil(mu_i / k_i) - 1) times, after
+    which mu_i <= k_i; lambda = sum n_i varpi_i.
     """
     if not (aw.in_fW(w) and aw.in_affine_weyl(w)):
         raise ValueError("decompose_fW expects an element of fW")
-    d = aw.datum
-    lam = [0] * d.rank
-    cur = w
-    while True:
-        # translation part mu of cur = t_mu v
-        mu = cur.fin.apply(cur.trans)
-        for i in range(d.rank):
-            if mu[i] > consts.k_alpha[i]:
-                shift = aw.translation(tuple(-c for c in consts.varpi[i]))
-                cur = aw.mult(shift, cur)
-                lam = [a + b for a, b in zip(lam, consts.varpi[i])]
-                break
-        else:
-            break
-    z = cur
+    # translation part mu of w = t_mu v
+    mu = w.fin.apply(w.trans)
+    lam = tuple(max(0, -(-m // k) - 1) * k for m, k in zip(mu, consts.k_alpha))
+    z = aw.mult(aw.translation(tuple(-c for c in lam)), w)
     z_check = tuple(z.fin.apply(z.trans))
     if z_check not in set(consts.y_zero) or not aw.in_fW(z):
         raise AssertionError("decomposition left the finite set Z")
-    return tuple(lam), z
+    return lam, z
 
 
 def stabilization_n(
@@ -333,7 +323,6 @@ def cell_generators(
     consts: GenerationConstants,
     partition: CellPartition,
     cell_id: int,
-    bound: "int | None" = None,
 ) -> set[AffineElement]:
     """Finite generating set K for a trusted cell.
 
@@ -344,9 +333,7 @@ def cell_generators(
     """
     if not partition.trusted[cell_id]:
         raise ValueError("cell_generators needs a trusted cell")
-    if bound is None:
-        observed = observed_stabilization_bound(aw, consts, partition)
-        bound = consts.k_phi * max(observed, 1)
+    bound = consts.k_phi * max(observed_stabilization_bound(aw, consts, partition), 1)
     d = aw.datum
     members = partition.cells[cell_id]
     K = set()

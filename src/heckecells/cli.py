@@ -212,9 +212,8 @@ def cmd_plot(args) -> int:
     datum, aw, _, _, provider = build_context(args.type, args.basis)
     if datum.rank != 2:
         raise UnsupportedTypeError("alcove diagrams are drawn for rank-2 types only")
-    L, m = _bounds(args)
-    part = right_cells(aw, L, m, provider)
-    _emit(args, render_cell_diagram(aw, part, args.p, L))
+    part = right_cells(aw, *_bounds(args), provider)
+    _emit(args, render_cell_diagram(aw, part, args.p))
     return EXIT_OK
 
 

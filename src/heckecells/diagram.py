@@ -44,10 +44,8 @@ def _embedding(datum):
     return embed
 
 
-def render_cell_diagram(
-    aw: AffineWeyl, partition: CellPartition, p: int, bound: int, label_max: "int | None" = None
-) -> str:
-    """SVG document of the alcoves of fW up to the length bound.
+def render_cell_diagram(aw: AffineWeyl, partition: CellPartition, p: int) -> str:
+    """SVG document of the alcoves of fW up to the partition's length bound.
 
     Alcoves near the origin carry their reduced-word labels; the cutoff is
     chosen so that at least 16 alcoves are labeled when that many exist.
@@ -58,9 +56,9 @@ def render_cell_diagram(
     if p < 1:
         raise ValueError(f"alcove diagrams need p >= 1, got p={p}")
     embed = _embedding(datum)
+    bound = partition.length_bound
     elements = aw.enumerate_fW(bound)  # sorted by length
-    if label_max is None:
-        label_max = elements[min(15, len(elements) - 1)].length
+    label_max = elements[min(15, len(elements) - 1)].length
 
     # vertices of the closed fundamental simplex in rho-shifted coordinates
     at = datum.affine_root

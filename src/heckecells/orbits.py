@@ -3,9 +3,12 @@ the cell-to-orbit dictionary, and the support-variety prediction records.
 
 Orbits are enumerated as pairs (I, J) of simple-root subsets, J inside I,
 such that the parabolic of the Levi on I determined by J is distinguished
-(even-grading count criterion), taken up to simultaneous Weyl conjugacy.
-Dimensions come from the grading cocharacter: dim = |Phi| minus the number
-of roots pairing to 0 or 1.
+(even-grading count criterion).  Two pairs give the same orbit exactly when
+their neutral elements h have the same dominant weighted Dynkin diagram
+(alpha_j(h))_j, so the pairs are grouped by that integer vector, and it
+also gives the dimension: dim = |Phi| minus the number of roots alpha with
+alpha(h) in {0, 1, -1}.  All of it is integer arithmetic after one small
+solve per pair, so every type answers, E6-E8 included.
 
 The dictionary between antispherical cells and orbits is table-driven, with
 three universal entries (identity cell -> regular, minimal cell -> zero,
@@ -16,11 +19,11 @@ remaining cells are matched along the preorder chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
-from .rootdata import closure, solve_exact
+from .rootdata import solve_exact
 
 
 class UnsupportedTypeError(ValueError):
@@ -56,68 +59,31 @@ def _is_distinguished(datum, I: frozenset[int], J: frozenset[int]) -> bool:
     return deg0 + len(I) == deg2
 
 
-def _grading_cocharacter(datum, I, J):
-    """Coefficients x with h = sum x_i alpha_i^vee pairing 2 on I-J, 0 on J."""
+def _weighted_dynkin_diagram(datum, I, J) -> tuple[int, ...]:
+    """Dominant weighted Dynkin diagram (alpha_j(h))_j of the pair (I, J).
+
+    h is the neutral element: the coroot combination on I with alpha_i(h)
+    equal to 2 on I - J and 0 on J.  Its values on all simple roots are
+    integers (h sits in an sl2-triple), and simple reflections make them
+    dominant.  Two distinguished pairs are Weyl conjugate exactly when their
+    diagrams agree (Bala-Carter; Kostant).
+
+    >>> from heckecells.rootdata import build_root_datum
+    >>> _weighted_dynkin_diagram(build_root_datum("G2"), {0, 1}, {0})
+    (0, 2)
+    >>> _weighted_dynkin_diagram(build_root_datum("C2"), {1}, set())
+    (1, 0)
+    """
     idx = sorted(I)
-    if not idx:
-        return {}
     C = datum.cartan
-    # sum_i x_i C[i][j] = t_j for j in I
+    # sum_i x_i C[i][j] = alpha_j(h) for j in I
     _, x = solve_exact(
         [[C[i][j] for i in idx] for j in idx], [[0 if j in J else 2] for j in idx]
     )
-    return {i: x[pos][0] for pos, i in enumerate(idx)}
-
-
-def _orbit_dimension(datum, I, J) -> int:
-    x = _grading_cocharacter(datum, I, J)
-    nroots = 2 * len(datum.positive_roots)
-    small = 0
-    for r in datum.positive_roots:
-        val = sum(x.get(i, Fraction(0)) * r.fund[i] for i in x)
-        assert val.denominator == 1
-        v = int(val)
-        if v == 0:
-            small += 2
-        elif v in (1, -1):
-            small += 1
-    return nroots - small
-
-
-def _conjugacy_classes(datum, pairs):
-    """Group pairs (I, J) under simultaneous Weyl conjugacy (orbit BFS)."""
-    n = datum.rank
-    simple_fund = [r.fund for r in datum.simple_roots]
-
-    def state_of(pair):
-        I, J = pair
-        return (
-            frozenset(simple_fund[i] for i in I),
-            frozenset(simple_fund[j] for j in J),
-        )
-
-    def reflections(state):
-        si, sj = state
-        for k in range(n):
-            yield (
-                frozenset(datum.reflect(v, k) for v in si),
-                frozenset(datum.reflect(v, k) for v in sj),
-            )
-
-    targets = {state_of(p): p for p in pairs}
-    assigned: dict = {}
-    classes: list[list] = []
-    for p in pairs:
-        if p in assigned:
-            continue
-        cls = []
-        for st in closure([state_of(p)], reflections):
-            other = targets.get(st)
-            if other is not None and other not in assigned:
-                assigned[other] = len(classes)
-                cls.append(other)
-        classes.append(cls)
-    return classes
+    a = [int(sum(x[pos][0] * C[i][j] for pos, i in enumerate(idx))) for j in range(datum.rank)]
+    while (j := next((j for j, c in enumerate(a) if c < 0), None)) is not None:
+        a = [c - a[j] * C[j][k] for k, c in enumerate(a)]
+    return tuple(a)
 
 
 def _partition_of_pair(datum, I) -> tuple[int, ...]:
@@ -139,26 +105,36 @@ def _partition_of_pair(datum, I) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def enumerate_orbits(datum) -> list[NilpotentOrbit]:
-    """All nilpotent orbits of the type, via distinguished parabolic pairs."""
+def _distinguished_pairs(datum):
+    """All pairs (I, J), J inside I, whose parabolic of the Levi on I is
+    distinguished, as sorted tuples."""
     n = datum.rank
-    pairs = []
     for imask in range(1 << n):
         I = frozenset(i for i in range(n) if imask & (1 << i))
         sub = sorted(I)
         for jbits in range(1 << len(sub)):
             J = frozenset(sub[t] for t in range(len(sub)) if jbits & (1 << t))
             if _is_distinguished(datum, I, J):
-                pairs.append((I, J))
-    classes = _conjugacy_classes(datum, pairs)
+                yield tuple(sub), tuple(sorted(J))
 
+
+def enumerate_orbits(datum) -> list[NilpotentOrbit]:
+    """All nilpotent orbits of the type, via distinguished parabolic pairs
+    grouped by their dominant weighted Dynkin diagram."""
+    classes: dict[tuple[int, ...], list] = {}
+    for pair in _distinguished_pairs(datum):
+        classes.setdefault(_weighted_dynkin_diagram(datum, *pair), []).append(pair)
+    nroots = 2 * len(datum.positive_roots)
     orbits = []
-    for cls in classes:
-        rep = min((tuple(sorted(I)), tuple(sorted(J))) for I, J in cls)
-        dim = _orbit_dimension(datum, frozenset(rep[0]), frozenset(rep[1]))
-        orbits.append((dim, rep))
-    orbits.sort()
+    for diagram, reps in classes.items():
+        # dominant, so alpha(h) >= 0 on positive roots; dim = |Phi| - #{alpha(h) in {0, 1, -1}}
+        degrees = [sum(map(mul, r.simple, diagram)) for r in datum.positive_roots]
+        orbits.append((nroots - 2 * degrees.count(0) - degrees.count(1), min(reps)))
+    return _named_orbits(datum, sorted(orbits))
 
+
+def _named_orbits(datum, orbits) -> list[NilpotentOrbit]:
+    """Names for the (dimension, Bala-Carter pair) list, sorted by dimension."""
     named = []
     series = datum.cartan_type.series
     nroots = 2 * len(datum.positive_roots)

@@ -188,7 +188,12 @@ class RootDatum:
         self._build_roots()
         self._build_symmetrizer()
         self._build_inverse_cartan()
-        self._build_reflections()
+        self.identity_finite = FiniteWeylElement(
+            _identity_matrix(self.rank), _identity_matrix(self.rank)
+        )
+        self.simple_reflections: list[FiniteWeylElement] = [
+            self.reflection(r) for r in self.simple_roots
+        ]
         self._weights_cache: dict[Weight, dict[Weight, int]] = {}
         self._dim_cache: dict[Weight, int] = {}
         self._validate()
@@ -260,24 +265,6 @@ class RootDatum:
         n = self.rank
         self._cartan_det, inv = solve_exact(self.cartan, _identity_matrix(n))
         self._adj_cartan = tuple(tuple(int(self._cartan_det * c) for c in row) for row in inv)
-
-    def _build_reflections(self):
-        n = self.rank
-        C = self.cartan
-        self.identity_finite = FiniteWeylElement(
-            _identity_matrix(n), _identity_matrix(n)
-        )
-        gens = []
-        for i in range(n):
-            mat = tuple(
-                tuple(
-                    (1 if k == m else 0) - (C[k][i] if m == i else 0)
-                    for m in range(n)
-                )
-                for k in range(n)
-            )
-            gens.append(FiniteWeylElement(mat, mat))
-        self.simple_reflections: list[FiniteWeylElement] = gens
 
     def _validate(self):
         for i in range(self.rank):

@@ -110,7 +110,8 @@ def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
 
     Alternating sum of classical tensor multiplicities over the dot orbit of
     nu; the enumeration bound is derived from the weight polytope of
-    lam + mu, and the first shell beyond it is checked to contribute zero.
+    lam + mu, and the first shell beyond it is checked to contribute zero
+    (a nonzero term there raises UnsupportedRegimeError).
     """
     d = aw.datum
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
@@ -130,7 +131,10 @@ def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
             continue
         k = d.tensor_multiplicity(lam, mu, eta)
         if k:
-            assert w.length <= bound, "fusion enumeration bound too small"
+            if w.length > bound:
+                raise UnsupportedRegimeError(
+                    f"fusion enumeration bound {bound} too small: a term at length {w.length}"
+                )
             total += -k if w.length % 2 else k
     return total
 

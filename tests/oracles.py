@@ -4,15 +4,18 @@ These deliberately avoid the code paths they are checking: the canonical
 basis oracle solves the bar-invariance equations triangularly, the
 antispherical oracle projects that solve from the full algebra, the
 recursion oracle runs the descent recursion on ``LaurentPoly`` coefficients,
-and the length oracle applies the finite part to every positive root.  The
-helpers at the end have callers only in the tests.
+the length oracle applies the finite part to every positive root, the
+orbit oracles conjugate root sets by breadth-first search and pair roots
+with an unreflected grading cocharacter, and the decomposition oracle peels
+one translation at a time.  The helpers at the end have callers only in the
+tests.
 """
 
 from fractions import Fraction
 
 from heckecells.hecke import Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
-from heckecells.rootdata import closure
+from heckecells.rootdata import closure, solve_exact
 
 
 def kl_oracle(hecke: Hecke, w) -> HeckeElt:
@@ -93,6 +96,81 @@ def laurent_canonical(aw, mul_by_kl_gen, memo: dict, w) -> HeckeElt:
         assert out.coeff(w) == ONE
     memo[w] = out
     return out
+
+
+def conjugacy_classes_oracle(datum, pairs):
+    """Group pairs (I, J) under simultaneous Weyl conjugacy (orbit BFS)."""
+    n = datum.rank
+    simple_fund = [r.fund for r in datum.simple_roots]
+
+    def state_of(pair):
+        I, J = pair
+        return (
+            frozenset(simple_fund[i] for i in I),
+            frozenset(simple_fund[j] for j in J),
+        )
+
+    def reflections(state):
+        si, sj = state
+        for k in range(n):
+            yield (
+                frozenset(datum.reflect(v, k) for v in si),
+                frozenset(datum.reflect(v, k) for v in sj),
+            )
+
+    targets = {state_of(p): p for p in pairs}
+    assigned: dict = {}
+    classes: list[list] = []
+    for p in pairs:
+        if p in assigned:
+            continue
+        cls = []
+        for st in closure([state_of(p)], reflections):
+            other = targets.get(st)
+            if other is not None and other not in assigned:
+                assigned[other] = len(classes)
+                cls.append(other)
+        classes.append(cls)
+    return classes
+
+
+def orbit_dimension_oracle(datum, I, J) -> int:
+    """|Phi| minus the roots pairing to 0 or +-1 with the grading cocharacter
+    h = sum x_i alpha_i^vee (2 on I - J, 0 on J), paired in Fractions."""
+    idx = sorted(I)
+    C = datum.cartan
+    x = {}
+    if idx:
+        _, sol = solve_exact(
+            [[C[i][j] for i in idx] for j in idx], [[0 if j in J else 2] for j in idx]
+        )
+        x = {i: sol[pos][0] for pos, i in enumerate(idx)}
+    small = 0
+    for r in datum.positive_roots:
+        val = sum(x.get(i, Fraction(0)) * r.fund[i] for i in x)
+        assert val.denominator == 1
+        v = int(val)
+        if v == 0:
+            small += 2
+        elif v in (1, -1):
+            small += 1
+    return 2 * len(datum.positive_roots) - small
+
+
+def decompose_oracle(aw, consts, w):
+    """t_lambda . z for w in fW by peeling varpi_i off while the i-th
+    coordinate of the translation part exceeds k_i."""
+    lam = [0] * aw.datum.rank
+    cur = w
+    while True:
+        mu = cur.fin.apply(cur.trans)
+        for i in range(aw.datum.rank):
+            if mu[i] > consts.k_alpha[i]:
+                cur = aw.mult(aw.translation(tuple(-c for c in consts.varpi[i])), cur)
+                lam = [a + b for a, b in zip(lam, consts.varpi[i])]
+                break
+        else:
+            return tuple(lam), cur
 
 
 # -- helpers with callers only in the tests ------------------------------------

@@ -17,7 +17,7 @@ from heckecells.cells import (
 from heckecells.hecke import TableBasisProvider, table_from_zero_basis
 from heckecells.laurent import LaurentPoly
 
-from oracles import asph_canonical_oracle, kl_gen
+from oracles import asph_canonical_oracle, decompose_oracle, kl_gen
 
 
 def small_partition(c, L=12, margin=3):
@@ -319,6 +319,18 @@ def test_decompose_random_remultiplies(ctx):
             assert z in consts.z_set
             assert aw.datum.is_dominant(lam) and aw.datum.in_root_lattice(lam)
             assert aw.mult(aw.translation(lam), z) == w
+
+
+@pytest.mark.parametrize(
+    "type_str,bound", [("A1", 16), ("A2", 10), ("C2", 10), ("G2", 10), ("B3", 6)]
+)
+def test_decompose_matches_peeling_oracle(ctx, type_str, bound):
+    # the closed form agrees with peeling one varpi_i at a time on the ball
+    aw = ctx(type_str).aw
+    consts = generation_constants(aw)
+    for w in aw.enumerate_fW(bound):
+        if aw.in_affine_weyl(w):
+            assert decompose_fW(aw, consts, w) == decompose_oracle(aw, consts, w)
 
 
 def test_decompose_rejects_non_minimal(ctx):

@@ -3,6 +3,8 @@ import pytest
 from heckecells.cells import right_cells
 from heckecells.orbits import (
     UnsupportedTypeError,
+    _distinguished_pairs,
+    _named_orbits,
     build_orbit_table,
     cell_to_orbit,
     closure_order,
@@ -10,6 +12,8 @@ from heckecells.orbits import (
     humphreys_predict,
 )
 from heckecells.rootdata import build_root_datum
+
+from oracles import conjugacy_classes_oracle, orbit_dimension_oracle
 
 
 def partitions_of(n):
@@ -48,6 +52,30 @@ def test_universal_orbits(ctx):
         assert reg.bala_carter[1] == ()
         zero = next(o for o in orbs if o.dimension == 0)
         assert zero.bala_carter == ((), ())
+
+
+@pytest.mark.parametrize(
+    "type_str", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+)
+def test_orbits_match_conjugacy_search_oracle(type_str):
+    # classes by weighted Dynkin diagram = classes by Weyl-orbit search of
+    # the root sets; dimensions against the unreflected Fraction pairing
+    d = build_root_datum(type_str)
+    classes = conjugacy_classes_oracle(d, list(_distinguished_pairs(d)))
+    reps = [min(cls) for cls in classes]
+    expected = sorted((orbit_dimension_oracle(d, I, J), (I, J)) for I, J in reps)
+    assert enumerate_orbits(d) == _named_orbits(d, expected)
+
+
+@pytest.mark.parametrize("type_str,count", [("E6", 21), ("E7", 45)])
+def test_exceptional_orbit_counts(type_str, count):
+    d = build_root_datum(type_str)
+    dims = sorted(o.dimension for o in enumerate_orbits(d))
+    assert len(dims) == count
+    # the minimal orbit has dimension 2h - 2, the regular one |Phi|
+    assert dims[:2] == [0, 2 * d.coxeter_number - 2]
+    assert dims[-1] == 2 * len(d.positive_roots)
+    assert dims.count(dims[-1]) == 1
 
 
 def test_g2_orbit_ladder(ctx):

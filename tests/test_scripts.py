@@ -11,6 +11,7 @@ import pytest
 import heckecells.affine
 import heckecells.hecke
 import heckecells.laurent
+import heckecells.orbits
 import heckecells.rootdata
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -44,7 +45,14 @@ def test_script_exits_zero(script, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "module", [heckecells.laurent, heckecells.rootdata, heckecells.affine, heckecells.hecke]
+    "module",
+    [
+        heckecells.laurent,
+        heckecells.rootdata,
+        heckecells.affine,
+        heckecells.hecke,
+        heckecells.orbits,
+    ],
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)
