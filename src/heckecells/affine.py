@@ -2,7 +2,9 @@
 
 Elements are pairs ``w . t_lambda`` with ``w`` in the finite Weyl group and
 ``lambda`` in the weight lattice; this canonical form makes multiplication
-exact and cheap, and reduced words are recovered on demand by greedy descent.
+exact and cheap.  The lexicographically smallest reduced word of each element
+of an enumerated ball is read off its right descents while the ball is built;
+for any other element it is recovered on demand by greedy left descent.
 The length function is the Iwahori-Matsumoto hyperplane count
 
     l(w t_lambda) = sum_{a>0, w(a)>0} |<lambda, a^vee>|
@@ -228,8 +230,10 @@ class AffineWeyl:
         """Lexicographically smallest reduced word (generator indices).
 
         Only valid on W; elements with a nontrivial length-zero part keep
-        that part out of the word (see :meth:`to_word`).  It is the first
-        left descent i, then the word of s_i a; each element passed keeps its.
+        that part out of the word (see :meth:`to_word`).  Elements of an
+        enumerated ball already hold theirs (see :meth:`_ball`); otherwise it
+        is the first left descent i, then the word of s_i a, and each element
+        passed keeps its.
         """
         path, cur = [], a
         while cur.word is None:
@@ -432,15 +436,34 @@ class AffineWeyl:
     def _ball(self, bound: int, keep) -> list[AffineElement]:
         """Elements of length <= bound reached from the identity by
         length-increasing generator steps through elements passing ``keep``
-        (all of them when ``keep`` is None), sorted by (length, word)."""
+        (all of them when ``keep`` is None), sorted by (length, word).
+
+        ``keep`` is closed under prefixes (W and fW are), and a prefix of a
+        smallest reduced word is a smallest reduced word, so the word of w is
+        the least word(y) + (i,) over the steps y -> w = y s_i.  The steps
+        into elements without a word are recorded on the way, and each such
+        element gets its word once all steps of the level below are known.
+        """
+        steps: dict[AffineElement, list] = {}
+
         def up(w):
             if w.length < bound:
                 for i in range(len(self.gens)):
                     ws = self.mult_gen(w, i)
                     if ws.length == w.length + 1 and (keep is None or keep(ws)):
+                        if ws.word is None:
+                            steps.setdefault(ws, []).append((w, i))
                         yield ws
 
-        return sorted(closure([self.identity], up), key=self.sort_key)
+        ball = closure([self.identity], up)
+        # breadth-first, so an element enters ``steps`` after each one stepping
+        # into it; a word that another thread wrote meanwhile may have cut its
+        # steps short, so it is kept
+        for w, into in steps.items():
+            if w.word is None:
+                word, i = min((y.word, i) for y, i in into)
+                w.word = word + (i,)
+        return sorted(ball, key=self.sort_key)
 
     def enumerate_fW(self, bound: int) -> list[AffineElement]:
         """All elements of fW of length <= bound, sorted by (length, word)."""

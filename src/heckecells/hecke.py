@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -79,28 +80,40 @@ AsphElt = HeckeElt
 _BITS, _MASK, _BOUND = 64, (1 << 64) - 1, 1 << 63
 
 
-def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[dict, dict]:
+def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list, list, list]:
     """Coded canonical basis element at w by the descent recursion with mu-terms.
 
     With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
     mu(y, ws) C_y for every y with ys < y; H_s + v acts as in ``kl_gen_action``
-    with ``keep``, and ``memo`` caches finished elements, each a pair of maps
-    z -> n(2^64) and z -> n(1) for its coefficient n at z.  Off the diagonal
-    n lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
+    with ``keep``, and ``memo`` caches finished elements, each a triple of
+    parallel lists: the support z, and n(2^64) and n(1) for the coefficient n
+    at z, with zero codes dropped.  While an element is built, one dict maps
+    each z to its position, so a term costs one lookup.  Off the diagonal n
+    lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
     """
     out = memo.get(w)
     if out is not None:
         return out
     if w.length == 0:
-        out = ({w: 1}, {w: 1})
+        out = ([w], [1], [1])
     else:
         mult_gen = aw.mult_gen
         i = next(i for i in range(len(aw.gens)) if mult_gen(w, i).length < w.length)
-        codes, ones = _canonical(aw, keep, memo, mult_gen(w, i))
-        acc, acc1 = {}, {}
-        # codes and ones list their terms in the same order
-        for (x, c), n in zip(codes.items(), ones.values()):
-            xs = mult_gen(x, i)
+        index, elts, codes, ones = {}, [], [], []
+
+        def add(z, dc, dn):
+            k = index.get(z)
+            if k is None:
+                index[z] = len(elts)
+                elts.append(z)
+                codes.append(dc)
+                ones.append(dn)
+            else:
+                codes[k] += dc
+                ones[k] += dn
+
+        for x, c, n in zip(*_canonical(aw, keep, memo, mult_gen(w, i))):
+            xs = x.right[i] or mult_gen(x, i)
             if xs.length > x.length:
                 if keep is not None and not keep(xs):
                     continue
@@ -109,19 +122,16 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[dict
                 cx = c >> _BITS
                 mu = cx & _MASK
                 if mu:
-                    ycodes, yones = _canonical(aw, keep, memo, x)
-                    for (z, cz), nz in zip(ycodes.items(), yones.values()):
-                        acc[z] = acc.get(z, 0) - mu * cz
-                        acc1[z] = acc1.get(z, 0) - mu * nz
-            acc[xs] = acc.get(xs, 0) + c
-            acc1[xs] = acc1.get(xs, 0) + n
-            acc[x] = acc.get(x, 0) + cx
-            acc1[x] = acc1.get(x, 0) + n
-        codes = {z: c for z, c in acc.items() if c}
-        ones = {z: acc1[z] for z in codes}
-        if codes.get(w) != 1 or max(ones.values()) >= _BOUND:
+                    for z, cz, nz in zip(*_canonical(aw, keep, memo, x)):
+                        add(z, -mu * cz, -mu * nz)
+            add(xs, c, n)
+            add(x, cx, n)
+        k = index.get(w)
+        diag = 0 if k is None else codes[k]
+        elts, ones, codes = [list(compress(col, codes)) for col in (elts, ones, codes)]
+        if diag != 1 or max(ones) >= _BOUND:
             raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
-        out = (codes, ones)
+        out = (elts, codes, ones)
     memo[w] = out
     return out
 
@@ -148,8 +158,8 @@ def _decode(code: int, one: int) -> LaurentPoly:
     return LaurentPoly(digits)
 
 
-def _decode_elt(coded: tuple[dict, dict]) -> HeckeElt:
-    return HeckeElt({z: _decode(c, coded[1][z]) for z, c in coded[0].items()})
+def _decode_elt(coded: tuple[list, list, list]) -> HeckeElt:
+    return HeckeElt({z: _decode(c, n) for z, c, n in zip(*coded)})
 
 
 def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, LaurentPoly]:
@@ -232,7 +242,7 @@ class Hecke:
 
     def __init__(self, aw: AffineWeyl):
         self.aw = aw
-        self._kl_cache: dict[AffineElement, tuple[dict, dict]] = {}
+        self._kl_cache: dict[AffineElement, tuple[list, list, list]] = {}
         self._kl_elts: dict[AffineElement, HeckeElt] = {}
         self._bar_std_cache: dict[AffineElement, HeckeElt] = {}
 
@@ -305,7 +315,7 @@ class AsphModule:
     def __init__(self, hecke: Hecke):
         self.hecke = hecke
         self.aw = hecke.aw
-        self._canon_cache: dict[AffineElement, tuple[dict, dict]] = {}
+        self._canon_cache: dict[AffineElement, tuple[list, list, list]] = {}
         self._canon_elts: dict[AffineElement, AsphElt] = {}
 
     def standard(self, w: AffineElement) -> AsphElt:
@@ -337,7 +347,7 @@ class AsphModule:
             out = self._canon_elts[w] = _decode_elt(self._coded(w))
         return out
 
-    def _coded(self, w: AffineElement) -> tuple[dict, dict]:
+    def _coded(self, w: AffineElement) -> tuple[list, list, list]:
         """The canonical element at w in fW as ``_canonical`` codes it."""
         return _canonical(self.aw, self.aw.in_fW, self._canon_cache, w)
 
@@ -529,7 +539,8 @@ class ZeroBasisProvider:
         ys = aw.mult_gen(y, i)
         if ys.length < y.length:
             return [y]
-        mus = [z for z, c in self.asph._coded(y)[0].items()
+        elts, codes, _ = self.asph._coded(y)
+        mus = [z for z, c in zip(elts, codes)
                if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
         return [ys] + mus if aw.in_fW(ys) else mus
 

@@ -38,7 +38,7 @@ class NilpotentOrbit:
 
 
 def _levi_roots(datum, I: frozenset[int]):
-    """All roots (both signs) supported on the simple-root subset I."""
+    """The positive roots supported on the simple-root subset I."""
     out = []
     for r in datum.positive_roots:
         if all(c == 0 or i in I for i, c in enumerate(r.simple)):
@@ -46,12 +46,14 @@ def _levi_roots(datum, I: frozenset[int]):
     return out
 
 
-def _is_distinguished(datum, I: frozenset[int], J: frozenset[int]) -> bool:
-    """Even-grading criterion: #(degree 0 roots) + |I| == #(degree 2 roots)."""
+def _is_distinguished(levi_roots, I: frozenset[int], J: frozenset[int]) -> bool:
+    """Even-grading criterion on the positive roots of the Levi on I:
+    #(degree 0 roots) + |I| == #(degree 2 roots)."""
+    graded = I - J
     deg0 = 0
     deg2 = 0
-    for r in _levi_roots(datum, I):
-        deg = 2 * sum(c for i, c in enumerate(r.simple) if i in I - J)
+    for r in levi_roots:
+        deg = 2 * sum(c for i, c in enumerate(r.simple) if i in graded)
         if deg == 0:
             deg0 += 2  # both signs
         elif deg == 2:
@@ -111,10 +113,10 @@ def _distinguished_pairs(datum):
     n = datum.rank
     for imask in range(1 << n):
         I = frozenset(i for i in range(n) if imask & (1 << i))
-        sub = sorted(I)
+        sub, levi = sorted(I), _levi_roots(datum, I)
         for jbits in range(1 << len(sub)):
             J = frozenset(sub[t] for t in range(len(sub)) if jbits & (1 << t))
-            if _is_distinguished(datum, I, J):
+            if _is_distinguished(levi, I, J):
                 yield tuple(sub), tuple(sorted(J))
 
 

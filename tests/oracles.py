@@ -3,17 +3,18 @@
 These deliberately avoid the code paths they are checking: the canonical
 basis oracle solves the bar-invariance equations triangularly, the
 antispherical oracle projects that solve from the full algebra, the
-recursion oracle runs the descent recursion on ``LaurentPoly`` coefficients,
-the length oracle applies the finite part to every positive root, the
-orbit oracles conjugate root sets by breadth-first search and pair roots
-with an unreflected grading cocharacter, and the decomposition oracle peels
-one translation at a time.  The helpers at the end have callers only in the
-tests.
+recursion oracles run the descent recursion on ``LaurentPoly`` coefficients
+and on codes summed in two dicts, the length oracle applies the finite part
+to every positive root, the orbit oracles conjugate root sets by
+breadth-first search and pair roots with an unreflected grading cocharacter,
+and the decomposition oracle peels one translation at a time.  The helpers
+at the end have callers only in the tests.
 """
 
 from fractions import Fraction
 
-from heckecells.hecke import Hecke, HeckeElt, kl_gen_action
+from heckecells.affine import UnsupportedRegimeError
+from heckecells.hecke import _BITS, _BOUND, _MASK, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 from heckecells.rootdata import closure, solve_exact
 
@@ -94,6 +95,53 @@ def laurent_canonical(aw, mul_by_kl_gen, memo: dict, w) -> HeckeElt:
                     acc[z] = delta if prev is None else prev + delta
         out = HeckeElt(acc)
         assert out.coeff(w) == ONE
+    memo[w] = out
+    return out
+
+
+def two_dict_canonical(aw, keep, memo: dict, w) -> tuple[dict, dict]:
+    """Coded canonical basis element at w by the descent recursion with mu-terms.
+
+    With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
+    mu(y, ws) C_y for every y with ys < y; H_s + v acts as in ``kl_gen_action``
+    with ``keep``, and ``memo`` caches finished elements, each a pair of maps
+    z -> n(2^64) and z -> n(1) for its coefficient n at z.  Off the diagonal
+    n lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
+    """
+    out = memo.get(w)
+    if out is not None:
+        return out
+    if w.length == 0:
+        out = ({w: 1}, {w: 1})
+    else:
+        mult_gen = aw.mult_gen
+        i = next(i for i in range(len(aw.gens)) if mult_gen(w, i).length < w.length)
+        codes, ones = two_dict_canonical(aw, keep, memo, mult_gen(w, i))
+        acc, acc1 = {}, {}
+        # codes and ones list their terms in the same order
+        for (x, c), n in zip(codes.items(), ones.values()):
+            xs = mult_gen(x, i)
+            if xs.length > x.length:
+                if keep is not None and not keep(xs):
+                    continue
+                cx = c << _BITS
+            else:
+                cx = c >> _BITS
+                mu = cx & _MASK
+                if mu:
+                    ycodes, yones = two_dict_canonical(aw, keep, memo, x)
+                    for (z, cz), nz in zip(ycodes.items(), yones.values()):
+                        acc[z] = acc.get(z, 0) - mu * cz
+                        acc1[z] = acc1.get(z, 0) - mu * nz
+            acc[xs] = acc.get(xs, 0) + c
+            acc1[xs] = acc1.get(xs, 0) + n
+            acc[x] = acc.get(x, 0) + cx
+            acc1[x] = acc1.get(x, 0) + n
+        codes = {z: c for z, c in acc.items() if c}
+        ones = {z: acc1[z] for z in codes}
+        if codes.get(w) != 1 or max(ones.values()) >= _BOUND:
+            raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
+        out = (codes, ones)
     memo[w] = out
     return out
 

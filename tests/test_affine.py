@@ -450,6 +450,30 @@ def test_enumerate_fW_matches_filter_oracle(ctx):
     assert aw.enumerate_fW(10) == expect
 
 
+BALL_SIZES = [("A1", 16), ("A2", 10), ("C2", 10), ("G2", 10), ("B3", 6)]
+
+
+@pytest.mark.parametrize("type_str,bound", BALL_SIZES)
+def test_ball_words_are_greedy_words(type_str, bound):
+    # enumeration leaves in each ball element the smallest reduced word, read
+    # off its right descents; a second, larger ball on the same context mixes
+    # cached words with new ones
+    aw = AffineWeyl(build_root_datum(type_str))
+    balls = ((aw.enumerate_fW, bound), (aw.enumerate_W, bound // 2), (aw.enumerate_W, bound))
+    for enumerate_ball, size in balls:
+        for w in enumerate_ball(size):
+            assert w.word == greedy_word(aw, w), w
+
+
+@pytest.mark.parametrize("type_str,bound", BALL_SIZES)
+def test_enumerate_fW_builds_only_the_ball_and_its_neighbours(type_str, bound):
+    aw = AffineWeyl(build_root_datum(type_str))
+    built = set(aw._elements.values())
+    ball = aw.enumerate_fW(bound)
+    neighbours = {ws for w in ball for ws in w.right if ws is not None}
+    assert set(aw._elements.values()) <= built | set(ball) | neighbours
+
+
 def test_omega_group(ctx):
     for t, order in [("A1", 2), ("A2", 3), ("C2", 2), ("G2", 1), ("A3", 4)]:
         aw = ctx(t).aw

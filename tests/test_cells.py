@@ -200,6 +200,24 @@ def test_partition_from_table_matches(ctx, tmp_path):
     assert base.reach == redone.reach
 
 
+@pytest.mark.parametrize(
+    "type_str,L,m",
+    [("C2", 20, 6), ("G2", 24, 8), ("A2", 16, 4), ("A3", 10, 3), ("B3", 10, 3), ("C3", 10, 3)],
+)
+def test_trusted_cells_stable_under_larger_ball(ctx, type_str, L, m):
+    # truncation evidence: each trusted cell at (L, m), cut to the core
+    # length L - m, is a trusted cell at (L + 6, m + 3) cut the same way
+    c = ctx(type_str)
+
+    def cut(part):
+        cells = (part.cells[k] for k in part.trusted_cells())
+        cut_cells = (frozenset(w for w in cell if w.length <= L - m) for cell in cells)
+        return {cell for cell in cut_cells if cell}
+
+    small = cut(right_cells(c.aw, L, m, c.provider))
+    assert small and small <= cut(right_cells(c.aw, L + 6, m + 3, c.provider))
+
+
 def test_cells_under_modified_p_table(ctx, tmp_path):
     # ingestion plumbing for p > 0: take the 0-basis table, relabel it p=2
     # and thicken one entry the way p-canonical bases degenerate (the basis

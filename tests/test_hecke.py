@@ -16,7 +16,7 @@ from heckecells.hecke import (
     specialize_v1,
     table_from_zero_basis,
 )
-from heckecells.hecke import _decode
+from heckecells.hecke import _canonical, _decode
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     kl_mul,
     kl_oracle,
     laurent_canonical,
+    two_dict_canonical,
 )
 
 
@@ -116,6 +117,26 @@ def test_coded_recursion_matches_laurent_recursion(type_str, bound):
                 ]
             got = c.provider.kl_gen_targets(y, i)
             assert sorted(got, key=aw.sort_key) == sorted(expected, key=aw.sort_key)
+
+
+@pytest.mark.parametrize(
+    "type_str,bound", [("A1", 10), ("A2", 8), ("C2", 10), ("G2", 10), ("B3", 8), ("A4", 8)]
+)
+def test_indexed_recursion_matches_two_dict_recursion(type_str, bound):
+    # the recursion with one position index per element against the same
+    # recursion summing into two dicts: every memo entry, in the algebra and
+    # in the antispherical module, holds the same terms in the same order,
+    # with the same codes and n(1)
+    aw = build_context(type_str).aw
+    for keep, ball in ((None, aw.enumerate_W(bound)), (aw.in_fW, aw.enumerate_fW(bound))):
+        memo, oracle_memo = {}, {}
+        for w in ball:
+            _canonical(aw, keep, memo, w)
+            two_dict_canonical(aw, keep, oracle_memo, w)
+        assert memo.keys() == oracle_memo.keys()
+        for w, (elts, codes, ones) in memo.items():
+            ocodes, oones = oracle_memo[w]
+            assert list(zip(elts, codes, ones)) == [(z, c, oones[z]) for z, c in ocodes.items()], w
 
 
 @pytest.mark.parametrize(
