@@ -36,8 +36,7 @@ def main() -> int:
         table = build_orbit_table(aw, part)
         observed = observed_stabilization_bound(aw, consts, part)
         print(f"== {type_str} (L={bound}, margin={margin}) ==")
-        print(f"  k_alpha = {consts.k_alpha}, |Y0| = {len(consts.y_zero)}, "
-              f"|Z| = {len(consts.z_set)}")
+        print(f"  k = {consts}")
         print(f"  observed stabilization bound: {observed}")
         for cid in part.trusted_cells():
             K = cell_generators(aw, consts, part, cid)

@@ -10,7 +10,6 @@ from .affine import (
 from .cells import (
     CellEdge,
     CellPartition,
-    GenerationConstants,
     cell_edges,
     cell_generators,
     decompose_fW,

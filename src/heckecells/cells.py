@@ -195,47 +195,28 @@ def export_partition_json(aw: AffineWeyl, partition: CellPartition) -> dict:
 # -- finite generation machinery ------------------------------------------------
 
 
-@dataclass
-class GenerationConstants:
-    """Per-type constants for the translation semigroup acting on fW.
+def generation_constants(aw: AffineWeyl) -> tuple[int, ...]:
+    """Per-simple-root constants k = (k_1, ..., k_n) of the translation
+    semigroup acting on fW: k_i is the least k > 0 with k e_i in the root
+    lattice.
 
-    varpi[i] is the minimal dominant root-lattice weight orthogonal to all
-    simple coroots but the i-th; k_alpha[i] its pairing with that coroot.
+    varpi_i = k_i e_i is the minimal dominant root-lattice weight orthogonal
+    to all simple coroots but the i-th, and k_Phi = max(k).  The finite set
+    Z of decompose_fW is never built: z is in Z exactly when its translation
+    part nu lies in the root lattice with 0 <= nu_i <= k_i, and z is in fW.
     """
-
-    varpi: list[tuple[int, ...]]
-    k_alpha: list[int]
-    k_phi: int
-    y_zero: list[tuple[int, ...]]
-    z_set: list[AffineElement]
-
-
-def generation_constants(aw: AffineWeyl) -> GenerationConstants:
     d = aw.datum
-    varpi = []
-    k_alpha = []
-    for i in range(d.rank):
-        unit = tuple(int(j == i) for j in range(d.rank))
-        k = next(k for k in itertools.count(1) if d.in_root_lattice(tuple(k * x for x in unit)))
-        varpi.append(tuple(k * x for x in unit))
-        k_alpha.append(k)
-    k_phi = max(k_alpha)
-
-    y_zero = sorted(
-        lam
-        for lam in itertools.product(*(range(k + 1) for k in k_alpha))
-        if d.in_root_lattice(lam)
+    return tuple(
+        next(
+            k for k in itertools.count(1)
+            if d.in_root_lattice(tuple(k * (j == i) for j in range(d.rank)))
+        )
+        for i in range(d.rank)
     )
-
-    z_set = {
-        w for v in d.generate_finite_weyl() for lam in y_zero
-        if aw.in_fW(w := aw.mult(aw.translation(lam), aw.from_finite(v)))
-    }
-    return GenerationConstants(varpi, k_alpha, k_phi, y_zero, sorted(z_set, key=aw.sort_key))
 
 
 def decompose_fW(
-    aw: AffineWeyl, consts: GenerationConstants, w: AffineElement
+    aw: AffineWeyl, consts: tuple[int, ...], w: AffineElement
 ) -> tuple[tuple[int, ...], AffineElement]:
     """Write w in fW as t_lambda . z with lambda dominant in Y and z in Z.
 
@@ -247,17 +228,22 @@ def decompose_fW(
         raise ValueError("decompose_fW expects an element of fW")
     # translation part mu of w = t_mu v
     mu = w.fin.apply(w.trans)
-    lam = tuple(max(0, -(-m // k) - 1) * k for m, k in zip(mu, consts.k_alpha))
+    lam = tuple(max(0, -(-m // k) - 1) * k for m, k in zip(mu, consts))
     z = aw.mult(aw.translation(tuple(-c for c in lam)), w)
-    z_check = tuple(z.fin.apply(z.trans))
-    if z_check not in set(consts.y_zero) or not aw.in_fW(z):
+    nu = z.fin.apply(z.trans)
+    in_z = (
+        all(0 <= c <= k for c, k in zip(nu, consts))
+        and aw.datum.in_root_lattice(nu)
+        and aw.in_fW(z)
+    )
+    if not in_z:
         raise AssertionError("decomposition left the finite set Z")
     return lam, z
 
 
 def stabilization_n(
     aw: AffineWeyl,
-    consts: GenerationConstants,
+    consts: tuple[int, ...],
     partition: CellPartition,
     w: AffineElement,
     psi,
@@ -267,11 +253,8 @@ def stabilization_n(
     Returns None when the chain leaves the trusted range before the repeat
     is observed and confirmed stationary within the range.
     """
-    psi = sorted(set(psi))
-    d = aw.datum
-    x_psi = tuple(
-        sum(consts.varpi[i][j] for i in psi) for j in range(d.rank)
-    )
+    # x_psi = sum of varpi_i = k_i e_i over i in psi
+    x_psi = tuple(k if i in psi else 0 for i, k in enumerate(consts))
     if all(c == 0 for c in x_psi):
         return 0
     shift = aw.translation(x_psi)
@@ -298,7 +281,7 @@ def stabilization_n(
 
 
 def observed_stabilization_bound(
-    aw: AffineWeyl, consts: GenerationConstants, partition: CellPartition
+    aw: AffineWeyl, consts: tuple[int, ...], partition: CellPartition
 ) -> int:
     """Max observed n(w, x_psi) over trusted elements and all psi."""
     d = aw.datum
@@ -320,7 +303,7 @@ def observed_stabilization_bound(
 
 def cell_generators(
     aw: AffineWeyl,
-    consts: GenerationConstants,
+    consts: tuple[int, ...],
     partition: CellPartition,
     cell_id: int,
 ) -> set[AffineElement]:
@@ -333,13 +316,13 @@ def cell_generators(
     """
     if not partition.trusted[cell_id]:
         raise ValueError("cell_generators needs a trusted cell")
-    bound = consts.k_phi * max(observed_stabilization_bound(aw, consts, partition), 1)
+    bound = max(consts) * max(observed_stabilization_bound(aw, consts, partition), 1)
     d = aw.datum
     members = partition.cells[cell_id]
     K = set()
     for w in members:
         lam, _ = decompose_fW(aw, consts, w)
-        if all(lam[i] // consts.k_alpha[i] <= bound for i in range(d.rank)):
+        if all(lam[i] // consts[i] <= bound for i in range(d.rank)):
             K.add(w)
     by_fin = {}
     for v in K:

@@ -11,9 +11,9 @@ alpha(h) in {0, 1, -1}.  All of it is integer arithmetic after one small
 solve per pair, so every type answers, E6-E8 included.
 
 The dictionary between antispherical cells and orbits is table-driven, with
-three universal entries (identity cell -> regular, minimal cell -> zero,
-the cell covered by the identity cell -> subregular); in rank <= 2 the
-remaining cells are matched along the preorder chain.
+three universal entries (identity cell -> regular, cell of s0 ->
+subregular, minimal cell -> zero once every orbit has a trusted cell); in
+rank <= 2 the remaining cells are matched along the preorder chain.
 """
 
 from __future__ import annotations
@@ -245,33 +245,21 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
 
     by_dim = {o.dimension: i for i, o in enumerate(orbits)}
     nroots = 2 * len(datum.positive_roots)
-    regular_idx = by_dim[nroots]
-    zero_idx = by_dim[0]
-    subregular_idx = by_dim.get(nroots - 2)
+    # the identity's cell is {e}, always trusted
+    cell_map[partition.cell_index(aw.identity)] = by_dim[nroots]
 
-    id_cell = partition.cell_index(aw.identity)
-    if id_cell is not None and id_cell in trusted_set:
-        cell_map[id_cell] = regular_idx
-
-    # minimal trusted cell: reaches no other trusted cell
+    # the minimal trusted cell is the zero cell only once every orbit has a
+    # trusted cell; in a smaller ball it is just the lowest cell resolved
     minimal = [
         c for c in trusted if (partition.reach[c] & trusted_set) == {c}
     ]
-    if len(minimal) == 1:
-        cell_map[minimal[0]] = zero_idx
+    if len(minimal) == 1 and len(trusted) == len(orbits):
+        cell_map[minimal[0]] = by_dim[0]
 
-    # cell covered by the identity cell
-    if id_cell in trusted_set and subregular_idx is not None:
-        below_id = (partition.reach[id_cell] & trusted_set) - {id_cell}
-        covers = [
-            c
-            for c in below_id
-            if not any(
-                c in partition.reach[c2] and c2 != c for c2 in below_id
-            )
-        ]
-        if len(covers) == 1:
-            cell_map[covers[0]] = subregular_idx
+    # the cell of s0 is the a-value-1 cell, Lusztig's subregular cell
+    s0_cell = partition.cell_index(aw.gens[0])
+    if s0_cell in trusted_set:
+        cell_map[s0_cell] = by_dim[nroots - 2]
 
     if datum.rank <= 2:
         if len(trusted) != len(orbits):
@@ -361,21 +349,17 @@ class PredictionRecord:
 
 
 def _status_for(datum, p: int, orbit: "NilpotentOrbit | None") -> str:
+    """theorem for the zero, subregular and regular orbits, for C2 at p > 5
+    and for G2 at p > 7 off the middle orbit; conjectural otherwise."""
     if orbit is None:
         return "unknown"
-    if orbit.name in ("regular", "subregular", "zero"):
-        return "theorem"
-    ct = datum.cartan_type
-    if ct.series == "A":
-        # rank <= 2 type A orbits are all covered by the universal names;
-        # larger ranks carry partition names and stay conjectural here
-        nroots = 2 * len(datum.positive_roots)
-        if orbit.dimension in (0, nroots, nroots - 2):
-            return "theorem"
-        return "conjectural"
-    if str(ct) == "C2" and p > 5:
-        return "theorem"
-    if str(ct) == "G2" and p > 7 and orbit.name != "middle":
+    nroots = 2 * len(datum.positive_roots)
+    ct = str(datum.cartan_type)
+    if (
+        orbit.dimension in (0, nroots - 2, nroots)
+        or ct == "C2" and p > 5
+        or ct == "G2" and p > 7 and orbit.name != "middle"
+    ):
         return "theorem"
     return "conjectural"
 

@@ -7,10 +7,13 @@ recursion oracles run the descent recursion on ``LaurentPoly`` coefficients
 and on codes summed in two dicts, the length oracle applies the finite part
 to every positive root, the orbit oracles conjugate root sets by
 breadth-first search and pair roots with an unreflected grading cocharacter,
-and the decomposition oracle peels one translation at a time.  The helpers
+the decomposition oracle peels one translation at a time, the generation
+oracle enumerates Y0 and Z, the subregular oracle searches the cells below
+the identity cell, and the status oracle reads orbit names.  The helpers
 at the end have callers only in the tests.
 """
 
+import itertools
 from fractions import Fraction
 
 from heckecells.affine import UnsupportedRegimeError
@@ -206,19 +209,74 @@ def orbit_dimension_oracle(datum, I, J) -> int:
 
 
 def decompose_oracle(aw, consts, w):
-    """t_lambda . z for w in fW by peeling varpi_i off while the i-th
-    coordinate of the translation part exceeds k_i."""
+    """t_lambda . z for w in fW by peeling varpi_i = k_i e_i off while the
+    i-th coordinate of the translation part exceeds k_i."""
     lam = [0] * aw.datum.rank
     cur = w
     while True:
         mu = cur.fin.apply(cur.trans)
-        for i in range(aw.datum.rank):
-            if mu[i] > consts.k_alpha[i]:
-                cur = aw.mult(aw.translation(tuple(-c for c in consts.varpi[i])), cur)
-                lam = [a + b for a, b in zip(lam, consts.varpi[i])]
+        for i, k in enumerate(consts):
+            if mu[i] > k:
+                varpi = tuple(k * (j == i) for j in range(aw.datum.rank))
+                cur = aw.mult(aw.translation(tuple(-c for c in varpi)), cur)
+                lam = [a + b for a, b in zip(lam, varpi)]
                 break
         else:
             return tuple(lam), cur
+
+
+def enumerated_generation_sets(aw, k_alpha):
+    """Y0 and Z by enumeration: Y0 the root-lattice points of the box
+    prod_i [0, k_i], Z the elements t_lambda v in fW with lambda in Y0 and
+    v in W_f."""
+    d = aw.datum
+    y_zero = sorted(
+        lam
+        for lam in itertools.product(*(range(k + 1) for k in k_alpha))
+        if d.in_root_lattice(lam)
+    )
+
+    z_set = {
+        w for v in d.generate_finite_weyl() for lam in y_zero
+        if aw.in_fW(w := aw.mult(aw.translation(lam), aw.from_finite(v)))
+    }
+    return y_zero, sorted(z_set, key=aw.sort_key)
+
+
+def subregular_cover_oracle(aw, partition) -> "int | None":
+    """The trusted cell covered by the identity cell, when it is unique."""
+    trusted_set = set(partition.trusted_cells())
+    id_cell = partition.cell_index(aw.identity)
+    below_id = (partition.reach[id_cell] & trusted_set) - {id_cell}
+    covers = [
+        c
+        for c in below_id
+        if not any(
+            c in partition.reach[c2] and c2 != c for c2 in below_id
+        )
+    ]
+    return covers[0] if len(covers) == 1 else None
+
+
+def status_oracle(datum, p: int, orbit) -> str:
+    """Support-variety status by orbit name, with a type-A dimension branch."""
+    if orbit is None:
+        return "unknown"
+    if orbit.name in ("regular", "subregular", "zero"):
+        return "theorem"
+    ct = datum.cartan_type
+    if ct.series == "A":
+        # rank <= 2 type A orbits are all covered by the universal names;
+        # larger ranks carry partition names and stay conjectural here
+        nroots = 2 * len(datum.positive_roots)
+        if orbit.dimension in (0, nroots, nroots - 2):
+            return "theorem"
+        return "conjectural"
+    if str(ct) == "C2" and p > 5:
+        return "theorem"
+    if str(ct) == "G2" and p > 7 and orbit.name != "middle":
+        return "theorem"
+    return "conjectural"
 
 
 # -- helpers with callers only in the tests ------------------------------------

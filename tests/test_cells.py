@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heckecells.affine import AffineWeyl
 from heckecells.cells import (
     cell_edges,
     cell_generators,
@@ -17,7 +18,14 @@ from heckecells.cells import (
 from heckecells.hecke import TableBasisProvider, table_from_zero_basis
 from heckecells.laurent import LaurentPoly
 
-from oracles import asph_canonical_oracle, decompose_oracle, kl_gen
+from heckecells.rootdata import build_root_datum
+
+from oracles import (
+    asph_canonical_oracle,
+    decompose_oracle,
+    enumerated_generation_sets,
+    kl_gen,
+)
 
 
 def small_partition(c, L=12, margin=3):
@@ -303,12 +311,52 @@ def test_export_json_deterministic(ctx):
 def test_generation_constants_a1(ctx):
     c = ctx("A1")
     consts = generation_constants(c.aw)
-    assert consts.varpi == [(2,)]
-    assert consts.k_alpha == [2]
-    assert consts.k_phi == 2
-    assert consts.y_zero == [(0,), (2,)]
-    words = sorted(c.aw.to_word(z) for z in consts.z_set)
+    assert consts == (2,)
+    y_zero, z_set = enumerated_generation_sets(c.aw, consts)
+    assert y_zero == [(0,), (2,)]
+    words = sorted(c.aw.to_word(z) for z in z_set)
     assert words == ["e", "s0", "s0.s1"]
+
+
+@pytest.mark.parametrize(
+    "type_str,k",
+    [
+        ("A1", (2,)),
+        ("A5", (6, 3, 2, 3, 6)),
+        ("E6", (3, 1, 3, 1, 3, 3)),
+        ("E8", (1,) * 8),
+    ],
+)
+def test_generation_constants_pinned(type_str, k):
+    # k_i is the order of e_i modulo the root lattice
+    assert generation_constants(AffineWeyl(build_root_datum(type_str))) == k
+
+
+@pytest.mark.parametrize(
+    "type_str,bound",
+    [
+        ("A1", 16),
+        ("A2", 12),
+        ("B2", 12),
+        ("C2", 12),
+        ("G2", 12),
+        ("A3", 8),
+        ("B3", 7),
+        ("C3", 7),
+        ("D4", 5),
+    ],
+)
+def test_decompose_lands_in_enumerated_z(ctx, type_str, bound):
+    # lambda = 0 exactly on the enumerated Z: the membership test inside
+    # decompose_fW agrees with the W_f x Y0 enumeration
+    aw = ctx(type_str).aw
+    consts = generation_constants(aw)
+    z_set = set(enumerated_generation_sets(aw, consts)[1])
+    for w in aw.enumerate_fW(bound):
+        if aw.in_affine_weyl(w):
+            lam, z = decompose_fW(aw, consts, w)
+            assert (not any(lam)) == (w in z_set)
+            assert z in z_set
 
 
 def test_decompose_examples(ctx):
@@ -329,12 +377,13 @@ def test_decompose_random_remultiplies(ctx):
         c = ctx(t)
         aw = c.aw
         consts = generation_constants(aw)
+        z_set = set(enumerated_generation_sets(aw, consts)[1])
         rng = random.Random(17)
         for _ in range(120):
             w = aw.from_word([rng.randrange(3) for _ in range(20)])
             w = aw.min_coset_rep(w)
             lam, z = decompose_fW(aw, consts, w)
-            assert z in consts.z_set
+            assert z in z_set
             assert aw.datum.is_dominant(lam) and aw.datum.in_root_lattice(lam)
             assert aw.mult(aw.translation(lam), z) == w
 
@@ -381,7 +430,8 @@ def test_stabilization_bounded(ctx):
 
 
 def test_n_xpsi_inequality(ctx):
-    # n(w, lam) <= k_phi * n(w, x_{Psi(lam)}) where both sides are known
+    # n(w, lam) <= k_phi * n(w, x_{Psi(lam)}) where both sides are known,
+    # with k_phi = max(k)
     c = ctx("C2")
     aw = c.aw
     d = c.datum
@@ -412,7 +462,7 @@ def test_n_xpsi_inequality(ctx):
             lhs = n_of(w, lam)
             rhs = stabilization_n(aw, consts, part, w, psi)
             if lhs is not None and rhs is not None:
-                assert lhs <= consts.k_phi * rhs or rhs == 0 and lhs == 0
+                assert lhs <= max(consts) * rhs or rhs == 0 and lhs == 0
 
 
 def test_cell_generators_examples(ctx):

@@ -66,6 +66,25 @@ def test_decompose_command(tmp_path):
     assert obj["lambda"] == [2] and obj["z"] == "s0"
 
 
+@pytest.mark.parametrize("type_str", ["A5", "E8"])
+def test_decompose_command_large_rank(tmp_path, type_str):
+    code, data = run_cli(["decompose", "--type", type_str, "--w", "s0"], tmp_path)
+    assert code == 0
+    obj = json.loads(data)
+    assert not any(obj["lambda"]) and obj["z"] == "s0"
+
+
+def test_humphreys_rank3_default_leaves_zero_unpinned(tmp_path):
+    # at the rank-3 default ball the trusted cells are fewer than the
+    # orbits, so the lowest resolved cell gets no orbit
+    code, data = run_cli(
+        ["humphreys", "--type", "B3", "--p", "7", "--lambda", "0,0,4"], tmp_path
+    )
+    assert code == 0
+    obj = json.loads(data)
+    assert obj["orbit_name"] is None and obj["status"] == "unknown"
+
+
 def test_humphreys_command(tmp_path):
     code, data = run_cli(
         ["humphreys", "--type", "G2", "--p", "11", "--lambda", "0,0"], tmp_path

@@ -5,6 +5,7 @@ from heckecells.orbits import (
     UnsupportedTypeError,
     _distinguished_pairs,
     _named_orbits,
+    _status_for,
     build_orbit_table,
     cell_to_orbit,
     closure_order,
@@ -13,7 +14,12 @@ from heckecells.orbits import (
 )
 from heckecells.rootdata import build_root_datum
 
-from oracles import conjugacy_classes_oracle, orbit_dimension_oracle
+from oracles import (
+    conjugacy_classes_oracle,
+    orbit_dimension_oracle,
+    status_oracle,
+    subregular_cover_oracle,
+)
 
 
 def partitions_of(n):
@@ -360,3 +366,56 @@ def test_rank3_trusted_cells_reach_orbit_count(ctx, type_str, trusted):
     assert pinned == [dims[0], dims[-2], dims[-1]]
     id_cell = part.cell_index(c.aw.identity)
     assert table.orbit_of_cell(id_cell).dimension == dims[-1]
+    # the zero cell is the deep corner: its weights lie in (p-1)rho + the
+    # dominant cone
+    p = 7
+    (zero_cell,) = [i for i in table.cell_map if table.orbit_of_cell(i).dimension == 0]
+    for w in part.cells[zero_cell]:
+        assert all(a >= p - 1 for a in c.aw.dot_action(w, (0, 0, 0), p))
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3"])
+def test_rank3_zero_orbit_needs_full_count(ctx, type_str):
+    # at the rank-3 default 10/3 the trusted cells are fewer than the
+    # orbits, so the lowest resolved cell is not pinned to the zero orbit
+    c = ctx(type_str)
+    part = right_cells(c.aw, 10, 3, c.provider)
+    table = build_orbit_table(c.aw, part)
+    assert len(part.trusted_cells()) < len(table.orbits)
+    assert all(table.orbit_of_cell(i).dimension != 0 for i in table.cell_map)
+
+
+def test_a3_empty_margin_keeps_identity_regular(ctx):
+    # with only the identity cell trusted, lambda = 0 is regular
+    c = ctx("A3")
+    part, table = _table(c, 0, 0)
+    rec = humphreys_predict(c.aw, part, table, (0, 0, 0), 5)
+    assert rec.orbit.name == "[4]" and rec.status == "theorem"
+
+
+@pytest.mark.parametrize(
+    "type_str,bound",
+    [("A1", 12), ("A2", 20), ("B2", 20), ("C2", 20), ("G2", 24), ("A3", 10), ("B3", 10), ("C3", 10)],
+)
+def test_subregular_cell_is_cover_of_identity(ctx, type_str, bound):
+    # the cell of s0, when trusted, is the unique trusted cell covered by
+    # the identity cell, and there is no unique cover otherwise
+    c = ctx(type_str)
+    for L in range(0, bound + 1, 2):
+        for m in range(0, L + 1, 2):
+            part = right_cells(c.aw, L, m, c.provider)
+            s0_cell = part.cell_index(c.aw.gens[0])
+            expected = s0_cell if part.trusted[s0_cell] else None
+            assert subregular_cover_oracle(c.aw, part) == expected
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3",
+     "C4", "C5", "D4", "D5", "D6", "G2", "F4", "E6", "E7"],
+)
+def test_status_rule_matches_name_rule(type_str):
+    d = build_root_datum(type_str)
+    for orbit in [None, *enumerate_orbits(d)]:
+        for p in range(2, 40):
+            assert _status_for(d, p, orbit) == status_oracle(d, p, orbit)
