@@ -3,8 +3,8 @@
 Elements are pairs ``w . t_lambda`` with ``w`` in the finite Weyl group and
 ``lambda`` in the weight lattice; this canonical form makes multiplication
 exact and cheap.  The lexicographically smallest reduced word of each element
-of an enumerated ball is read off its right descents while the ball is built;
-for any other element it is recovered on demand by greedy left descent.
+of an enumerated ball is set by the walk's first step into it; for any other
+element it is recovered on demand by greedy left descent.
 The length function is the Iwahori-Matsumoto hyperplane count
 
     l(w t_lambda) = sum_{a>0, w(a)>0} |<lambda, a^vee>|
@@ -80,7 +80,7 @@ class AffineWeyl:
 
     Every operation returns the context's one instance of each element (see
     :meth:`element`).  All caches only grow and every write stores the same
-    value, so instances may be shared across threads.
+    value.
     """
 
     def __init__(self, datum: RootDatum):
@@ -114,8 +114,8 @@ class AffineWeyl:
         key = (fin.mat, trans)
         out = self._elements.get(key)
         if out is None:
-            out = self._elements.setdefault(
-                key, AffineElement(fin, trans, self._length(fin, trans), self.datum.rank + 1)
+            out = self._elements[key] = AffineElement(
+                fin, trans, self._length(fin, trans), self.datum.rank + 1
             )
         return out
 
@@ -436,15 +436,15 @@ class AffineWeyl:
     def _ball(self, bound: int, keep) -> list[AffineElement]:
         """Elements of length <= bound reached from the identity by
         length-increasing generator steps through elements passing ``keep``
-        (all of them when ``keep`` is None), sorted by (length, word).
+        (all of them when ``keep`` is None), in (length, word) order.
 
         ``keep`` is closed under prefixes (W and fW are), and a prefix of a
         smallest reduced word is a smallest reduced word, so the word of w is
-        the least word(y) + (i,) over the steps y -> w = y s_i.  The steps
-        into elements without a word are recorded on the way, and each such
-        element gets its word once all steps of the level below are known.
+        the least word(y) + (i,) over the steps y -> w = y s_i.  Breadth-first
+        search takes each length level in word order and the generators in
+        index order, so the first step into w is that least one: it sets the
+        word, and the search order is already (length, word).
         """
-        steps: dict[AffineElement, list] = {}
 
         def up(w):
             if w.length < bound:
@@ -452,23 +452,15 @@ class AffineWeyl:
                     ws = self.mult_gen(w, i)
                     if ws.length == w.length + 1 and (keep is None or keep(ws)):
                         if ws.word is None:
-                            steps.setdefault(ws, []).append((w, i))
+                            ws.word = w.word + (i,)
                         yield ws
 
-        ball = closure([self.identity], up)
-        # breadth-first, so an element enters ``steps`` after each one stepping
-        # into it; a word that another thread wrote meanwhile may have cut its
-        # steps short, so it is kept
-        for w, into in steps.items():
-            if w.word is None:
-                word, i = min((y.word, i) for y, i in into)
-                w.word = word + (i,)
-        return sorted(ball, key=self.sort_key)
+        return closure([self.identity], up)
 
     def enumerate_fW(self, bound: int) -> list[AffineElement]:
-        """All elements of fW of length <= bound, sorted by (length, word)."""
+        """All elements of fW of length <= bound, in (length, word) order."""
         return self._ball(bound, self.in_fW)
 
     def enumerate_W(self, bound: int) -> list[AffineElement]:
-        """All elements of W of length <= bound, sorted by (length, word)."""
+        """All elements of W of length <= bound, in (length, word) order."""
         return self._ball(bound, None)

@@ -231,12 +231,8 @@ def decompose_fW(
     lam = tuple(max(0, -(-m // k) - 1) * k for m, k in zip(mu, consts))
     z = aw.mult(aw.translation(tuple(-c for c in lam)), w)
     nu = z.fin.apply(z.trans)
-    in_z = (
-        all(0 <= c <= k for c, k in zip(nu, consts))
-        and aw.datum.in_root_lattice(nu)
-        and aw.in_fW(z)
-    )
-    if not in_z:
+    # nu is in the root lattice with no test: w is in W and so is each varpi_i
+    if not (all(0 <= c <= k for c, k in zip(nu, consts)) and aw.in_fW(z)):
         raise AssertionError("decomposition left the finite set Z")
     return lam, z
 
@@ -335,7 +331,8 @@ def cell_generators(
             tuple(a - b for a, b in zip(w.fin.apply(w.trans), v.fin.apply(v.trans)))
             for v in by_fin.get(w.fin, ())
         )
-        if not any(all(c >= 0 for c in mu) and d.in_root_lattice(mu) for mu in diffs):
+        # members and K lie in W, so each difference mu is in the root lattice
+        if not any(all(c >= 0 for c in mu) for mu in diffs):
             raise AssertionError(
                 f"cell member {aw.to_word(w)} does not factor through K"
             )

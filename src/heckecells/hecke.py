@@ -417,8 +417,9 @@ class CanonicalBasisTable:
         """(word of w, [(word of y, coefficient text), ...]) per entry, both
         in (length, word) order; each element's word is printed once."""
         to_word, key = lru_cache(None)(self.aw.to_word), self.aw.sort_key
+        serialize = lru_cache(None)(LaurentPoly.serialize)
         return [
-            (to_word(w), [(to_word(y), h.terms[y].serialize()) for y in sorted(h.terms, key=key)])
+            (to_word(w), [(to_word(y), serialize(h.terms[y])) for y in sorted(h.terms, key=key)])
             for w, h in sorted(self.entries.items(), key=lambda e: key(e[0]))
         ]
 
@@ -446,57 +447,52 @@ class CanonicalBasisTable:
         # call-local memos: exceptions are not cached, so a bad token still raises
         word, poly = lru_cache(None)(aw.from_word_str), lru_cache(None)(LaurentPoly.deserialize)
         try:
-            if text.startswith("{"):
-                return cls._parse_json(aw, text, word, poly)
-            return cls._parse_text(aw, text, word, poly)
+            p, provenance, rows = (_json_rows if text.startswith("{") else _text_rows)(text)
+            entries: dict[AffineElement, HeckeElt] = {}
+            for w_word, terms in rows:
+                w = word(w_word)
+                if w in entries:
+                    raise BasisTableError(f"duplicate entry {w_word}")
+                entries[w] = HeckeElt({word(y): poly(c) for y, c in terms})
+            return cls(aw, p, entries, provenance)
         except BasisTableError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
 
-    @classmethod
-    def _parse_text(cls, aw: AffineWeyl, text: str, word, poly) -> "CanonicalBasisTable":
-        p = None
-        provenance = ""
-        entries: dict[AffineElement, HeckeElt] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("p "):
-                p = int(line[2:])
-            elif line.startswith("provenance "):
-                provenance = line[len("provenance "):]
-            elif line.startswith("w="):
-                head, _, body = line.partition(":")
-                w = word(head[2:].strip())
-                terms = {}
-                for item in body.split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    y, _, c = item.rpartition(":")
-                    terms[word(y.strip())] = poly(c.strip())
-                if w in entries:
-                    raise BasisTableError(f"duplicate entry at line {lineno}")
-                entries[w] = HeckeElt(terms)
-            else:
-                raise BasisTableError(f"unparseable line {lineno}: {line!r}")
-        return cls(aw, p, entries, provenance)
 
-    @classmethod
-    def _parse_json(cls, aw: AffineWeyl, text: str, word, poly) -> "CanonicalBasisTable":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise BasisTableError(f"bad JSON table: {e}") from e
-        entries = {}
-        for rec in obj.get("entries", []):
-            w = word(rec["w"])
-            if w in entries:
-                raise BasisTableError(f"duplicate entry {rec['w']}")
-            entries[w] = HeckeElt({word(y): poly(c) for y, c in rec["terms"]})
-        return cls(aw, obj.get("p"), entries, obj.get("provenance", ""))
+def _text_rows(text: str) -> tuple:
+    """(p, provenance, rows) of the text format, rows as ``CanonicalBasisTable._rows``
+    makes them."""
+    p = None
+    provenance = ""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("p "):
+            p = int(line[2:])
+        elif line.startswith("provenance "):
+            provenance = line[len("provenance "):]
+        elif line.startswith("w="):
+            head, _, body = line.partition(":")
+            items = (item.rpartition(":") for item in body.split(",") if item.strip())
+            rows.append((head[2:].strip(), [(y.strip(), c.strip()) for y, _, c in items]))
+        else:
+            raise BasisTableError(f"unparseable line {lineno}: {line!r}")
+    return p, provenance, rows
+
+
+def _json_rows(text: str) -> tuple:
+    """(p, provenance, rows) of the JSON format, rows as ``CanonicalBasisTable._rows``
+    makes them."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise BasisTableError(f"bad JSON table: {e}") from e
+    rows = [(rec["w"], rec["terms"]) for rec in obj.get("entries", [])]
+    return obj.get("p"), obj.get("provenance", ""), rows
 
 
 def load_basis_table(aw: AffineWeyl, path) -> CanonicalBasisTable:

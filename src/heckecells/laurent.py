@@ -82,6 +82,9 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.c == other.c
 
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
     def __bool__(self):
         return bool(self.c)
 

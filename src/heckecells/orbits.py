@@ -19,7 +19,8 @@ rank <= 2 the remaining cells are matched along the preorder chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import le, mul
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
@@ -173,19 +174,12 @@ def closure_order(datum, orbits: list[NilpotentOrbit]):
     """
     n = len(orbits)
     if datum.cartan_type.series == "A":
-        parts = [_partition_of_pair(datum, o.bala_carter[0]) for o in orbits]
-
-        def dominated(a, b):
-            sa = sb = 0
-            for x, y in zip(_pad(a, len(b)), _pad(b, len(a))):
-                sa += x
-                sb += y
-                if sa > sb:
-                    return False
-            return True
-
+        # dominance by partial sums.  Both partitions sum to rank + 1 and have
+        # no zero parts, so where the shorter one ends its partial sum is
+        # rank + 1 and the longer one's is less: map may stop there.
+        sums = [tuple(accumulate(_partition_of_pair(datum, o.bala_carter[0]))) for o in orbits]
         return tuple(
-            tuple(dominated(parts[i], parts[j]) for j in range(n)) for i in range(n)
+            tuple(all(map(le, sums[i], sums[j])) for j in range(n)) for i in range(n)
         )
     if datum.rank <= 2:
         dims = [o.dimension for o in orbits]
@@ -199,16 +193,11 @@ def closure_order(datum, orbits: list[NilpotentOrbit]):
     )
 
 
-def _pad(t, n):
-    return t + (0,) * max(0, n - len(t))
-
-
 @dataclass
 class OrbitTable:
     orbits: list[NilpotentOrbit]
     leq: "tuple[tuple[bool, ...], ...] | None"
     cell_map: dict[int, int]
-    provenance: str = ""
 
     def orbit_of_cell(self, cell_id: int) -> "NilpotentOrbit | None":
         idx = self.cell_map.get(cell_id)
@@ -291,12 +280,7 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
                         "cell preorder inconsistent with orbit closure order"
                     )
 
-    provenance = (
-        f"universal entries plus rank-2 chain match (basis p={partition.basis_p})"
-        if datum.rank <= 2
-        else "universal entries only"
-    )
-    return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map, provenance=provenance)
+    return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
 
 
 def cell_to_orbit(

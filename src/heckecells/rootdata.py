@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 Weight = tuple[int, ...]
@@ -175,8 +174,7 @@ class RootDatum:
     """Root system data for one irreducible simply-connected type.
 
     All member structures are built once and never mutated afterwards; the
-    internal memo caches only grow, so concurrent readers always see
-    identical results.
+    internal memo caches only grow.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -238,26 +236,15 @@ class RootDatum:
             raise AssertionError("coroot heights inconsistent with Coxeter number")
 
     def _build_symmetrizer(self):
-        # minimal positive integers d with d_i * C[i][j] = d_j * C[j][i]
-        n = self.rank
-        C = self.cartan
-        d = [Fraction(0)] * n
-        d[0] = Fraction(1)
-        todo = [0]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if i != j and C[i][j] != 0 and d[j] == 0:
-                    d[j] = d[i] * C[i][j] / C[j][i]
-                    todo.append(j)
-        denom = 1
-        for x in d:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in d]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        self.symmetrizer: tuple[int, ...] = tuple(x // g for x in ints)
+        # minimal positive integers d with d_i * C[i][j] = d_j * C[j][i], i.e.
+        # d_i proportional to (alpha_i, alpha_i).  The highest root theta has
+        # theta^vee = 2 theta / (theta, theta), so its coefficients satisfy
+        # a_i^vee = a_i (alpha_i, alpha_i) / (theta, theta); the short roots
+        # give the least ratio a_i^vee / a_i.
+        theta = self.highest_root
+        ratios = [Fraction(c, a) for c, a in zip(theta.coroot, theta.simple)]
+        short = min(ratios)
+        self.symmetrizer: tuple[int, ...] = tuple(int(r / short) for r in ratios)
 
     def _build_inverse_cartan(self):
         # Since alpha_j = sum_i cartan[i][j] varpi_i, a weight x has root

@@ -9,11 +9,13 @@ to every positive root, the orbit oracles conjugate root sets by
 breadth-first search and pair roots with an unreflected grading cocharacter,
 the decomposition oracle peels one translation at a time, the generation
 oracle enumerates Y0 and Z, the subregular oracle searches the cells below
-the identity cell, and the status oracle reads orbit names.  The helpers
-at the end have callers only in the tests.
+the identity cell, the status oracle reads orbit names, and the
+symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph.
+The helpers at the end have callers only in the tests.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from heckecells.affine import UnsupportedRegimeError
@@ -307,6 +309,25 @@ def is_nonnegative(p: LaurentPoly) -> bool:
 def positive_part(p: LaurentPoly) -> LaurentPoly:
     """The terms of p with exponent >= 1."""
     return LaurentPoly({k: v for k, v in p.c.items() if k >= 1})
+
+
+def symmetrizer_oracle(cartan) -> tuple[int, ...]:
+    """Minimal positive integers d with d_i * C[i][j] = d_j * C[j][i],
+    propagated along the Dynkin graph from d_0 = 1."""
+    n = len(cartan)
+    d = [Fraction(0)] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] == 0:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    denom = math.lcm(*(x.denominator for x in d))
+    ints = [int(x * denom) for x in d]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def root_half_norm(datum, root) -> int:

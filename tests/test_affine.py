@@ -453,16 +453,30 @@ def test_enumerate_fW_matches_filter_oracle(ctx):
 BALL_SIZES = [("A1", 16), ("A2", 10), ("C2", 10), ("G2", 10), ("B3", 6)]
 
 
+def _check_ball(aw, ball):
+    assert ball == sorted(ball, key=aw.sort_key)
+    for w in ball:
+        assert w.word == greedy_word(aw, w), w
+
+
 @pytest.mark.parametrize("type_str,bound", BALL_SIZES)
 def test_ball_words_are_greedy_words(type_str, bound):
-    # enumeration leaves in each ball element the smallest reduced word, read
-    # off its right descents; a second, larger ball on the same context mixes
-    # cached words with new ones
+    # enumeration leaves in each ball element the smallest reduced word, set by
+    # the first breadth-first step into it, and returns the ball in (length,
+    # word) order; a second, larger ball on the same context mixes cached words
+    # with new ones
     aw = AffineWeyl(build_root_datum(type_str))
     balls = ((aw.enumerate_fW, bound), (aw.enumerate_W, bound // 2), (aw.enumerate_W, bound))
     for enumerate_ball, size in balls:
-        for w in enumerate_ball(size):
-            assert w.word == greedy_word(aw, w), w
+        ball = enumerate_ball(size)
+        _check_ball(aw, ball)
+    # on a fresh context, the greedy walk of reduced_word first sets the words
+    # of every other longest element and of the elements on their paths
+    primed = AffineWeyl(build_root_datum(type_str))
+    tops = [primed.from_word(w.word) for w in ball if w.length == bound][::2]
+    assert tops and all(primed.reduced_word(x) == greedy_word(primed, x) for x in tops)
+    for enumerate_ball in (primed.enumerate_fW, primed.enumerate_W):
+        _check_ball(primed, enumerate_ball(bound))
 
 
 @pytest.mark.parametrize("type_str,bound", BALL_SIZES)

@@ -343,7 +343,7 @@ def test_table_io_resolves_each_word_once(ctx, monkeypatch):
     table = table_from_zero_basis(c.hecke, 6)
     words = {y for h in table.entries.values() for y in h.terms} | set(table.entries)
     polys = {x.serialize() for h in table.entries.values() for x in h.terms.values()}
-    calls = {"to_word": 0, "from_word_str": 0, "deserialize": 0}
+    calls = {"to_word": 0, "serialize": 0, "from_word_str": 0, "deserialize": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -353,12 +353,18 @@ def test_table_io_resolves_each_word_once(ctx, monkeypatch):
 
     for name in ("to_word", "from_word_str"):
         monkeypatch.setattr(c.aw, name, counted(name, getattr(c.aw, name)))
-    monkeypatch.setattr(LaurentPoly, "deserialize", counted("deserialize", LaurentPoly.deserialize))
+    for name in ("serialize", "deserialize"):
+        monkeypatch.setattr(LaurentPoly, name, counted(name, getattr(LaurentPoly, name)))
     for dump in (table.dump_text, table.dump_json):
         calls.update(dict.fromkeys(calls, 0))
         loaded = CanonicalBasisTable.parse(c.aw, dump())
         assert loaded.entries == table.entries
-        assert calls == {"to_word": len(words), "from_word_str": len(words), "deserialize": len(polys)}
+        assert calls == {
+            "to_word": len(words),
+            "serialize": len(polys),
+            "from_word_str": len(words),
+            "deserialize": len(polys),
+        }
     # a malformed token still raises through the memo
     with pytest.raises(BasisTableError, match="s7"):
         CanonicalBasisTable.parse(c.aw, "p 0\nw=s0 : s7:1*v^0\n")

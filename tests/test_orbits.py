@@ -128,8 +128,9 @@ def dominance_oracle(a, b):
     return True
 
 
-def test_a3_closure_is_dominance(ctx):
-    d = build_root_datum("A3")
+@pytest.mark.parametrize("type_str", [f"A{n}" for n in range(1, 8)])
+def test_type_a_closure_is_dominance(type_str):
+    d = build_root_datum(type_str)
     orbs = enumerate_orbits(d)
     leq = closure_order(d, orbs)
     parts = [tuple(int(x) for x in o.name.strip("[]").split(",")) for o in orbs]

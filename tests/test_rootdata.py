@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heckecells.rootdata import CartanType, build_root_datum, solve_exact
 
-from oracles import root_half_norm, weyl_orbit
+from oracles import root_half_norm, symmetrizer_oracle, weyl_orbit
 
 
 def test_cartan_type_parsing():
@@ -203,6 +203,23 @@ def test_a1_tensor_oracle(ctx):
                 assert d.tensor_multiplicity((lam,), (mu,), (nu,)) == (
                     _character_ring_oracle_a1(lam, mu, nu)
                 )
+
+
+SYMMETRIZER_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{s}{n}" for s in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("type_str", SYMMETRIZER_TYPES)
+def test_symmetrizer_from_highest_root(type_str):
+    # read off the highest root; the oracle propagates along the Dynkin graph
+    d = build_root_datum(type_str)
+    C, sym = d.cartan, d.symmetrizer
+    assert sym == symmetrizer_oracle(C)
+    assert all(sym[i] * C[i][j] == sym[j] * C[j][i] for i in range(d.rank) for j in range(d.rank))
 
 
 def test_tensor_symmetric_and_dimension_sum(ctx):
