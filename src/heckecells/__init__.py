@@ -40,7 +40,6 @@ from .orbits import (
     PredictionRecord,
     UnsupportedTypeError,
     build_orbit_table,
-    cell_to_orbit,
     closure_order,
     enumerate_orbits,
     humphreys_predict,
@@ -52,11 +51,9 @@ from .tilting import (
     c_of_module,
     fusion_multiplicity,
     in_fundamental_alcove,
-    leq_T,
     summand_multiplicity,
     tensor_translate,
     tilting_class,
-    tilting_class_from_json,
     tilting_class_json,
     wall_crossing,
     weyl_module_character,

@@ -150,9 +150,6 @@ class AffineWeyl:
     def translation(self, lam) -> AffineElement:
         return self.element(self.datum.identity_finite, lam)
 
-    def from_finite(self, fin: FiniteWeylElement) -> AffineElement:
-        return self.element(fin, (0,) * self.datum.rank)
-
     # -- group operations -------------------------------------------------
 
     def mult(self, a: AffineElement, b: AffineElement) -> AffineElement:
@@ -347,17 +344,6 @@ class AffineWeyl:
             k = int(index)
             out = self.mult_gen(out, k) if elems is self.gens else self.mult(out, elems[k])
         return out
-
-    def to_json_record(self, a: AffineElement) -> dict:
-        # finite part as a word over the finite generators s1..sn
-        fin_word = list(self.reduced_word(self.from_finite(a.fin)))
-        return {"finite_word": fin_word, "translation": list(a.trans)}
-
-    def from_json_record(self, rec: dict) -> AffineElement:
-        word, trans = rec["finite_word"], tuple(rec["translation"])
-        if not all(1 <= i <= self.datum.rank for i in word) or len(trans) != self.datum.rank:
-            raise ValueError(f"bad JSON record for type {self.datum.cartan_type}: {rec!r}")
-        return self.mult(self.from_word(word), self.translation(trans))
 
     # -- dot action and alcoves --------------------------------------------------
 

@@ -12,9 +12,10 @@ both, AffineWeyl forms each finite-part product and inversion-flag tuple once.
 
 Truncation policy: edges are expanded from every source of length <= L, so
 targets up to length L+1 are known exactly.  A component is *trusted* when it
-reaches down to the core zone (some member of length <= L - margin) and no
-member escaped the expanded ball.  The margin is an engineering contract, not
-a theorem: it is the room we give merging paths near the boundary.
+reaches down to the core zone: some member has length <= L - margin.  A
+target of length L+1 is never a source, so it is a singleton sink component
+and never trusted.  The margin is an engineering contract, not a theorem: it
+is the room we give merging paths near the boundary.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ def right_cells(
         for w in comp:
             cell_of[w] = i
 
+    # a node of length bound + 1 has no out-edges, so it is a singleton
+    # component; its length already fails the core test
     core = bound - margin
-    trusted = [
-        comp[0].length <= core and comp[-1].length <= bound for comp in comps
-    ]
+    trusted = [comp[0].length <= core for comp in comps]
 
     # Tarjan emits a component only after every component it reaches, so one
     # pass in emission order closes the condensation reachability.

@@ -251,9 +251,6 @@ class Hecke:
     def unit(self) -> HeckeElt:
         return HeckeElt({self.aw.identity: ONE})
 
-    def standard(self, w: AffineElement) -> HeckeElt:
-        return HeckeElt({w: ONE})
-
     def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         """Right multiplication by the standard generator H_s."""
         return kl_gen_action(self.aw, h, i, None, LaurentPoly(), VINV - V)
@@ -317,11 +314,6 @@ class AsphModule:
         self.aw = hecke.aw
         self._canon_cache: dict[AffineElement, tuple[list, list, list]] = {}
         self._canon_elts: dict[AffineElement, AsphElt] = {}
-
-    def standard(self, w: AffineElement) -> AsphElt:
-        if not self.aw.in_fW(w):
-            raise ValueError("standard basis of the antispherical module needs w in fW")
-        return AsphElt({w: ONE})
 
     def mul_by_gen(self, n: AsphElt, i: int) -> AsphElt:
         """Right action of the standard generator H_s."""
@@ -402,9 +394,6 @@ class CanonicalBasisTable:
                         "coefficient outside vZ[v]"
                     )
 
-    def covers(self, w: AffineElement) -> bool:
-        return w in self.entries
-
     def entry(self, w: AffineElement) -> HeckeElt:
         h = self.entries.get(w)
         if h is None:
@@ -453,7 +442,10 @@ class CanonicalBasisTable:
                 w = word(w_word)
                 if w in entries:
                     raise BasisTableError(f"duplicate entry {w_word}")
-                entries[w] = HeckeElt({word(y): poly(c) for y, c in terms})
+                h = {word(y): poly(c) for y, c in terms}
+                if len(h) != len(terms):
+                    raise BasisTableError(f"entry {w_word} lists a term twice")
+                entries[w] = HeckeElt(h)
             return cls(aw, p, entries, provenance)
         except BasisTableError:
             raise
@@ -477,8 +469,13 @@ def _text_rows(text: str) -> tuple:
             provenance = line[len("provenance "):]
         elif line.startswith("w="):
             head, _, body = line.partition(":")
-            items = (item.rpartition(":") for item in body.split(",") if item.strip())
-            rows.append((head[2:].strip(), [(y.strip(), c.strip()) for y, _, c in items]))
+            terms = []
+            for item in filter(str.strip, body.split(",")):
+                y, sep, c = item.rpartition(":")
+                if not sep:
+                    raise BasisTableError(f"term {item.strip()!r} on line {lineno} has no word")
+                terms.append((y.strip(), c.strip()))
+            rows.append((head[2:].strip(), terms))
         else:
             raise BasisTableError(f"unparseable line {lineno}: {line!r}")
     return p, provenance, rows

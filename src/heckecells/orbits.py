@@ -10,10 +10,11 @@ also gives the dimension: dim = |Phi| minus the number of roots alpha with
 alpha(h) in {0, 1, -1}.  All of it is integer arithmetic after one small
 solve per pair, so every type answers, E6-E8 included.
 
-The dictionary between antispherical cells and orbits is table-driven, with
+The dictionary between antispherical cells and orbits follows one chain
+rule in rank <= 2: the trusted cells, ordered by how many trusted cells
+reach them, meet the orbits in decreasing dimension.  In rank >= 3 it has
 three universal entries (identity cell -> regular, cell of s0 ->
-subregular, minimal cell -> zero once every orbit has a trusted cell); in
-rank <= 2 the remaining cells are matched along the preorder chain.
+subregular, minimal cell -> zero once every orbit has a trusted cell).
 """
 
 from __future__ import annotations
@@ -146,9 +147,8 @@ def _named_orbits(datum, orbits) -> list[NilpotentOrbit]:
         if series == "A":
             name = "[" + ",".join(str(p) for p in _partition_of_pair(datum, set(rep[0]))) + "]"
         elif datum.rank <= 2:
+            # B2 = C2 has 4 orbits, G2 has 5
             ladder = {
-                2: ["zero", "regular"],
-                3: ["zero", "subregular", "regular"],
                 4: ["zero", "minimal", "subregular", "regular"],
                 5: ["zero", "minimal", "middle", "subregular", "regular"],
             }[count]
@@ -217,9 +217,11 @@ class OrbitTable:
 def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
     """Orbit list plus the cell-to-orbit dictionary for the partition.
 
-    Universal entries are pinned in every type; in rank <= 2 the remaining
-    trusted cells are matched along the preorder chain and the match is
-    verified monotone against the closure order.
+    In rank <= 2 there must be one trusted cell per orbit.  The fewer
+    trusted cells reach a cell, the higher it sits (the identity's cell is
+    reached by itself alone), so sorted that way the cells meet the orbits
+    in decreasing dimension; the match is verified monotone against the
+    closure order.  In rank >= 3 only the universal entries are pinned.
     """
     datum = aw.datum
     orbits = enumerate_orbits(datum)
@@ -229,19 +231,30 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
         leq = None
 
     trusted = partition.trusted_cells()
-    trusted_set = set(trusted)
-    cell_map: dict[int, int] = {}
+    reach = partition.reach
+    if datum.rank <= 2:
+        if len(trusted) != len(orbits):
+            raise ValueError(
+                f"expected {len(orbits)} trusted cells (one per nilpotent orbit), "
+                f"found {len(trusted)}; use a larger --len/--margin"
+            )
+        chain = sorted(trusted, key=lambda c: sum(c in reach[c2] for c2 in trusted))
+        top_down = sorted(range(len(orbits)), key=lambda i: -orbits[i].dimension)
+        cell_map = dict(zip(chain, top_down))
+        # cell preorder implies closure order
+        if any(b in reach[a] and not leq[cell_map[b]][cell_map[a]] for a in trusted for b in trusted):
+            raise AssertionError("cell preorder inconsistent with orbit closure order")
+        return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
 
+    trusted_set = set(trusted)
     by_dim = {o.dimension: i for i, o in enumerate(orbits)}
     nroots = 2 * len(datum.positive_roots)
     # the identity's cell is {e}, always trusted
-    cell_map[partition.cell_index(aw.identity)] = by_dim[nroots]
+    cell_map = {partition.cell_index(aw.identity): by_dim[nroots]}
 
     # the minimal trusted cell is the zero cell only once every orbit has a
     # trusted cell; in a smaller ball it is just the lowest cell resolved
-    minimal = [
-        c for c in trusted if (partition.reach[c] & trusted_set) == {c}
-    ]
+    minimal = [c for c in trusted if (reach[c] & trusted_set) == {c}]
     if len(minimal) == 1 and len(trusted) == len(orbits):
         cell_map[minimal[0]] = by_dim[0]
 
@@ -249,52 +262,7 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
     s0_cell = partition.cell_index(aw.gens[0])
     if s0_cell in trusted_set:
         cell_map[s0_cell] = by_dim[nroots - 2]
-
-    if datum.rank <= 2:
-        if len(trusted) != len(orbits):
-            raise ValueError(
-                f"expected {len(orbits)} trusted cells (one per nilpotent orbit), "
-                f"found {len(trusted)}; use a larger --len/--margin"
-            )
-        remaining_cells = [c for c in trusted if c not in cell_map]
-        remaining_orbits = sorted(
-            (i for i in range(len(orbits)) if i not in cell_map.values()),
-            key=lambda i: -orbits[i].dimension,
-        )
-        # order remaining cells from top (closest to identity) down
-        remaining_cells.sort(
-            key=lambda c: sum(
-                1 for c2 in trusted if c in partition.reach[c2]
-            )
-        )
-        if len(remaining_cells) != len(remaining_orbits):
-            raise AssertionError("cell/orbit bookkeeping out of sync")
-        for c, o in zip(remaining_cells, remaining_orbits):
-            cell_map[c] = o
-        # verify the chain match is consistent: cell preorder implies
-        # closure order
-        for a in trusted:
-            for b in trusted:
-                if b in partition.reach[a] and not leq[cell_map[b]][cell_map[a]]:
-                    raise AssertionError(
-                        "cell preorder inconsistent with orbit closure order"
-                    )
-
     return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
-
-
-def cell_to_orbit(
-    cell_id: int, partition: CellPartition, table: OrbitTable
-) -> NilpotentOrbit:
-    """Orbit attached to a trusted cell; raises when unknown."""
-    if cell_id < 0 or cell_id >= len(partition.cells):
-        raise ValueError("no such cell")
-    if not partition.trusted[cell_id]:
-        raise UnsupportedTypeError("cell is untrusted; orbit unknown")
-    orbit = table.orbit_of_cell(cell_id)
-    if orbit is None:
-        raise UnsupportedTypeError("no orbit entry for this cell in this type")
-    return orbit
 
 
 @dataclass

@@ -193,7 +193,6 @@ class RootDatum:
             self.reflection(r) for r in self.simple_roots
         ]
         self._weights_cache: dict[Weight, dict[Weight, int]] = {}
-        self._dim_cache: dict[Weight, int] = {}
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -254,9 +253,6 @@ class RootDatum:
         self._adj_cartan = tuple(tuple(int(self._cartan_det * c) for c in row) for row in inv)
 
     def _validate(self):
-        for i in range(self.rank):
-            if self.pairing(self.rho, i) != 1:
-                raise AssertionError("rho pairing failed")
         if 2 * len(self.positive_roots) + self.rank != self.weyl_dimension(
             self.highest_root.fund
         ):
@@ -338,12 +334,6 @@ class RootDatum:
             else:
                 return w, sign
 
-    def generate_finite_weyl(self) -> list[FiniteWeylElement]:
-        """All elements of W_f (use with care in high rank)."""
-        return closure(
-            [self.identity_finite], lambda w: [w * s for s in self.simple_reflections]
-        )
-
     # -- representation-theoretic quantities -----------------------------
 
     def weyl_dimension(self, lam) -> int:
@@ -351,20 +341,12 @@ class RootDatum:
         lam = tuple(lam)
         if not self.is_dominant(lam):
             raise ValueError("weight not dominant")
-        out = self._dim_cache.get(lam)
-        if out is not None:
-            return out
         num = Fraction(1)
         lr = tuple(a + b for a, b in zip(lam, self.rho))
         for r in self.positive_roots:
             num *= Fraction(self.pairing(lr, r), self.pairing(self.rho, r))
         assert num.denominator == 1
-        self._dim_cache[lam] = int(num)
         return int(num)
-
-    def weight_multiplicity(self, lam, mu) -> int:
-        """Multiplicity of mu in the Weyl module of highest weight lam."""
-        return self.all_weights(lam).get(tuple(mu), 0)
 
     def all_weights(self, lam) -> dict[Weight, int]:
         """Full weight multiset of the Weyl module V(lam), memoized per

@@ -17,7 +17,6 @@ import itertools
 import warnings
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
-from .cells import CellPartition, leq_R
 from .hecke import HeckeElt, coset_project, kl_gen_action, specialize_v1
 from .rootdata import Weight
 
@@ -156,13 +155,6 @@ def summand_multiplicity(aw: AffineWeyl, char: MZeroElt, lam, p: int) -> int:
     return total
 
 
-def leq_T(
-    w: AffineElement, y: AffineElement, partition: CellPartition
-) -> "bool | None":
-    """Weight preorder on alcoves; equals the right cell preorder."""
-    return leq_R(w, y, partition)
-
-
 def tilting_class_json(aw: AffineWeyl, x: MZeroElt, basis_p: int = 0) -> dict:
     """JSON form of a class in M0, keyed by reduced words."""
     return {
@@ -174,9 +166,3 @@ def tilting_class_json(aw: AffineWeyl, x: MZeroElt, basis_p: int = 0) -> dict:
             for w, c in sorted(x.terms.items(), key=lambda t: aw.sort_key(t[0]))
         },
     }
-
-
-def tilting_class_from_json(aw: AffineWeyl, obj: dict) -> MZeroElt:
-    return MZeroElt(
-        {aw.from_word_str(word): c for word, c in obj["terms"].items()}
-    )

@@ -9,7 +9,8 @@ to every positive root, the orbit oracles conjugate root sets by
 breadth-first search and pair roots with an unreflected grading cocharacter,
 the decomposition oracle peels one translation at a time, the generation
 oracle enumerates Y0 and Z, the subregular oracle searches the cells below
-the identity cell, the status oracle reads orbit names, and the
+the identity cell, the orbit-table oracle pins the universal cells before it
+walks the rank-2 chain, the status oracle reads orbit names, and the
 symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph.
 The helpers at the end have callers only in the tests.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 from heckecells.affine import UnsupportedRegimeError
 from heckecells.hecke import _BITS, _BOUND, _MASK, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
+from heckecells.orbits import OrbitTable, UnsupportedTypeError, closure_order, enumerate_orbits
 from heckecells.rootdata import closure, solve_exact
 
 
@@ -239,8 +241,8 @@ def enumerated_generation_sets(aw, k_alpha):
     )
 
     z_set = {
-        w for v in d.generate_finite_weyl() for lam in y_zero
-        if aw.in_fW(w := aw.mult(aw.translation(lam), aw.from_finite(v)))
+        w for v in generate_finite_weyl(d) for lam in y_zero
+        if aw.in_fW(w := aw.mult(aw.translation(lam), from_finite(aw, v)))
     }
     return y_zero, sorted(z_set, key=aw.sort_key)
 
@@ -258,6 +260,72 @@ def subregular_cover_oracle(aw, partition) -> "int | None":
         )
     ]
     return covers[0] if len(covers) == 1 else None
+
+
+def orbit_table_oracle(aw, partition) -> OrbitTable:
+    """The cell-to-orbit dictionary with the universal entries pinned first
+    and, in rank <= 2, the remaining trusted cells matched along the
+    preorder chain and verified monotone against the closure order."""
+    datum = aw.datum
+    orbits = enumerate_orbits(datum)
+    try:
+        leq = closure_order(datum, orbits)
+    except UnsupportedTypeError:
+        leq = None
+
+    trusted = partition.trusted_cells()
+    trusted_set = set(trusted)
+    cell_map: dict[int, int] = {}
+
+    by_dim = {o.dimension: i for i, o in enumerate(orbits)}
+    nroots = 2 * len(datum.positive_roots)
+    # the identity's cell is {e}, always trusted
+    cell_map[partition.cell_index(aw.identity)] = by_dim[nroots]
+
+    # the minimal trusted cell is the zero cell only once every orbit has a
+    # trusted cell; in a smaller ball it is just the lowest cell resolved
+    minimal = [
+        c for c in trusted if (partition.reach[c] & trusted_set) == {c}
+    ]
+    if len(minimal) == 1 and len(trusted) == len(orbits):
+        cell_map[minimal[0]] = by_dim[0]
+
+    # the cell of s0 is the a-value-1 cell, Lusztig's subregular cell
+    s0_cell = partition.cell_index(aw.gens[0])
+    if s0_cell in trusted_set:
+        cell_map[s0_cell] = by_dim[nroots - 2]
+
+    if datum.rank <= 2:
+        if len(trusted) != len(orbits):
+            raise ValueError(
+                f"expected {len(orbits)} trusted cells (one per nilpotent orbit), "
+                f"found {len(trusted)}; use a larger --len/--margin"
+            )
+        remaining_cells = [c for c in trusted if c not in cell_map]
+        remaining_orbits = sorted(
+            (i for i in range(len(orbits)) if i not in cell_map.values()),
+            key=lambda i: -orbits[i].dimension,
+        )
+        # order remaining cells from top (closest to identity) down
+        remaining_cells.sort(
+            key=lambda c: sum(
+                1 for c2 in trusted if c in partition.reach[c2]
+            )
+        )
+        if len(remaining_cells) != len(remaining_orbits):
+            raise AssertionError("cell/orbit bookkeeping out of sync")
+        for c, o in zip(remaining_cells, remaining_orbits):
+            cell_map[c] = o
+        # verify the chain match is consistent: cell preorder implies
+        # closure order
+        for a in trusted:
+            for b in trusted:
+                if b in partition.reach[a] and not leq[cell_map[b]][cell_map[a]]:
+                    raise AssertionError(
+                        "cell preorder inconsistent with orbit closure order"
+                    )
+
+    return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
 
 
 def status_oracle(datum, p: int, orbit) -> str:
@@ -282,6 +350,23 @@ def status_oracle(datum, p: int, orbit) -> str:
 
 
 # -- helpers with callers only in the tests ------------------------------------
+
+
+def generate_finite_weyl(datum) -> list:
+    """All elements of W_f (use with care in high rank)."""
+    return closure(
+        [datum.identity_finite], lambda w: [w * s for s in datum.simple_reflections]
+    )
+
+
+def from_finite(aw, fin):
+    """The element fin . t_0 of the affine Weyl group."""
+    return aw.element(fin, (0,) * aw.datum.rank)
+
+
+def standard(w) -> HeckeElt:
+    """The standard basis element H_w, or N_w in the antispherical module."""
+    return HeckeElt({w: ONE})
 
 
 def kl_gen(hecke: Hecke, i: int) -> HeckeElt:

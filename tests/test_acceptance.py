@@ -31,7 +31,14 @@ from heckecells.hecke import (
 from heckecells.orbits import build_orbit_table, humphreys_predict
 from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
 
-from oracles import enumerated_generation_sets, is_nonnegative, kl_oracle, length_oracle
+from oracles import (
+    enumerated_generation_sets,
+    from_finite,
+    generate_finite_weyl,
+    is_nonnegative,
+    kl_oracle,
+    length_oracle,
+)
 
 warnings.filterwarnings("ignore")
 
@@ -137,11 +144,11 @@ def test_criterion_4_length_oracle_and_char_fW():
         ball = sorted(dist, key=aw.sort_key)
         ok = ok and ball == aw.enumerate_W(12)
         # the three characterizations of fW membership
-        wf = datum.generate_finite_weyl()
+        wf = generate_finite_weyl(datum)
         for w in ball:
             lam = w.fin.apply(w.trans)
             v = w.fin
-            c1 = all(aw.mult(aw.from_finite(u), w).length >= w.length for u in wf)
+            c1 = all(aw.mult(from_finite(aw, u), w).length >= w.length for u in wf)
             c2 = datum.is_dominant(lam) and w.length == aw.translation(
                 lam
             ).length - length_oracle(aw, v, (0,) * datum.rank)

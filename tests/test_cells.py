@@ -24,6 +24,7 @@ from oracles import (
     asph_canonical_oracle,
     decompose_oracle,
     enumerated_generation_sets,
+    from_finite,
     kl_gen,
 )
 
@@ -226,6 +227,36 @@ def test_trusted_cells_stable_under_larger_ball(ctx, type_str, L, m):
     assert small and small <= cut(right_cells(c.aw, L + 6, m + 3, c.provider))
 
 
+def _assert_trust_rule(part, L, m):
+    # a target of length L + 1 is never a source, so it is an untrusted
+    # singleton, and a cell is trusted exactly when its shortest member has
+    # length <= L - m
+    for cell, trusted in zip(part.cells, part.trusted):
+        lengths = [w.length for w in cell]
+        assert max(lengths) <= L + 1
+        if max(lengths) == L + 1:
+            assert len(cell) == 1 and not trusted
+        assert trusted == (min(lengths) <= L - m)
+
+
+@pytest.mark.parametrize(
+    "type_str,L,m", [("C2", 20, 6), ("G2", 24, 8), ("A2", 16, 0), ("B3", 10, 3)]
+)
+def test_trust_is_one_core_condition(ctx, type_str, L, m):
+    c = ctx(type_str)
+    part = right_cells(c.aw, L, m, c.provider)
+    assert any(w.length == L + 1 for w in part.cell_of)
+    _assert_trust_rule(part, L, m)
+
+
+def test_trust_is_one_core_condition_under_a_table(ctx):
+    c = ctx("C2")
+    table = table_from_zero_basis(c.hecke, 11)
+    part = right_cells(c.aw, 10, 3, TableBasisProvider(c.hecke, c.asph, table))
+    assert any(w.length == 11 for w in part.cell_of)
+    _assert_trust_rule(part, 10, 3)
+
+
 def test_cells_under_modified_p_table(ctx, tmp_path):
     # ingestion plumbing for p > 0: take the 0-basis table, relabel it p=2
     # and thicken one entry the way p-canonical bases degenerate (the basis
@@ -366,7 +397,7 @@ def test_decompose_examples(ctx):
     assert decompose_fW(aw, consts, aw.identity) == ((0,), aw.identity)
     s0 = aw.gens[0]
     assert decompose_fW(aw, consts, s0) == ((0,), s0)
-    t2a_s = aw.mult(aw.translation((4,)), aw.from_finite(aw.datum.simple_reflections[0]))
+    t2a_s = aw.mult(aw.translation((4,)), from_finite(aw, aw.datum.simple_reflections[0]))
     lam, z = decompose_fW(aw, consts, t2a_s)
     assert (lam, z) == ((2,), s0)
     assert aw.mult(aw.translation(lam), z) == t2a_s

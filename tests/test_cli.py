@@ -258,6 +258,12 @@ def test_exit_codes(tmp_path, capsys):
         ("bad_token.txt", "p 0\nw=s7 : s7:1*v^0\n"),
         ("short_term.json", '{"p": 0, "entries": [{"w": "s0", "terms": [["s0"]]}]}'),
         ("int_word.json", '{"p": 0, "entries": [{"w": 5, "terms": []}]}'),
+        # a term written twice in one entry, in either format
+        ("twice.txt", "p 0\nw=s0 : e:1*v^1, e:7*v^1, s0:1*v^0\n"),
+        ("twice.json", '{"p": 0, "entries": [{"w": "s0", "terms": '
+         '[["e", "1*v^1"], ["e", "7*v^1"], ["s0", "1*v^0"]]}]}'),
+        # a text term without its "word:" prefix
+        ("no_word.txt", "p 0\nw=s0 : 1*v^1, s0:1*v^0\n"),
     ):
         path = tmp_path / name
         path.write_text(text)

@@ -7,7 +7,6 @@ from heckecells.orbits import (
     _named_orbits,
     _status_for,
     build_orbit_table,
-    cell_to_orbit,
     closure_order,
     enumerate_orbits,
     humphreys_predict,
@@ -17,6 +16,7 @@ from heckecells.rootdata import build_root_datum
 from oracles import (
     conjugacy_classes_oracle,
     orbit_dimension_oracle,
+    orbit_table_oracle,
     status_oracle,
     subregular_cover_oracle,
 )
@@ -158,19 +158,38 @@ def test_cell_map_a1(ctx):
     c = ctx("A1")
     part, table = _table(c, 12, 3)
     id_cell = part.cell_index(c.aw.identity)
-    reg = cell_to_orbit(id_cell, part, table)
+    reg = table.orbit_of_cell(id_cell)
     assert reg.name == "[2]" and reg.dimension == 2
     other = part.cell_index(c.aw.gens[0])
-    zero = cell_to_orbit(other, part, table)
+    zero = table.orbit_of_cell(other)
     assert zero.name == "[1,1]" and zero.dimension == 0
 
 
 def test_cell_map_untrusted_raises(ctx):
+    # an untrusted cell has no entry, so its orbit is None
     c = ctx("A1")
     part, table = _table(c, 12, 3)
     bad = [i for i, t in enumerate(part.trusted) if not t][0]
-    with pytest.raises(UnsupportedTypeError):
-        cell_to_orbit(bad, part, table)
+    assert table.orbit_of_cell(bad) is None
+
+
+def _table_or_error(build, aw, part):
+    try:
+        return build(aw, part).cell_map
+    except (ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("type_str,top", [("A1", 12), ("A2", 12), ("B2", 16), ("C2", 16), ("G2", 20)])
+def test_rank2_chain_rule_matches_pinned_oracle(ctx, type_str, top):
+    # the one chain rule gives the oracle's dictionary, or its exception
+    # type and message, on every partition with even L <= top and m <= L
+    c = ctx(type_str)
+    for L in range(0, top + 1, 2):
+        for m in range(L + 1):
+            part = right_cells(c.aw, L, m, c.provider)
+            want = _table_or_error(orbit_table_oracle, c.aw, part)
+            assert _table_or_error(build_orbit_table, c.aw, part) == want, (L, m)
 
 
 def test_monotone_cell_map_c2_g2(ctx):

@@ -71,7 +71,7 @@ def test_adjoint_dimension_cross_check(ctx):
 def test_highest_weight_multiplicity_is_one(ctx):
     d = ctx("C2").datum
     for lam in [(0, 0), (1, 0), (2, 1), (0, 3)]:
-        assert d.weight_multiplicity(lam, lam) == 1
+        assert d.all_weights(lam)[lam] == 1
 
 
 def test_a1_weight_string_oracle(ctx):
@@ -80,14 +80,14 @@ def test_a1_weight_string_oracle(ctx):
     for lam in range(7):
         weights = d.all_weights((lam,))
         assert weights == {(k,): 1 for k in range(-lam, lam + 1, 2)}
-    assert d.weight_multiplicity((4,), (0,)) == 1
+    assert d.all_weights((4,))[(0,)] == 1
 
 
 def test_g2_adjoint_zero_weight(ctx):
     # Cartan dimension of the 14-dimensional module: 14 - 12 roots = 2
     d = ctx("G2").datum
     assert d.weyl_dimension((0, 1)) == 14
-    assert d.weight_multiplicity((0, 1), (0, 0)) == 2
+    assert d.all_weights((0, 1))[(0, 0)] == 2
     nonzero = {w for w, m in d.all_weights((0, 1)).items() if w != (0, 0)}
     roots = {r.fund for r in d.positive_roots}
     roots |= {tuple(-c for c in r.fund) for r in d.positive_roots}
@@ -116,9 +116,7 @@ def test_weight_multiplicity_weyl_invariant(ctx):
     lam = (2, 1)
     for mu in d.all_weights(lam):
         for orbit_elt in weyl_orbit(d, mu):
-            assert d.weight_multiplicity(lam, orbit_elt) == d.weight_multiplicity(
-                lam, mu
-            )
+            assert d.all_weights(lam).get(orbit_elt, 0) == d.all_weights(lam)[mu]
 
 
 def _char_mul(a, b):
@@ -155,7 +153,7 @@ def test_all_weights_rejects_non_dominant_weights(ctx):
     with pytest.raises(ValueError, match="not dominant"):
         d.all_weights((1, -1))
     with pytest.raises(ValueError, match="not dominant"):
-        d.weight_multiplicity((-1, 0), (0, 0))
+        d.all_weights((-1, 0)).get((0, 0), 0)
 
 
 # -- tensor multiplicities ----------------------------------------------------

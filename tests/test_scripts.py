@@ -1,13 +1,21 @@
-"""The scripts under scripts/ run to completion, and the module doctests hold."""
+"""The scripts under scripts/ run to completion, the module doctests hold, and
+the README names only what the package has."""
 
 import doctest
+import functools
+import importlib
+import inspect
 import os
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
+import heckecells
 import heckecells.affine
 import heckecells.hecke
 import heckecells.laurent
@@ -57,3 +65,47 @@ def test_script_exits_zero(script, tmp_path):
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted and not result.failed
+
+
+def _layout_names() -> list[str]:
+    """The identifiers in backticks in the rows of README's "Library layout"
+    table, a call like `closure(starts, step)` by its name."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", "\n".join(
+        line for line in layout.splitlines() if line.startswith("| `heckecells")
+    ))
+    pattern = re.compile(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?")
+    return [m.group(1) for span in spans if (m := pattern.fullmatch(span))]
+
+
+def test_readme_layout_names_exist():
+    # a name is a CLI command, or a dotted path from the package, from one
+    # of its modules or from one of their classes
+    modules = {
+        info.name: importlib.import_module(f"heckecells.{info.name}")
+        for info in pkgutil.iter_modules(heckecells.__path__)
+    }
+    parser = modules["cli"].build_parser()
+    commands = {parser.prog} | {
+        name for action in parser._actions if isinstance(action.choices, dict)
+        for name in action.choices
+    }
+    classes = [
+        cls for mod in modules.values() for _, cls in inspect.getmembers(mod, inspect.isclass)
+        if cls.__module__ == mod.__name__
+    ]
+    scopes = [types.SimpleNamespace(heckecells=heckecells, **modules), *modules.values(), *classes]
+
+    def resolves(name):
+        for scope in scopes:
+            try:
+                functools.reduce(getattr, name.split("."), scope)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    names = _layout_names()
+    assert len(names) > 50
+    assert [n for n in names if n not in commands and not resolves(n)] == []

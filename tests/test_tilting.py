@@ -4,7 +4,6 @@ import random
 import pytest
 
 from heckecells.affine import UnsupportedRegimeError
-from heckecells.cells import right_cells
 from heckecells.hecke import specialize_v1
 from heckecells.tilting import (
     GroupAlgebraElt,
@@ -13,7 +12,6 @@ from heckecells.tilting import (
     dot_orbit_element,
     fusion_multiplicity,
     in_fundamental_alcove,
-    leq_T,
     mzero_act,
     summand_multiplicity,
     tensor_translate,
@@ -82,7 +80,7 @@ def test_c_of_module_examples(ctx):
     assert c_of_module(aw, off, p) == GroupAlgebraElt()
     # Weyl module of highest weight 8: weights 0, 8, -2 meet the orbit
     cm = c_of_module(aw, weyl_module_character(c.datum, (8,)), p)
-    s_alpha = aw.from_finite(c.datum.simple_reflections[0])
+    s_alpha = aw.gens[1]
     assert cm == GroupAlgebraElt({aw.identity: 1, aw.gens[0]: 1, s_alpha: 1})
 
 
@@ -284,7 +282,7 @@ def test_georgiev_mathieu_dimension_criterion(ctx):
 def test_tilting_class_json_round_trip(ctx):
     import json
 
-    from heckecells.tilting import tilting_class_from_json, tilting_class_json
+    from heckecells.tilting import tilting_class_json
 
     c = ctx("C2")
     aw = c.aw
@@ -293,12 +291,5 @@ def test_tilting_class_json_round_trip(ctx):
         obj = tilting_class_json(aw, x)
         assert obj["schema"] == 1
         text = json.dumps(obj, sort_keys=True)
-        assert tilting_class_from_json(aw, json.loads(text)) == x
-
-
-def test_leq_T_delegates(ctx):
-    c = ctx("A1")
-    aw = c.aw
-    part = right_cells(aw, 12, 3, c.provider)
-    assert leq_T(aw.gens[0], aw.identity, part) is True
-    assert leq_T(aw.identity, aw.gens[0], part) is False
+        terms = json.loads(text)["terms"]
+        assert MZeroElt({aw.from_word_str(word): n for word, n in terms.items()}) == x
