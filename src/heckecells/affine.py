@@ -40,17 +40,19 @@ class AffineElement:
     equality and hashing use the canonical form, so an element equals (and
     hashes like) the same element of another context of the same type.  The
     context caches on it its products with the i-th generator, ``right[i]``
-    and ``left[i]``, its reduced ``word`` and ``fmin`` (is it in fW).
+    and ``left[i]``, its reduced ``word``, ``fmin`` (is it in fW) and ``rep``,
+    the minimal representative of its coset W_f a.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin")
+    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin", "rep")
 
     def __init__(self, fin: FiniteWeylElement, trans: Weight, length: int, ngens: int):
         self.fin = fin
         self.trans = trans
         self.length = length
         self._hash = hash((fin.mat, trans))
-        self.right, self.left, self.word, self.fmin = [None] * ngens, [None] * ngens, None, None
+        self.right, self.left = [None] * ngens, [None] * ngens
+        self.word = self.fmin = self.rep = None
 
     def __eq__(self, other):
         return self is other or (
@@ -201,11 +203,21 @@ class AffineWeyl:
         """Minimal representative rep of W_f a.
 
         a = u . rep with u in W_f of length a.length - rep.length: each
-        step strips one finite reflection and lowers the length by one.
+        step strips one finite reflection and lowers the length by one.  The
+        walk stops at the first element with a known representative, and each
+        element passed keeps it.
         """
-        while (i := self.left_descent(a, 1)) is not None:
+        path = []
+        while a.rep is None:
+            i = self.left_descent(a, 1)
+            if i is None:
+                a.rep = a
+                break
+            path.append(a)
             a = self.mult_gen_left(i, a)
-        return a
+        for elem in path:
+            elem.rep = a.rep
+        return a.rep
 
     def in_fW(self, a: AffineElement) -> bool:
         """True if a is minimal in W_f a, cached on a."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -46,7 +46,9 @@ class HeckeElt:
     terms: dict[AffineElement, LaurentPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c}
+        # the element owns the dict it is given; it is rebuilt only to drop zeros
+        if not all(self.terms.values()):
+            self.terms = {w: c for w, c in self.terms.items() if c}
 
     def coeff(self, w: AffineElement) -> LaurentPoly:
         return self.terms.get(w, LaurentPoly())
@@ -215,13 +217,18 @@ def coset_project(aw: AffineWeyl, x: HeckeElt, strip) -> HeckeElt:
 
     w = u . rep with u in W_f, and each of the l(u) = l(w) - l(rep)
     stripped finite reflections multiplies the coefficient by ``strip``:
-    -v in the antispherical module, -1 on M0 at v = 1.
+    -v in the antispherical module, -1 on M0 at v = 1.  Each power of
+    ``strip`` is computed once per call.
     """
     out: dict = {}
+    powers = [None, strip]
     for w, c in x.terms.items():
-        rep = aw.min_coset_rep(w)
-        for _ in range(w.length - rep.length):
-            c = c * strip
+        rep = w.rep or aw.min_coset_rep(w)
+        k = w.length - rep.length
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * strip)
+            c = c * powers[k]
         n = out.get(rep)
         out[rep] = c if n is None else n + c
     return HeckeElt(out)
@@ -354,8 +361,10 @@ class CanonicalBasisTable:
     (0 means the ordinary Kazhdan-Lusztig basis, otherwise it is a prime
     below 2^31; never a bool); provenance is free text.  Entries are validated
     to be indexed by W and unitriangular with diagonal coefficient 1, each
-    against its lower Bruhat interval, built from its prefix's.  A
-    parse or dump resolves each distinct word and polynomial once.
+    against its lower Bruhat interval, built from its prefix's, and to have
+    no negative coefficient (true of every p-canonical basis).  Validation
+    tests each distinct coefficient once, a dump serializes each once, and a
+    parse or dump resolves each distinct word once.
     """
 
     def __init__(self, aw: AffineWeyl, p: int, entries: dict, provenance: str = ""):
@@ -372,26 +381,40 @@ class CanonicalBasisTable:
             p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
         ):
             raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
-        for w in self.entries:
-            if not self.aw.in_affine_weyl(w):
-                raise BasisTableError(f"entry {self.aw.to_word(w)} is not in W")
-        for w, below in self.aw.bruhat_intervals(self.entries):
-            h = self.entries[w]
-            diag = h.coeff(w)
+        aw, entries = self.aw, self.entries
+        for w in entries:
+            if not aw.in_affine_weyl(w):
+                raise BasisTableError(f"entry {aw.to_word(w)} is not in W")
+        # coefficients that no off-diagonal term may carry: a negative one,
+        # and at p = 0 one outside vZ[v]; each distinct coefficient is tested once
+        flagged = {
+            i for i, c in _coefficients(entries).items()
+            if min(c.c.values()) < 0 or p == 0 and min(c.c) < 1
+        }
+        for w, below in aw.bruhat_intervals(entries):
+            terms = entries[w].terms
+            diag = terms.get(w, ZERO)
             if diag != ONE:
-                raise BasisTableError(
-                    f"diagonal coefficient of {self.aw.to_word(w)} is {diag}, not 1"
-                )
-            for y, c in h.terms.items():
+                raise BasisTableError(f"diagonal coefficient of {aw.to_word(w)} is {diag}, not 1")
+            # at p = 0 the diagonal 1 is flagged too: it may be the only one
+            if below.issuperset(terms) and sum(
+                map(flagged.__contains__, map(id, terms.values()))
+            ) == (id(diag) in flagged):
+                continue
+            # name the first offending term
+            for y, c in terms.items():
                 if y not in below:
                     raise BasisTableError(
-                        f"entry {self.aw.to_word(w)} is not unitriangular: "
-                        f"{self.aw.to_word(y)} appears"
+                        f"entry {aw.to_word(w)} is not unitriangular: {aw.to_word(y)} appears"
                     )
-                if self.p == 0 and y != w and not c.in_positive_part():
+                if p == 0 and y != w and min(c.c) < 1:
                     raise BasisTableError(
-                        f"p=0 entry {self.aw.to_word(w)} has an off-diagonal "
+                        f"p=0 entry {aw.to_word(w)} has an off-diagonal "
                         "coefficient outside vZ[v]"
+                    )
+                if min(c.c.values()) < 0:
+                    raise BasisTableError(
+                        f"entry {aw.to_word(w)} has a negative coefficient at {aw.to_word(y)}"
                     )
 
     def entry(self, w: AffineElement) -> HeckeElt:
@@ -404,20 +427,28 @@ class CanonicalBasisTable:
 
     def _rows(self) -> list:
         """(word of w, [(word of y, coefficient text), ...]) per entry, both
-        in (length, word) order; each element's word is printed once."""
-        to_word, key = lru_cache(None)(self.aw.to_word), self.aw.sort_key
+        in (length, word) order: the distinct elements are sorted once and
+        each gets its rank and word, and each distinct coefficient is
+        serialized once."""
+        aw, entries = self.aw, self.entries
+        order = sorted(set(entries).union(*(h.terms for h in entries.values())), key=aw.sort_key)
+        rank = {y: k for k, y in enumerate(order)}
+        words = [aw.to_word(y) for y in order]
         serialize = lru_cache(None)(LaurentPoly.serialize)
-        return [
-            (to_word(w), [(to_word(y), serialize(h.terms[y])) for y in sorted(h.terms, key=key)])
-            for w, h in sorted(self.entries.items(), key=lambda e: key(e[0]))
-        ]
+        text = {i: serialize(c) for i, c in _coefficients(entries).items()}
+        rows = []
+        for w in sorted(entries, key=rank.__getitem__):
+            terms = entries[w].terms
+            ranked = sorted(zip(map(rank.__getitem__, terms), terms.values()))
+            rows.append((words[rank[w]], [(words[k], text[id(c)]) for k, c in ranked]))
+        return rows
 
     def dump_text(self) -> str:
         lines = [f"p {self.p}"]
         if self.provenance:
             lines.append(f"provenance {self.provenance}")
         for w, terms in self._rows():
-            lines.append(f"w={w} : " + ", ".join(f"{y}:{c}" for y, c in terms))
+            lines.append(f"w={w} : " + ", ".join(map(":".join, terms)))
         return "\n".join(lines) + "\n"
 
     def dump_json(self) -> str:
@@ -451,6 +482,13 @@ class CanonicalBasisTable:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
+
+
+def _coefficients(entries: dict) -> dict:
+    """id -> coefficient, each distinct coefficient object of the entries
+    once; the entries keep every one alive, so no id is reused."""
+    values = [h.terms.values() for h in entries.values()]
+    return dict(zip(map(id, chain.from_iterable(values)), chain.from_iterable(values)))
 
 
 def _text_rows(text: str) -> tuple:

@@ -99,10 +99,6 @@ class LaurentPoly:
         """Evaluate at v = 1."""
         return sum(self.c.values())
 
-    def in_positive_part(self) -> bool:
-        """True when every exponent is >= 1 (the ideal v Z[v])."""
-        return all(k >= 1 for k in self.c)
-
     def __str__(self):
         if not self.c:
             return "0"

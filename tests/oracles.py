@@ -10,17 +10,23 @@ breadth-first search and pair roots with an unreflected grading cocharacter,
 the decomposition oracle peels one translation at a time, the generation
 oracle enumerates Y0 and Z, the subregular oracle searches the cells below
 the identity cell, the orbit-table oracle pins the universal cells before it
-walks the rank-2 chain, the status oracle reads orbit names, and the
-symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph.
-The helpers at the end have callers only in the tests.
+walks the rank-2 chain, the status oracle reads orbit names, the
+symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph,
+the table oracles sort, serialize and validate a table term by term, and the
+coset oracles walk the left descents of every element anew and multiply by
+the stripped scalar once per reflection.  The helpers at the end have
+callers only in the tests.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 from heckecells.affine import UnsupportedRegimeError
-from heckecells.hecke import _BITS, _BOUND, _MASK, Hecke, HeckeElt, kl_gen_action
+from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 from heckecells.orbits import OrbitTable, UnsupportedTypeError, closure_order, enumerate_orbits
 from heckecells.rootdata import closure, solve_exact
@@ -352,6 +358,89 @@ def status_oracle(datum, p: int, orbit) -> str:
 # -- helpers with callers only in the tests ------------------------------------
 
 
+def table_rows_oracle(table) -> list:
+    """(word of w, [(word of y, coefficient text), ...]) per entry, both in
+    (length, word) order, sorting every entry's terms by ``sort_key``."""
+    to_word, key = lru_cache(None)(table.aw.to_word), table.aw.sort_key
+    serialize = lru_cache(None)(LaurentPoly.serialize)
+    return [
+        (to_word(w), [(to_word(y), serialize(h.terms[y])) for y in sorted(h.terms, key=key)])
+        for w, h in sorted(table.entries.items(), key=lambda e: key(e[0]))
+    ]
+
+
+def dump_text_oracle(table) -> str:
+    lines = [f"p {table.p}"]
+    if table.provenance:
+        lines.append(f"provenance {table.provenance}")
+    for w, terms in table_rows_oracle(table):
+        lines.append(f"w={w} : " + ", ".join(f"{y}:{c}" for y, c in terms))
+    return "\n".join(lines) + "\n"
+
+
+def dump_json_oracle(table) -> str:
+    obj = {
+        "schema": 1,
+        "p": table.p,
+        "provenance": table.provenance,
+        "entries": [{"w": w, "terms": terms} for w, terms in table_rows_oracle(table)],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def validate_table_oracle(aw, p, entries) -> None:
+    """The table checks term by term: the p label, entries in W, diagonal 1,
+    every term in the lower Bruhat interval and, at p = 0, every
+    off-diagonal coefficient in vZ[v]; negative coefficients pass."""
+    # trial division; 2^31 bounds its cost and exceeds every practical p
+    if type(p) is not int or not (
+        p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
+    ):
+        raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
+    for w in entries:
+        if not aw.in_affine_weyl(w):
+            raise BasisTableError(f"entry {aw.to_word(w)} is not in W")
+    for w, below in aw.bruhat_intervals(entries):
+        h = entries[w]
+        diag = h.coeff(w)
+        if diag != ONE:
+            raise BasisTableError(
+                f"diagonal coefficient of {aw.to_word(w)} is {diag}, not 1"
+            )
+        for y, c in h.terms.items():
+            if y not in below:
+                raise BasisTableError(
+                    f"entry {aw.to_word(w)} is not unitriangular: "
+                    f"{aw.to_word(y)} appears"
+                )
+            if p == 0 and y != w and not in_positive_part(c):
+                raise BasisTableError(
+                    f"p=0 entry {aw.to_word(w)} has an off-diagonal "
+                    "coefficient outside vZ[v]"
+                )
+
+
+def min_coset_rep_oracle(aw, a):
+    """Minimal representative of W_f a by the left-descent walk, reading
+    and filling no cached representative."""
+    while (i := aw.left_descent(a, 1)) is not None:
+        a = aw.mult_gen_left(i, a)
+    return a
+
+
+def coset_project_oracle(aw, x: HeckeElt, strip) -> HeckeElt:
+    """Each x_w onto the minimal representative of W_f w, multiplied by
+    ``strip`` once per stripped finite reflection."""
+    out: dict = {}
+    for w, c in x.terms.items():
+        rep = min_coset_rep_oracle(aw, w)
+        for _ in range(w.length - rep.length):
+            c = c * strip
+        n = out.get(rep)
+        out[rep] = c if n is None else n + c
+    return HeckeElt(out)
+
+
 def generate_finite_weyl(datum) -> list:
     """All elements of W_f (use with care in high rank)."""
     return closure(
@@ -389,6 +478,11 @@ def bs_product(hecke: Hecke, word) -> HeckeElt:
 
 def is_nonnegative(p: LaurentPoly) -> bool:
     return all(v >= 0 for v in p.c.values())
+
+
+def in_positive_part(p: LaurentPoly) -> bool:
+    """True when every exponent is >= 1 (the ideal v Z[v])."""
+    return all(k >= 1 for k in p.c)
 
 
 def positive_part(p: LaurentPoly) -> LaurentPoly:

@@ -11,7 +11,14 @@ from heckecells.hecke import HeckeElt, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import build_root_datum
 
-from oracles import from_finite, generate_finite_weyl, left_descent_oracle, length_oracle
+from oracles import (
+    coset_project_oracle,
+    from_finite,
+    generate_finite_weyl,
+    left_descent_oracle,
+    length_oracle,
+    min_coset_rep_oracle,
+)
 
 
 def bfs_ball(aw, radius):
@@ -354,6 +361,34 @@ def test_coset_length_drop_matches_prefix_oracle(type_str, bound):
             assert coset_project(aw, HeckeElt({x: ONE}), -V) == HeckeElt(
                 {rep: LaurentPoly.v(k, sign)}
             )
+
+
+@pytest.mark.parametrize("type_str", ["A2", "C2", "G2"])
+def test_cached_coset_rep_matches_uncached_walk(type_str):
+    # in a fresh context, in a shuffled order, so that later walks stop at
+    # representatives that earlier ones cached
+    aw = AffineWeyl(build_root_datum(type_str))
+    xs = [aw.mult(om, w) for w in aw.enumerate_W(8) for om in aw.omega]
+    random.Random(5).shuffle(xs)
+    for x in xs:
+        assert aw.min_coset_rep(x) is min_coset_rep_oracle(aw, x)
+        assert x.rep is aw.min_coset_rep(x)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "C2", "G2"])
+def test_coset_project_matches_oracle(ctx, type_str):
+    aw = ctx(type_str).aw
+    ball = aw.enumerate_W(8)
+    xs = ball + [aw.mult(om, w) for w in ball for om in aw.omega[1:]]
+    polys = {x: LaurentPoly({k % 3: 1 + k % 4, -k % 5: -1}) for k, x in enumerate(xs)}
+    ints = {x: k % 7 - 3 for k, x in enumerate(xs)}
+    for terms, strip in ((polys, -V), (ints, -1)):
+        assert coset_project(aw, HeckeElt(terms), strip) == coset_project_oracle(
+            aw, HeckeElt(terms), strip
+        )
+        for x, c in terms.items():
+            single = HeckeElt({x: c})
+            assert coset_project(aw, single, strip) == coset_project_oracle(aw, single, strip)
 
 
 def test_length_fW_dominant_translation(ctx):

@@ -1,7 +1,10 @@
 """Every BENCH_<n>.json at the repository root has the shape later rounds
 read for the trend: for each workload of BENCHMARK.json, every end-to-end
-metric with a numeric parent and change median."""
+metric with a numeric parent and change median.  Every callable the
+benchmark's tracer wraps still exists where the tracer looks for it."""
 
+import importlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -28,3 +31,18 @@ def test_bench_records_have_every_end_to_end_metric():
                 for side in ("parent", "change"):
                     median = got.get(m, {}).get(side, {}).get("median")
                     assert _is_number(median), f"{path.name}: {w} {m} {side}.median is {median!r}"
+
+
+def test_traced_names_exist():
+    # the tracer replaces owner.__dict__[attr]; a name moved or inherited
+    # would stop the traced run, which tier-1 does not otherwise start
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, targets in tracer.TIMED.items():
+        for module, path in targets:
+            owner = importlib.import_module(f"heckecells.{module}")
+            *owner_path, attr = path.split(".")
+            for part in owner_path:
+                owner = getattr(owner, part)
+            assert attr in vars(owner), f"{name}: heckecells.{module}.{path} is gone"

@@ -264,6 +264,10 @@ def test_exit_codes(tmp_path, capsys):
          '[["e", "1*v^1"], ["e", "7*v^1"], ["s0", "1*v^0"]]}]}'),
         # a text term without its "word:" prefix
         ("no_word.txt", "p 0\nw=s0 : 1*v^1, s0:1*v^0\n"),
+        # a negative coefficient, at p = 2 and at p = 0 (where -v lies in
+        # vZ[v]), beside the valid s0 entry the query reads
+        ("negative_p2.txt", "p 2\nw=s0 : e:1*v^1, s0:1*v^0\nw=s1 : e:-1*v^1, s1:1*v^0\n"),
+        ("negative_p0.txt", "p 0\nw=s0 : e:1*v^1, s0:1*v^0\nw=s1 : e:-1*v^1, s1:1*v^0\n"),
     ):
         path = tmp_path / name
         path.write_text(text)

@@ -22,13 +22,18 @@ from heckecells.laurent import ONE, V, VINV, LaurentPoly
 from oracles import (
     asph_canonical_oracle,
     bs_product,
+    dump_json_oracle,
+    dump_text_oracle,
+    in_positive_part,
     is_nonnegative,
     kl_gen,
     kl_mul,
     kl_oracle,
     laurent_canonical,
     standard,
+    table_rows_oracle,
     two_dict_canonical,
+    validate_table_oracle,
 )
 
 
@@ -178,7 +183,7 @@ def test_kl_self_dual_and_triangular(ctx):
         assert h.coeff(w) == ONE
         for y, coeff in h.terms.items():
             if y != w:
-                assert coeff.in_positive_part()
+                assert in_positive_part(coeff)
                 assert c.aw.bruhat_leq(y, w)
 
 
@@ -434,3 +439,93 @@ def test_table_parse_errors(ctx):
         CanonicalBasisTable.parse(c.aw, "w=s0 : s0:1*v^0\n")  # missing p header
     with pytest.raises(BasisTableError):
         CanonicalBasisTable.parse(c.aw, "p 0\ngarbage line\n")
+
+
+@pytest.mark.parametrize("type_str,bound", [("A1", 12), ("A2", 10), ("C2", 13), ("G2", 12)])
+def test_table_dumps_match_term_by_term_oracle(ctx, type_str, bound):
+    c = ctx(type_str)
+    table = table_from_zero_basis(c.hecke, bound)
+    assert table._rows() == table_rows_oracle(table)
+    assert table.dump_text() == dump_text_oracle(table)
+    assert table.dump_json() == dump_json_oracle(table)
+
+
+def _raised(check, *args):
+    """(type, message) of the exception check(*args) raises, or None."""
+    try:
+        check(*args)
+    except Exception as e:  # noqa: BLE001 - compared across both checks
+        return type(e), str(e)
+    return None
+
+
+def _malformed_tables(aw, entries):
+    """(p, entries) pairs that fail validation: each kind of bad term, before
+    and after an entry's own terms, and bad terms of two kinds both ways
+    round; a bad diagonal, an entry outside W, and bad p labels."""
+    ws = sorted(entries, key=aw.sort_key)
+    top = ws[-1]
+    low = next(w for w in ws if w.length == 1)
+    beside = next(y for y in ws if y.length == top.length and y != top)
+    for extra in (
+        [(beside, V)],                       # not below top
+        [(aw.identity, VINV)],               # off-diagonal outside vZ[v]
+        [(low, ONE)],                        # off-diagonal constant
+        [(beside, V), (aw.identity, VINV)],  # both kinds, each one first
+        [(aw.identity, VINV), (beside, V)],
+    ):
+        for w in (top, ws[len(ws) // 2]):
+            terms = {y: c for y, c in entries[w].terms.items() if y not in dict(extra)}
+            for merged in ({**dict(extra), **terms}, {**terms, **dict(extra)}):
+                yield 0, {**entries, w: HeckeElt(merged)}
+    yield 0, {**entries, top: HeckeElt({**entries[top].terms, top: LaurentPoly.const(2)})}
+    if len(aw.omega) > 1:
+        omega = aw.mult(aw.omega[-1], low)
+        yield 0, {**entries, omega: HeckeElt({omega: ONE})}
+    for p in (4, -3, True, 0.5, None, 2**31 + 11):
+        yield p, entries
+
+
+@pytest.mark.parametrize("type_str", ["A1", "C2", "G2"])
+def test_table_validation_matches_term_by_term_oracle(ctx, type_str):
+    c = ctx(type_str)
+    entries = table_from_zero_basis(c.hecke, 6).entries
+    assert _raised(validate_table_oracle, c.aw, 0, entries) is None
+    assert _raised(CanonicalBasisTable, c.aw, 0, entries) is None
+    for p, bad in _malformed_tables(c.aw, entries):
+        expected = _raised(validate_table_oracle, c.aw, p, bad)
+        assert expected is not None and expected[0] is BasisTableError
+        assert _raised(CanonicalBasisTable, c.aw, p, bad) == expected
+
+
+def test_table_entries_from_another_context(ctx):
+    # elements of two contexts are equal but not identical: a table of the
+    # second context holding the first one's entries dumps the same bytes
+    # and still rejects a bad off-diagonal term
+    first, second = build_context("C2"), build_context("C2")
+    entries = table_from_zero_basis(first.hecke, 9).entries
+    table = CanonicalBasisTable(second.aw, 0, entries, "x")
+    own = CanonicalBasisTable(first.aw, 0, entries, "x")
+    assert table.dump_text() == own.dump_text()
+    assert table.dump_json() == own.dump_json()
+    top = max(entries, key=first.aw.sort_key)
+    bad = dict(entries)
+    bad[top] = bad[top] + HeckeElt({first.aw.identity: VINV})
+    with pytest.raises(BasisTableError, match="outside vZ"):
+        CanonicalBasisTable(second.aw, 0, bad)
+    beside = next(y for y in entries if y.length == top.length and y != top)
+    bad[top] = entries[top] + HeckeElt({beside: V})
+    with pytest.raises(BasisTableError, match="not unitriangular"):
+        CanonicalBasisTable(second.aw, 0, bad)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_table_rejects_negative_coefficient(ctx, p):
+    # every p-canonical basis is nonnegative on the standard basis; -v lies
+    # in vZ[v], so at p = 0 only the sign check catches it
+    aw = ctx("A1").aw
+    s1 = aw.gens[1]
+    bad = HeckeElt({s1: ONE, aw.identity: LaurentPoly.v(1, -1)})
+    with pytest.raises(BasisTableError, match="entry s1 has a negative coefficient at e"):
+        CanonicalBasisTable(aw, p, {s1: bad})
+    assert _raised(validate_table_oracle, aw, p, {s1: bad}) is None
