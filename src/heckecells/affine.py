@@ -241,20 +241,19 @@ class AffineWeyl:
         Only valid on W; elements with a nontrivial length-zero part keep
         that part out of the word (see :meth:`to_word`).  Elements of an
         enumerated ball already hold theirs (see :meth:`_ball`); otherwise it
-        is the first left descent i, then the word of s_i a, and each element
-        passed keeps its.
+        is the first left descent i, then the word of s_i a, down to the first
+        element with a known word.  Only a keeps the word, so a long walk
+        costs memory linear in its length.
         """
-        path, cur = [], a
+        letters, cur = [], a
         while cur.word is None:
             i = self.left_descent(cur)
             if i is None:
                 raise ValueError("element is not in W; use to_word for W_ext")
-            path.append((cur, i))
+            letters.append(i)
             cur = self.mult_gen_left(i, cur)
-        word = cur.word
-        for elem, i in reversed(path):
-            word = elem.word = (i,) + word
-        return word
+        a.word = tuple(letters) + cur.word
+        return a.word
 
     def sort_key(self, a: AffineElement):
         return (a.length, self.reduced_word(a))
@@ -386,7 +385,7 @@ class AffineWeyl:
         while True:
             guard += 1
             if guard > 100000:
-                raise AssertionError("alcove walk failed to terminate")
+                raise UnsupportedRegimeError("weight too far from the fundamental alcove")
             for i in range(d.rank):
                 c0, c1 = nu0[i] + d.rho[i], nu1[i]
                 if (c0, c1) < (0, 0):

@@ -247,55 +247,39 @@ def stabilization_n(
 ) -> "int | None":
     """Least n at which the chain t_{n x_psi} w becomes cell-stationary.
 
-    Returns None when the chain leaves the trusted range before the repeat
-    is observed and confirmed stationary within the range.
+    Returns None exactly when the last cell the chain meets inside the
+    trusted range does not repeat there.
     """
     # x_psi = sum of varpi_i = k_i e_i over i in psi
     x_psi = tuple(k if i in psi else 0 for i, k in enumerate(consts))
-    if all(c == 0 for c in x_psi):
+    if not any(x_psi):
         return 0
     shift = aw.translation(x_psi)
-
-    cells_seen = []
-    cur = w
-    while True:
-        idx = partition.cell_index(cur)
-        if idx is None or not partition.trusted[idx]:
-            break
-        cells_seen.append(idx)
+    seen, cur = [], w
+    while (idx := partition.cell_index(cur)) is not None and partition.trusted[idx]:
+        seen.append(idx)
         cur = aw.mult(shift, cur)
-    if len(cells_seen) < 2:
-        return None
-    # first index from which every further observed cell is the same
-    last = cells_seen[-1]
-    n = len(cells_seen) - 1
-    while n > 0 and cells_seen[n - 1] == last:
+    # first index from which every observed cell is the last one
+    n = len(seen) - 1
+    while n > 0 and seen[n - 1] == seen[-1]:
         n -= 1
-    if n == len(cells_seen) - 1:
-        # the repeat was never observed inside the trusted range
-        return None
-    return n
+    return n if n < len(seen) - 1 else None
 
 
 def observed_stabilization_bound(
     aw: AffineWeyl, consts: tuple[int, ...], partition: CellPartition
 ) -> int:
-    """Max observed n(w, x_psi) over trusted elements and all psi."""
-    d = aw.datum
+    """Max observed n(w, x_psi) over trusted core elements and nonempty psi."""
+    rank = aw.datum.rank
     core = partition.length_bound - partition.margin
-    best = 0
-    subsets = [[i for i in range(d.rank) if mask & (1 << i)] for mask in range(1, 1 << d.rank)]
-    for i, comp in enumerate(partition.cells):
-        if not partition.trusted[i]:
-            continue
-        for w in comp:
-            if w.length > core:
-                continue
-            for psi in subsets:
-                n = stabilization_n(aw, consts, partition, w, psi)
-                if n is not None and n > best:
-                    best = n
-    return best
+    subsets = [[i for i in range(rank) if mask >> i & 1] for mask in range(1, 1 << rank)]
+    ns = (
+        stabilization_n(aw, consts, partition, w, psi)
+        for comp, trusted in zip(partition.cells, partition.trusted) if trusted
+        for w in comp if w.length <= core
+        for psi in subsets
+    )
+    return max((n for n in ns if n is not None), default=0)
 
 
 def cell_generators(

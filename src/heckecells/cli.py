@@ -186,11 +186,7 @@ def cmd_humphreys(args) -> int:
 def cmd_orbits(args) -> int:
     datum, _, _, _, _ = build_context(args.type)
     orbits = enumerate_orbits(datum)
-    try:
-        leq = closure_order(datum, orbits)
-        closure = [[1 if x else 0 for x in row] for row in leq]
-    except UnsupportedTypeError:
-        closure = None
+    leq = closure_order(datum, orbits)
     obj = {
         "schema": 1,
         "type": str(args.type),
@@ -202,7 +198,7 @@ def cmd_orbits(args) -> int:
             }
             for o in orbits
         ],
-        "closure_leq": closure,
+        "closure_leq": None if leq is None else [[int(x) for x in row] for row in leq],
     }
     _emit(args, _json_text(obj))
     return EXIT_OK

@@ -8,11 +8,15 @@ their neutral elements h have the same dominant weighted Dynkin diagram
 (alpha_j(h))_j, so the pairs are grouped by that integer vector, and it
 also gives the dimension: dim = |Phi| minus the number of roots alpha with
 alpha(h) in {0, 1, -1}.  All of it is integer arithmetic after one small
-solve per pair, so every type answers, E6-E8 included.
+solve per pair, so every type answers, E6-E8 included.  The closure order
+is dominance of partitions in type A and the chain by dimension in rank
+<= 2; in rank >= 3 outside type A there is none here, and closure_order
+answers None.
 
 The dictionary between antispherical cells and orbits follows one chain
 rule in rank <= 2: the trusted cells, ordered by how many trusted cells
-reach them, meet the orbits in decreasing dimension.  In rank >= 3 it has
+reach them, meet the orbits in decreasing dimension, which is monotone
+because reach is transitive (see build_orbit_table).  In rank >= 3 it has
 three universal entries (identity cell -> regular, cell of s0 ->
 subregular, minimal cell -> zero once every orbit has a trusted cell).
 """
@@ -20,7 +24,7 @@ subregular, minimal cell -> zero once every orbit has a trusted cell).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import le, mul
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
@@ -39,28 +43,13 @@ class NilpotentOrbit:
     name: str
 
 
-def _levi_roots(datum, I: frozenset[int]):
-    """The positive roots supported on the simple-root subset I."""
-    out = []
-    for r in datum.positive_roots:
-        if all(c == 0 or i in I for i, c in enumerate(r.simple)):
-            out.append(r)
-    return out
-
-
-def _is_distinguished(levi_roots, I: frozenset[int], J: frozenset[int]) -> bool:
-    """Even-grading criterion on the positive roots of the Levi on I:
-    #(degree 0 roots) + |I| == #(degree 2 roots)."""
-    graded = I - J
-    deg0 = 0
-    deg2 = 0
-    for r in levi_roots:
-        deg = 2 * sum(c for i, c in enumerate(r.simple) if i in graded)
-        if deg == 0:
-            deg0 += 2  # both signs
-        elif deg == 2:
-            deg2 += 1
-    return deg0 + len(I) == deg2
+def _is_distinguished(levi_roots, I, J) -> bool:
+    """Even-grading criterion on the Levi on I, whose positive roots are
+    given by their simple coordinates.  A root's half-degree is its
+    coefficient sum on I - J; distinguished means
+    2 #(half-degree 0) + |I| == #(half-degree 1)."""
+    degrees = [sum(c for i, c in enumerate(r) if i not in J) for r in levi_roots]
+    return 2 * degrees.count(0) + len(I) == degrees.count(1)
 
 
 def _weighted_dynkin_diagram(datum, I, J) -> tuple[int, ...]:
@@ -91,22 +80,11 @@ def _weighted_dynkin_diagram(datum, I, J) -> tuple[int, ...]:
 
 
 def _partition_of_pair(datum, I) -> tuple[int, ...]:
-    """Type A only: the partition attached to a Levi subset of the path graph."""
-    n = datum.rank
-    parts = []
-    run = 0
-    for i in range(n):
-        if i in I:
-            run += 1
-        else:
-            if run:
-                parts.append(run + 1)
-            run = 0
-    if run:
-        parts.append(run + 1)
-    total = sum(parts)
-    parts.extend([1] * (n + 1 - total))
-    return tuple(sorted(parts, reverse=True))
+    """Type A only: the partition attached to a Levi subset of the path
+    graph, a part k + 1 per run of k nodes in I, then ones up to rank + 1."""
+    runs = [len(list(g)) + 1 for inside, g in groupby(range(datum.rank), I.__contains__)
+            if inside]
+    return tuple(sorted(runs, reverse=True)) + (1,) * (datum.rank + 1 - sum(runs))
 
 
 def _distinguished_pairs(datum):
@@ -114,12 +92,16 @@ def _distinguished_pairs(datum):
     distinguished, as sorted tuples."""
     n = datum.rank
     for imask in range(1 << n):
-        I = frozenset(i for i in range(n) if imask & (1 << i))
-        sub, levi = sorted(I), _levi_roots(datum, I)
+        sub = [i for i in range(n) if imask >> i & 1]
+        # the positive roots supported on I
+        levi = [
+            r.simple for r in datum.positive_roots
+            if all(c == 0 or i in sub for i, c in enumerate(r.simple))
+        ]
         for jbits in range(1 << len(sub)):
-            J = frozenset(sub[t] for t in range(len(sub)) if jbits & (1 << t))
-            if _is_distinguished(levi, I, J):
-                yield tuple(sub), tuple(sorted(J))
+            J = tuple(i for t, i in enumerate(sub) if jbits >> t & 1)
+            if _is_distinguished(levi, sub, J):
+                yield tuple(sub), J
 
 
 def enumerate_orbits(datum) -> list[NilpotentOrbit]:
@@ -145,7 +127,7 @@ def _named_orbits(datum, orbits) -> list[NilpotentOrbit]:
     count = len(orbits)
     for pos, (dim, rep) in enumerate(orbits):
         if series == "A":
-            name = "[" + ",".join(str(p) for p in _partition_of_pair(datum, set(rep[0]))) + "]"
+            name = "[" + ",".join(str(p) for p in _partition_of_pair(datum, rep[0])) + "]"
         elif datum.rank <= 2:
             # B2 = C2 has 4 orbits, G2 has 5
             ladder = {
@@ -167,30 +149,23 @@ def _named_orbits(datum, orbits) -> list[NilpotentOrbit]:
 
 
 def closure_order(datum, orbits: list[NilpotentOrbit]):
-    """Reflexive closure-order matrix leq[i][j] = (orbit i below orbit j).
+    """Reflexive closure-order matrix leq[i][j] = (orbit i below orbit j), or
+    None where no order is known here: rank >= 3 outside type A.
 
-    Available for rank <= 2 (dimensions force a chain) and for the A series
-    (dominance order on partitions); other types raise.
+    Type A is dominance of partitions (Gerstenhaber; Collingwood-McGovern,
+    ch. 6), compared by partial sums.  Both partitions sum to rank + 1 and
+    have no zero parts, so where the shorter one ends its partial sum is
+    rank + 1 and the longer one's is less: map may stop there.  In rank <= 2
+    the orbits form a chain by dimension (B2 = C2: 0, 4, 6, 8; G2: 0, 6, 8,
+    10, 12).
     """
-    n = len(orbits)
     if datum.cartan_type.series == "A":
-        # dominance by partial sums.  Both partitions sum to rank + 1 and have
-        # no zero parts, so where the shorter one ends its partial sum is
-        # rank + 1 and the longer one's is less: map may stop there.
-        sums = [tuple(accumulate(_partition_of_pair(datum, o.bala_carter[0]))) for o in orbits]
-        return tuple(
-            tuple(all(map(le, sums[i], sums[j])) for j in range(n)) for i in range(n)
-        )
-    if datum.rank <= 2:
-        dims = [o.dimension for o in orbits]
-        if len(set(dims)) != n:
-            raise AssertionError("rank-2 orbit dimensions should be distinct")
-        return tuple(
-            tuple(dims[i] <= dims[j] for j in range(n)) for i in range(n)
-        )
-    raise UnsupportedTypeError(
-        f"closure order unavailable for type {datum.cartan_type}"
-    )
+        keys = [tuple(accumulate(_partition_of_pair(datum, o.bala_carter[0]))) for o in orbits]
+    elif datum.rank <= 2:
+        keys = [(o.dimension,) for o in orbits]
+    else:
+        return None
+    return tuple(tuple(all(map(le, a, b)) for b in keys) for a in keys)
 
 
 @dataclass
@@ -220,15 +195,12 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
     In rank <= 2 there must be one trusted cell per orbit.  The fewer
     trusted cells reach a cell, the higher it sits (the identity's cell is
     reached by itself alone), so sorted that way the cells meet the orbits
-    in decreasing dimension; the match is verified monotone against the
-    closure order.  In rank >= 3 only the universal entries are pinned.
+    in decreasing dimension.  In rank >= 3 only the universal entries are
+    pinned.
     """
     datum = aw.datum
     orbits = enumerate_orbits(datum)
-    try:
-        leq = closure_order(datum, orbits)
-    except UnsupportedTypeError:
-        leq = None
+    leq = closure_order(datum, orbits)
 
     trusted = partition.trusted_cells()
     reach = partition.reach
@@ -238,12 +210,14 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
                 f"expected {len(orbits)} trusted cells (one per nilpotent orbit), "
                 f"found {len(trusted)}; use a larger --len/--margin"
             )
+        # The match is monotone: reach is transitive, so a cell b below a
+        # cell a is reached by every trusted cell that reaches a, and by b
+        # itself, which a is not.  So b sorts after a and meets the smaller
+        # orbit, and in rank <= 2 the closure order is the chain by
+        # dimension.  The orbits are sorted by dimension, dimensions
+        # distinct, so top-down is the list reversed.
         chain = sorted(trusted, key=lambda c: sum(c in reach[c2] for c2 in trusted))
-        top_down = sorted(range(len(orbits)), key=lambda i: -orbits[i].dimension)
-        cell_map = dict(zip(chain, top_down))
-        # cell preorder implies closure order
-        if any(b in reach[a] and not leq[cell_map[b]][cell_map[a]] for a in trusted for b in trusted):
-            raise AssertionError("cell preorder inconsistent with orbit closure order")
+        cell_map = dict(zip(chain, reversed(range(len(orbits)))))
         return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
 
     trusted_set = set(trusted)

@@ -12,10 +12,12 @@ oracle enumerates Y0 and Z, the subregular oracle searches the cells below
 the identity cell, the orbit-table oracle pins the universal cells before it
 walks the rank-2 chain, the status oracle reads orbit names, the
 symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph,
-the table oracles sort, serialize and validate a table term by term, and the
+the table oracles sort, serialize and validate a table term by term, the
 coset oracles walk the left descents of every element anew and multiply by
-the stripped scalar once per reflection.  The helpers at the end have
-callers only in the tests.
+the stripped scalar once per reflection, the Levi oracles tally the grading
+degrees and the runs of a Levi subset one by one, and the stabilization
+oracles keep the chain's early exits and a running maximum.  The helpers at
+the end have callers only in the tests.
 """
 
 import itertools
@@ -25,10 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from heckecells.affine import UnsupportedRegimeError
+from heckecells.affine import AffineElement, AffineWeyl, UnsupportedRegimeError
+from heckecells.cells import CellPartition
 from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
-from heckecells.orbits import OrbitTable, UnsupportedTypeError, closure_order, enumerate_orbits
+from heckecells.orbits import OrbitTable, closure_order, enumerate_orbits
 from heckecells.rootdata import closure, solve_exact
 
 
@@ -274,10 +277,7 @@ def orbit_table_oracle(aw, partition) -> OrbitTable:
     preorder chain and verified monotone against the closure order."""
     datum = aw.datum
     orbits = enumerate_orbits(datum)
-    try:
-        leq = closure_order(datum, orbits)
-    except UnsupportedTypeError:
-        leq = None
+    leq = closure_order(datum, orbits)
 
     trusted = partition.trusted_cells()
     trusted_set = set(trusted)
@@ -332,6 +332,109 @@ def orbit_table_oracle(aw, partition) -> OrbitTable:
                     )
 
     return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
+
+
+def levi_roots_oracle(datum, I: frozenset[int]):
+    """The positive roots supported on the simple-root subset I."""
+    out = []
+    for r in datum.positive_roots:
+        if all(c == 0 or i in I for i, c in enumerate(r.simple)):
+            out.append(r)
+    return out
+
+
+def is_distinguished_oracle(levi_roots, I: frozenset[int], J: frozenset[int]) -> bool:
+    """Even-grading criterion on the positive roots of the Levi on I:
+    #(degree 0 roots) + |I| == #(degree 2 roots)."""
+    graded = I - J
+    deg0 = 0
+    deg2 = 0
+    for r in levi_roots:
+        deg = 2 * sum(c for i, c in enumerate(r.simple) if i in graded)
+        if deg == 0:
+            deg0 += 2  # both signs
+        elif deg == 2:
+            deg2 += 1
+    return deg0 + len(I) == deg2
+
+
+def partition_of_pair_oracle(datum, I) -> tuple[int, ...]:
+    """Type A only: the partition attached to a Levi subset of the path graph."""
+    n = datum.rank
+    parts = []
+    run = 0
+    for i in range(n):
+        if i in I:
+            run += 1
+        else:
+            if run:
+                parts.append(run + 1)
+            run = 0
+    if run:
+        parts.append(run + 1)
+    total = sum(parts)
+    parts.extend([1] * (n + 1 - total))
+    return tuple(sorted(parts, reverse=True))
+
+
+def stabilization_n_oracle(
+    aw: AffineWeyl,
+    consts: tuple[int, ...],
+    partition: CellPartition,
+    w: AffineElement,
+    psi,
+) -> "int | None":
+    """Least n at which the chain t_{n x_psi} w becomes cell-stationary.
+
+    Returns None when the chain leaves the trusted range before the repeat
+    is observed and confirmed stationary within the range.
+    """
+    # x_psi = sum of varpi_i = k_i e_i over i in psi
+    x_psi = tuple(k if i in psi else 0 for i, k in enumerate(consts))
+    if all(c == 0 for c in x_psi):
+        return 0
+    shift = aw.translation(x_psi)
+
+    cells_seen = []
+    cur = w
+    while True:
+        idx = partition.cell_index(cur)
+        if idx is None or not partition.trusted[idx]:
+            break
+        cells_seen.append(idx)
+        cur = aw.mult(shift, cur)
+    if len(cells_seen) < 2:
+        return None
+    # first index from which every further observed cell is the same
+    last = cells_seen[-1]
+    n = len(cells_seen) - 1
+    while n > 0 and cells_seen[n - 1] == last:
+        n -= 1
+    if n == len(cells_seen) - 1:
+        # the repeat was never observed inside the trusted range
+        return None
+    return n
+
+
+def observed_stabilization_bound_oracle(
+    aw: AffineWeyl, consts: tuple[int, ...], partition: CellPartition
+) -> int:
+    """Max observed n(w, x_psi) over trusted elements and all psi."""
+    d = aw.datum
+    core = partition.length_bound - partition.margin
+    best = 0
+    subsets = [[i for i in range(d.rank) if mask & (1 << i)] for mask in range(1, 1 << d.rank)]
+    for i, comp in enumerate(partition.cells):
+        if not partition.trusted[i]:
+            continue
+        for w in comp:
+            if w.length > core:
+                continue
+            for psi in subsets:
+                n = stabilization_n_oracle(aw, consts, partition, w, psi)
+                if n is not None and n > best:
+                    best = n
+    return best
 
 
 def status_oracle(datum, p: int, orbit) -> str:

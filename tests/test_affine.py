@@ -285,6 +285,23 @@ def test_descent_decisions_build_only_the_path_taken():
         assert filled() - before <= steps
 
 
+@pytest.mark.parametrize("type_str", ["A1", "C2", "G2"])
+def test_reduced_word_stores_one_word(type_str):
+    # to_word of a long element stores its word on it alone: the elements
+    # its left-descent walk passes hold none, so memory stays linear in the
+    # length of the walk
+    aw = AffineWeyl(build_root_datum(type_str))
+    w = aw.from_word([i % len(aw.gens) for i in range(60)])
+    assert w.length >= 30
+    assert aw.to_word(w) == ".".join(f"s{i}" for i in greedy_word(aw, w))
+    assert len(w.word) == w.length
+    cur = w
+    for i in w.word[:-1]:
+        cur = aw.mult_gen_left(i, cur)
+        assert cur.word is None
+    assert aw.mult_gen_left(w.word[-1], cur) is aw.identity
+
+
 def test_coset_minimality_examples(ctx):
     aw = ctx("C2").aw
     assert aw.in_fW(aw.identity) and aw.in_fWf(aw.identity)
@@ -505,7 +522,7 @@ def test_ball_words_are_greedy_words(type_str, bound):
         ball = enumerate_ball(size)
         _check_ball(aw, ball)
     # on a fresh context, the greedy walk of reduced_word first sets the words
-    # of every other longest element and of the elements on their paths
+    # of every other longest element, and of no element on their paths
     primed = AffineWeyl(build_root_datum(type_str))
     tops = [primed.from_word(w.word) for w in ball if w.length == bound][::2]
     assert tops and all(primed.reduced_word(x) == greedy_word(primed, x) for x in tops)

@@ -26,6 +26,8 @@ from oracles import (
     enumerated_generation_sets,
     from_finite,
     kl_gen,
+    observed_stabilization_bound_oracle,
+    stabilization_n_oracle,
 )
 
 
@@ -458,6 +460,31 @@ def test_stabilization_bounded(ctx):
         part = right_cells(aw, 14, 4, c.provider)
         bound = observed_stabilization_bound(aw, consts, part)
         assert 0 <= bound <= 3
+
+
+STABILIZATION_PARTITIONS = [
+    ("A1", 12, 3), ("A2", 14, 4), ("C2", 16, 4), ("G2", 20, 6), ("B3", 10, 3)
+]
+
+
+@pytest.mark.parametrize("type_str, L, m", STABILIZATION_PARTITIONS)
+def test_stabilization_matches_oracle(ctx, type_str, L, m):
+    # one walk and one backward scan against the oracle's early exits, on
+    # every w in fW up to L + 1 (the last length untrusted) and every psi
+    c = ctx(type_str)
+    aw = c.aw
+    rank = c.datum.rank
+    consts = generation_constants(aw)
+    part = right_cells(aw, L, m, c.provider)
+    for w in aw.enumerate_fW(L + 1):
+        for mask in range(1 << rank):
+            psi = [i for i in range(rank) if mask >> i & 1]
+            assert stabilization_n(aw, consts, part, w, psi) == stabilization_n_oracle(
+                aw, consts, part, w, psi
+            )
+    assert observed_stabilization_bound(aw, consts, part) == (
+        observed_stabilization_bound_oracle(aw, consts, part)
+    )
 
 
 def test_n_xpsi_inequality(ctx):

@@ -224,6 +224,21 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == 3
 
+    # a weight too far from the fundamental alcove for the dot walk: exit 3,
+    # one JSON line and no output
+    for argv in (
+        ["alcove", "--type", "A1", "--p", "5", "--lambda", "10000000"],
+        ["humphreys", "--type", "C2", "--p", "7", "--lambda", "400000,0"],
+    ):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "unsupported",
+            "message": "weight too far from the fundamental alcove",
+            "code": 3,
+        }
+
     # a path the user typed that cannot be read or written: usage error
     missing = str(tmp_path / "no-such-table.txt")
     assert main(["kl", "--type", "C2", "--w", "s0", "--basis", missing]) == 2

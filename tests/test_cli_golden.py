@@ -58,6 +58,22 @@ GOLDEN = [
      "551892431f27ffcf0db14957ee196f78a82306fecf77d3a63d92f7c41fcaddc1"),
     ("verlinde --type G2 --p 13 --lambda 1,0 --mu 0,1",
      "d79c1d09983877155a58dd1eed9f7ef1ed398ae240adb998bc153bba24eeaf0d"),
+    # recorded before the orbit dictionary and the type-A partitions were
+    # rewritten: the first calls that print partition names
+    ("orbits --type A3",
+     "0ff799c26cab93d60ff87e8c489896a6442e31a47f10e73703c3b522342f45b2"),
+    ("orbits --type A5",
+     "024317be9c8b5033810dd0b2f58344c2bc744f1aa8eab643afa4aebd87b26833"),
+    ("orbits --type D4",
+     "bee489cf7b809155e74aff9ff9c07ee2607b969307a1e9bb929673671a178a57"),
+    ("orbits --type F4",
+     "1f50f512536e3623bb03fcc5b427ed1d5a117b97ca31bfbbd8d87413cf5b7da3"),
+    ("orbits --type E6",
+     "10081a8c198489d623aac9bbc940fcff0fe20bda30b400f90d439bd6f847b231"),
+    ("humphreys --type A2 --p 5 --lambda 1,1",
+     "c1119b01d3ab4ee6274f1d041b985c51583935c138262a65685bfea7aad79177"),
+    ("humphreys --type A3 --p 7 --lambda 1,0,1",
+     "4f10c1aa2aa81daf67f83228b7676a59679e56253df86df00a00b2a7ec353d15"),
 ]
 
 

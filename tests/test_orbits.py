@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from heckecells.cells import right_cells
 from heckecells.orbits import (
-    UnsupportedTypeError,
     _distinguished_pairs,
     _named_orbits,
+    _partition_of_pair,
     _status_for,
     build_orbit_table,
     closure_order,
@@ -15,8 +17,11 @@ from heckecells.rootdata import build_root_datum
 
 from oracles import (
     conjugacy_classes_oracle,
+    is_distinguished_oracle,
+    levi_roots_oracle,
     orbit_dimension_oracle,
     orbit_table_oracle,
+    partition_of_pair_oracle,
     status_oracle,
     subregular_cover_oracle,
 )
@@ -140,9 +145,40 @@ def test_type_a_closure_is_dominance(type_str):
 
 
 def test_closure_order_unavailable(ctx):
-    d = build_root_datum("B3")
-    with pytest.raises(UnsupportedTypeError):
-        closure_order(d, enumerate_orbits(d))
+    # rank >= 3 outside type A has no closure order here: None, not a raise
+    for t in ("B3", "C3", "D4", "F4"):
+        d = build_root_datum(t)
+        assert closure_order(d, enumerate_orbits(d)) is None
+
+
+@pytest.mark.parametrize("type_str", [f"A{n}" for n in range(1, 8)])
+def test_partition_of_pair_matches_oracle(type_str):
+    # runs read by groupby against the oracle's running count, on every
+    # Levi subset, passed as the tuple the callers hold and as a set
+    d = build_root_datum(type_str)
+    for mask in range(1 << d.rank):
+        I = tuple(i for i in range(d.rank) if mask >> i & 1)
+        want = partition_of_pair_oracle(d, frozenset(I))
+        assert _partition_of_pair(d, I) == _partition_of_pair(d, set(I)) == want
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"],
+)
+def test_distinguished_pairs_match_oracle(type_str):
+    # the one-list degree count against the oracle's tally, on every (I, J)
+    d = build_root_datum(type_str)
+    want = []
+    for imask in range(1 << d.rank):
+        I = frozenset(i for i in range(d.rank) if imask >> i & 1)
+        levi = levi_roots_oracle(d, I)
+        for J in itertools.chain.from_iterable(
+            itertools.combinations(sorted(I), k) for k in range(len(I) + 1)
+        ):
+            if is_distinguished_oracle(levi, I, frozenset(J)):
+                want.append((tuple(sorted(I)), J))
+    assert sorted(_distinguished_pairs(d)) == sorted(want)
 
 
 # -- cell dictionary and predictions ----------------------------------------------
