@@ -10,10 +10,16 @@ The length function is the Iwahori-Matsumoto hyperplane count
     l(w t_lambda) = sum_{a>0, w(a)>0} |<lambda, a^vee>|
                   + sum_{a>0, w(a)<0} |1 + <lambda, a^vee>|.
 
-Each finite part gets its flags [w(a) < 0] once, so a length costs one
-pairing per root, and each pair of finite parts gets its product once.  It
-also gets one (coroot, bound) pair per generator, so that deciding a left
-descent costs one pairing and builds no element (Bjorner-Brenti, 8.3).
+Each finite part w gets one record, which every element w t_lambda points
+to.  It holds w's elements by translation; the flags [w(a) < 0], so that a
+length costs one pairing per root; and one (coroot, bound) pair per
+generator, so that deciding a left descent costs one pairing and builds no
+element (Bjorner-Brenti, 8.3).  A generator step changes the length by
+exactly one, and the record's step entries, filled on first use per
+generator and side, make it one pairing and one vector update: the record
+of w s_i (or s_i w), a right-descent pair, and for a left s0 step the shift
+w^-1(-theta).  General products memoize the product of each pair of finite
+parts.
 
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
@@ -41,13 +47,15 @@ class AffineElement:
     hashes like) the same element of another context of the same type.  The
     context caches on it its products with the i-th generator, ``right[i]``
     and ``left[i]``, its reduced ``word``, ``fmin`` (is it in fW) and ``rep``,
-    the minimal representative of its coset W_f a.
+    the minimal representative of its coset W_f a; ``rec`` is its finite
+    part's record.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin", "rep")
+    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin", "rep", "rec")
 
-    def __init__(self, fin: FiniteWeylElement, trans: Weight, length: int, ngens: int):
-        self.fin = fin
+    def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int):
+        self.rec = rec
+        self.fin = fin = rec.fin
         self.trans = trans
         self.length = length
         self._hash = hash((fin.mat, trans))
@@ -66,6 +74,27 @@ class AffineElement:
 
     def __repr__(self):
         return f"AffineElement(trans={self.trans}, length={self.length})"
+
+
+class _FiniteRecord:
+    """What one finite part w decides for all its elements w t_lam.
+
+    ``elements`` maps lam to the context's element; ``flags`` are [w(a) < 0]
+    over the positive roots; ``descents[i]`` is (c, n) with s_i . w t_lam
+    shorter iff <lam, c> < n.  The step entries are filled on first use:
+    ``right[i]`` is (record of w s_i, c, n) with w t_lam . s_i shorter iff
+    <lam, c> < n, and ``left[i]`` is (record of s_i w, shift) with s_i . w
+    t_lam = s_i w t_{lam + shift} (shift None for i >= 1).
+    """
+
+    __slots__ = ("fin", "elements", "flags", "descents", "right", "left")
+
+    def __init__(self, fin: FiniteWeylElement, flags: tuple, descents: tuple):
+        self.fin = fin
+        self.elements: dict[Weight, AffineElement] = {}
+        self.flags = flags
+        self.descents = descents
+        self.right, self.left = [None] * len(descents), [None] * len(descents)
 
 
 @dataclass(frozen=True)
@@ -88,9 +117,13 @@ class AffineWeyl:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         d = datum
-        self._elements: dict[tuple, AffineElement] = {}
-        self._finite_records: dict[tuple, tuple] = {}
+        self._records: dict[tuple, _FiniteRecord] = {}
         self._fin_products: dict[tuple, FiniteWeylElement] = {}
+        # alpha_i per generator, alpha_0 the affine root theta; a right step
+        # moves lam to lam - k alpha_i, k = lam_i for i >= 1 and
+        # <lam, theta^vee> + 1 for s0, whatever the finite part
+        self._step_roots = (d.affine_root.fund,) + tuple(r.fund for r in d.simple_roots)
+        self._theta_coroot = d.affine_root.coroot
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
         self.identity.word = ()
         finite_gens = tuple(
@@ -113,40 +146,63 @@ class AffineWeyl:
     def element(self, fin: FiniteWeylElement, trans) -> AffineElement:
         """The context's one instance of fin . t_trans; its length is computed once."""
         trans = tuple(trans)
-        key = (fin.mat, trans)
-        out = self._elements.get(key)
+        rec = self._record(fin)
+        out = rec.elements.get(trans)
         if out is None:
-            out = self._elements[key] = AffineElement(
-                fin, trans, self._length(fin, trans), self.datum.rank + 1
-            )
+            out = self._new(rec, trans, self._length(rec, trans))
         return out
 
-    def _finite_record(self, fin: FiniteWeylElement) -> tuple:
-        """Computed once per finite part w: the flags [w(a) < 0] of the
-        positive roots, and per generator i a pair (c, n) with s_i . w t_lam
-        shorter than w t_lam iff <lam, c> < n.  With beta = w^-1(alpha_i)
-        (the affine root for i = 0), k = <lam, beta^vee> and n0 = [beta < 0],
-        the test is k < n0 for i >= 1 and k > n0 for i = 0."""
-        rec = self._finite_records.get(fin.mat)
+    def _new(self, rec: _FiniteRecord, trans: Weight, length: int) -> AffineElement:
+        out = rec.elements[trans] = AffineElement(rec, trans, length, len(rec.descents))
+        return out
+
+    def _record(self, fin: FiniteWeylElement) -> _FiniteRecord:
+        """The record of the finite part w, built once with its flags and
+        left-descent pairs; its step entries stay empty until used."""
+        rec = self._records.get(fin.mat)
         if rec is None:
             d, inv, pos = self.datum, fin.inverse(), self.datum._posroot_fund
             flags = tuple(int(fin.apply(r.fund) not in pos) for r in d.positive_roots)
-            descents = []
-            for i, root in enumerate([d.affine_root] + d.simple_roots):
-                beta = inv.apply(root.fund)
-                n0 = int(beta not in pos)
-                coroot = pos[tuple(-x for x in beta) if n0 else beta].coroot
-                # c = beta^vee; for s0, c and n are negated so that k > n0 reads c < n
-                sign = (-1) ** (n0 + (i == 0))
-                descents.append((tuple(sign * c for c in coroot), -n0 if i == 0 else n0))
-            rec = self._finite_records[fin.mat] = (flags, tuple(descents))
+            descents = tuple(
+                self._descent_pair(inv.apply(root), i) for i, root in enumerate(self._step_roots)
+            )
+            rec = self._records[fin.mat] = _FiniteRecord(fin, flags, descents)
         return rec
 
-    def _length(self, fin: FiniteWeylElement, trans) -> int:
-        flags = self._finite_record(fin)[0]
+    def _descent_pair(self, beta: Weight, i: int) -> tuple:
+        """(c, n) with s_i . w t_lam shorter than w t_lam iff <lam, c> < n, for
+        beta = w^-1(alpha_i) (the affine root theta for i = 0).  With k =
+        <lam, beta^vee> and n0 = [beta < 0], the test is k < n0 for i >= 1
+        and k > n0 for i = 0."""
+        pos = self.datum._posroot_fund
+        n0 = int(beta not in pos)
+        coroot = pos[tuple(-x for x in beta) if n0 else beta].coroot
+        # c = beta^vee; for s0, c and n are negated so that k > n0 reads c < n
+        sign = (-1) ** (n0 + (i == 0))
+        return tuple(sign * c for c in coroot), -n0 if i == 0 else n0
+
+    def _right_step(self, rec: _FiniteRecord, i: int) -> tuple:
+        """Fill rec.right[i].  x s_i < x iff s_i x^-1 < x^-1, and x^-1 =
+        w^-1 t_{-w(lam)}: with (c, n) the left-descent pair of w^-1, the test
+        <-w(lam), c> < n is <lam, c'> < n for c' = -W^T c."""
+        fin = rec.fin
+        c, n = self._descent_pair(fin.apply(self._step_roots[i]), i)
+        c = tuple(-sum(map(mul, col, c)) for col in zip(*fin.mat))
+        step = rec.right[i] = (self._record(fin * self.gens[i].fin), c, n)
+        return step
+
+    def _left_step(self, rec: _FiniteRecord, i: int) -> tuple:
+        """Fill rec.left[i]: s0 . w t_lam = s_theta w t_{w^-1(-theta) + lam},
+        and s_i . w t_lam = s_i w t_lam for i >= 1."""
+        g = self.gens[i]
+        shift = rec.fin.apply_inverse(g.trans) if i == 0 else None
+        step = rec.left[i] = (self._record(g.fin * rec.fin), shift)
+        return step
+
+    def _length(self, rec: _FiniteRecord, trans) -> int:
         return sum(
             abs(sum(map(mul, r.coroot, trans)) + f)
-            for r, f in zip(self.datum.positive_roots, flags)
+            for r, f in zip(self.datum.positive_roots, rec.flags)
         )
 
     def translation(self, lam) -> AffineElement:
@@ -165,17 +221,31 @@ class AffineWeyl:
         return self.element(fin, trans)
 
     def mult_gen(self, a: AffineElement, i: int) -> AffineElement:
-        """Right multiplication by the i-th simple generator, cached on a."""
+        """Right multiplication by the i-th simple generator, cached on a: one
+        pairing decides the length, lam - k alpha_i is the translation."""
         out = a.right[i]
         if out is None:
-            out = a.right[i] = self.mult(a, self.gens[i])
+            rec, lam = a.rec, a.trans
+            nrec, c, n = rec.right[i] or self._right_step(rec, i)
+            length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
+            k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
+            if k:
+                lam = tuple([x - k * r for x, r in zip(lam, self._step_roots[i])])
+            out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, length)
         return out
 
     def mult_gen_left(self, i: int, a: AffineElement) -> AffineElement:
-        """Left multiplication by the i-th simple generator, cached on a."""
+        """Left multiplication by the i-th simple generator, cached on a: the
+        left-descent pair decides the length, s0 shifts the translation."""
         out = a.left[i]
         if out is None:
-            out = a.left[i] = self.mult(self.gens[i], a)
+            rec, lam = a.rec, a.trans
+            nrec, shift = rec.left[i] or self._left_step(rec, i)
+            c, n = rec.descents[i]
+            length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
+            if shift is not None:
+                lam = tuple([x + y for x, y in zip(lam, shift)])
+            out = a.left[i] = nrec.elements.get(lam) or self._new(nrec, lam, length)
         return out
 
     def inverse(self, a: AffineElement) -> AffineElement:
@@ -192,7 +262,7 @@ class AffineWeyl:
     def left_descent(self, a: AffineElement, start: int = 0) -> int | None:
         """The first generator i >= start with s_i a < a, or None; one
         pairing per generator tried, and no element is built."""
-        descents, trans = self._finite_record(a.fin)[1], a.trans
+        descents, trans = a.rec.descents, a.trans
         for i in range(start, len(descents)):
             c, n = descents[i]
             if sum(map(mul, c, trans)) < n:

@@ -7,11 +7,14 @@ components of that edge graph, computed on a length-truncated ball.
 
 For p = 0 the targets are read off the W-graph: y when ys < y, else ys (if
 in fW) and each z with zs < z and mu(z, y) != 0, the v^1 coefficient stored
-in N_y.  A table's p-canonical basis keeps the leading-term expansion.  Under
-both, AffineWeyl forms each finite-part product and inversion-flag tuple once.
+in N_y, read once per source y.  A table's p-canonical basis keeps the
+leading-term expansion.  Under both, AffineWeyl takes each generator step
+from its finite part's record.
 
 Truncation policy: edges are expanded from every source of length <= L, so
-targets up to length L+1 are known exactly.  A component is *trusted* when it
+targets up to length L+1 are known exactly; the walk over fW that lists the
+sources runs to L+1 and gives each target its smallest reduced word, so
+sorting them walks no left descent.  A component is *trusted* when it
 reaches down to the core zone: some member has length <= L - margin.  A
 target of length L+1 is never a source, so it is a singleton sink component
 and never trusted.  The margin is an engineering contract, not a theorem: it
@@ -52,12 +55,16 @@ class CellPartition:
 
 
 def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
-    """All single-generator expansion edges from sources of length <= bound."""
+    """All single-generator expansion edges from sources of length <= bound.
+
+    The walk over fW runs one length further than the sources: every target
+    lies in fW with length <= bound + 1, so the walk's first step into it
+    gives it its smallest reduced word (see ``AffineWeyl._ball``)."""
     return [
         CellEdge(frm=y, to=w, witness=i)
-        for y in aw.enumerate_fW(bound)
-        for i in range(len(aw.gens))
-        for w in provider.kl_gen_targets(y, i)
+        for y in aw.enumerate_fW(bound + 1) if y.length <= bound
+        for i, targets in enumerate(provider.kl_gen_targets(y))
+        for w in targets
     ]
 
 

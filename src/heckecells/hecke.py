@@ -562,18 +562,24 @@ class ZeroBasisProvider:
     def asph_to_canonical(self, n: AsphElt):
         return self.asph.to_canonical(n)
 
-    def kl_gen_targets(self, y: AffineElement, i: int):
-        """Canonical-basis support of N_y (H_s + v), read off the W-graph:
-        y when ys < y, else ys (if in fW) and each z with zs < z and mu(z, y)
-        != 0, digit 1 of N_y's code at z (Kazhdan-Lusztig 1979, Soergel 1997)."""
+    def kl_gen_targets(self, y: AffineElement) -> list:
+        """Per generator s, the canonical-basis support of N_y (H_s + v), read
+        off the W-graph: y when ys < y, else ys (if in fW) and each z with
+        zs < z and mu(z, y) != 0, digit 1 of N_y's code at z (Kazhdan-Lusztig
+        1979, Soergel 1997).  The z with mu(z, y) != 0 are read once for all s."""
         aw = self.hecke.aw
-        ys = aw.mult_gen(y, i)
-        if ys.length < y.length:
-            return [y]
-        elts, codes, _ = self.asph._coded(y)
-        mus = [z for z, c in zip(elts, codes)
-               if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
-        return [ys] + mus if aw.in_fW(ys) else mus
+        out, mus = [], None
+        for i in range(len(aw.gens)):
+            ys = aw.mult_gen(y, i)
+            if ys.length < y.length:
+                out.append([y])
+                continue
+            if mus is None:
+                elts, codes, _ = self.asph._coded(y)
+                mus = [z for z, c in zip(elts, codes) if c >> _BITS & _MASK]
+            targets = [z for z in mus if aw.mult_gen(z, i).length < z.length]
+            out.append([ys] + targets if aw.in_fW(ys) else targets)
+        return out
 
 
 class TableBasisProvider:
@@ -603,10 +609,14 @@ class TableBasisProvider:
     def asph_to_canonical(self, n: AsphElt):
         return _to_canonical(n, self.asph_canonical, self.hecke.aw.sort_key)
 
-    def kl_gen_targets(self, y: AffineElement, i: int):
-        """Canonical-basis support of N_y (H_s + v), by leading-term
-        expansion: the W-graph rule of the 0-basis fails for p > 0."""
-        return self.asph_to_canonical(self.asph.mul_by_kl_gen(self.asph_canonical(y), i))
+    def kl_gen_targets(self, y: AffineElement) -> list:
+        """Per generator s, the canonical-basis support of N_y (H_s + v), by
+        leading-term expansion: the W-graph rule of the 0-basis fails for p > 0."""
+        ny = self.asph_canonical(y)
+        return [
+            self.asph_to_canonical(self.asph.mul_by_kl_gen(ny, i))
+            for i in range(len(self.hecke.aw.gens))
+        ]
 
 
 class Context(NamedTuple):

@@ -159,11 +159,8 @@ class FiniteWeylElement:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def _identity_matrix(n):

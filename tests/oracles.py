@@ -14,10 +14,12 @@ walks the rank-2 chain, the status oracle reads orbit names, the
 symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph,
 the table oracles sort, serialize and validate a table term by term, the
 coset oracles walk the left descents of every element anew and multiply by
-the stripped scalar once per reflection, the Levi oracles tally the grading
-degrees and the runs of a Levi subset one by one, and the stabilization
-oracles keep the chain's early exits and a running maximum.  The helpers at
-the end have callers only in the tests.
+the stripped scalar once per reflection, the word oracle descends greedily
+by general products, the step oracles take each generator step as a general
+product, the matrix oracle multiplies entry by entry, the target oracle
+scans N_y's codes for mu once per generator, the Levi oracles tally the
+grading degrees and the runs of a Levi subset one by one, and the
+stabilization oracles keep the chain's early exits and a running maximum.  The helpers at the end have callers only in the tests.
 """
 
 import itertools
@@ -542,6 +544,53 @@ def coset_project_oracle(aw, x: HeckeElt, strip) -> HeckeElt:
         n = out.get(rep)
         out[rep] = c if n is None else n + c
     return HeckeElt(out)
+
+
+def greedy_word(aw, a):
+    """Lexicographically smallest reduced word by uncached greedy descent."""
+    word = []
+    while a.length:
+        i = next(i for i, s in enumerate(aw.gens) if aw.mult(s, a).length < a.length)
+        word.append(i)
+        a = aw.mult(aw.gens[i], a)
+    return tuple(word)
+
+
+def mult_gen_oracle(aw, a, i):
+    """a . s_i as a general product, reading and filling no cached step."""
+    return aw.mult(a, aw.gens[i])
+
+
+def mult_gen_left_oracle(aw, i, a):
+    """s_i . a as a general product, reading and filling no cached step."""
+    return aw.mult(aw.gens[i], a)
+
+
+def mat_mul_oracle(a, b):
+    """Square matrix product, entry by entry."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def kl_gen_targets_oracle(provider, y, i):
+    """Canonical-basis support of N_y (H_s + v) for the 0-basis, scanning
+    N_y's codes for mu anew for each generator."""
+    aw = provider.hecke.aw
+    ys = aw.mult_gen(y, i)
+    if ys.length < y.length:
+        return [y]
+    elts, codes, _ = provider.asph._coded(y)
+    mus = [z for z, c in zip(elts, codes)
+           if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
+    return [ys] + mus if aw.in_fW(ys) else mus
+
+
+def built_elements(aw) -> list:
+    """Every element the context holds."""
+    return [a for rec in aw._records.values() for a in rec.elements.values()]
 
 
 def generate_finite_weyl(datum) -> list:

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
 from heckecells.hecke import HeckeElt, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
-from heckecells.rootdata import build_root_datum
+from heckecells.rootdata import _mat_mul, build_root_datum
 
 from oracles import (
+    built_elements,
     coset_project_oracle,
     from_finite,
     generate_finite_weyl,
+    greedy_word,
     left_descent_oracle,
     length_oracle,
+    mat_mul_oracle,
     min_coset_rep_oracle,
+    mult_gen_left_oracle,
+    mult_gen_oracle,
 )
 
 
@@ -89,16 +94,6 @@ def test_elements_are_interned(ctx):
                 assert twin == x and hash(twin) == hash(x) and twin is not x
 
 
-def greedy_word(aw, a):
-    """Lexicographically smallest reduced word by uncached greedy descent."""
-    word = []
-    while a.length:
-        i = next(i for i, s in enumerate(aw.gens) if aw.mult(s, a).length < a.length)
-        word.append(i)
-        a = aw.mult(aw.gens[i], a)
-    return tuple(word)
-
-
 @pytest.mark.parametrize("type_str,bound", [("A2", 8), ("C2", 8), ("G2", 8), ("B3", 6)])
 def test_element_caches_match_uncached_products(type_str, bound):
     aw = AffineWeyl(build_root_datum(type_str))
@@ -109,10 +104,75 @@ def test_element_caches_match_uncached_products(type_str, bound):
         assert aw.reduced_word(w) == greedy_word(aw, w)
         assert w.length == length_oracle(aw, w.fin, w.trans)
     # every memoized finite product is the product of its two factors
-    fins = {w.fin.mat: w.fin for w in aw._elements.values()}
+    fins = {w.fin.mat: w.fin for w in built_elements(aw)}
     assert aw._fin_products
     for (a, b), prod in aw._fin_products.items():
         assert prod == fins[a] * fins[b]
+
+
+STEP_BALLS = [
+    ("A1", 8), ("A2", 6), ("A3", 4), ("A4", 3), ("B2", 6), ("B3", 5), ("B4", 3),
+    ("C2", 6), ("C3", 5), ("C4", 3), ("D4", 3), ("F4", 3), ("G2", 7), ("E6", 2),
+]
+
+
+@pytest.mark.parametrize("type_str,radius", STEP_BALLS)
+def test_generator_steps_match_general_products(type_str, radius):
+    # each step taken from the finite part's record, on a ball built by
+    # general products and on its Omega-translates on both sides, against the
+    # general product; the elements are rebuilt in a fresh context longest
+    # first, so steps down as well as up build new elements, and every
+    # element there has the oracle's length
+    aw = AffineWeyl(build_root_datum(type_str))
+    ball = list(bfs_ball(aw, radius))
+    elems = ball + [aw.mult(om, w) for om in aw.omega[1:] for w in ball]
+    elems += [aw.mult(w, om) for om in aw.omega[1:] for w in ball]
+    fresh = AffineWeyl(aw.datum)
+    for x in sorted(elems, key=lambda a: -a.length):
+        x = fresh.element(x.fin, x.trans)
+        for i in range(len(fresh.gens)):
+            assert fresh.mult_gen(x, i) is mult_gen_oracle(fresh, x, i)
+            assert fresh.mult_gen_left(i, x) is mult_gen_left_oracle(fresh, i, x)
+    for y in built_elements(fresh):
+        assert y.length == length_oracle(fresh, y.fin, y.trans)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "C2", "G2", "B3"])
+def test_step_records_fill_only_steps_taken(type_str):
+    # a record entry is filled exactly when an element of that finite part
+    # took that step: a new context and each later walk fill no entry ahead
+    aw = AffineWeyl(build_root_datum(type_str))
+
+    def filled(side):
+        return {
+            (id(rec), i) for rec in aw._records.values()
+            for i, entry in enumerate(getattr(rec, side)) if entry is not None
+        }
+
+    def taken(side):
+        return {
+            (id(a.rec), i) for a in built_elements(aw)
+            for i, b in enumerate(getattr(a, side)) if b is not None
+        }
+
+    stages = (
+        lambda: None,
+        lambda: aw.enumerate_fW(6),
+        lambda: [aw.min_coset_rep(aw.translation((k,) * aw.datum.rank)) for k in range(-3, 4)],
+        lambda: [aw.to_word(aw.mult(om, w)) for om in aw.omega for w in aw.enumerate_W(4)],
+    )
+    for stage in stages:
+        stage()
+        assert filled("right") == taken("right")
+        assert filled("left") == taken("left")
+
+
+def test_mat_mul_matches_entrywise_product():
+    for t in ("A3", "B3", "G2", "F4"):
+        d = build_root_datum(t)
+        mats = [s.mat for s in d.simple_reflections] + [d.reflection(d.highest_root).mat]
+        for a, b in itertools.product(mats, repeat=2):
+            assert _mat_mul(a, b) == mat_mul_oracle(a, b)
 
 
 # -- length -----------------------------------------------------------------
@@ -266,14 +326,14 @@ def test_descent_decisions_build_only_the_path_taken():
     fresh = [a for a in fresh if a.left == [None] * 3]
     assert len(fresh) > 40
     # in_fW builds no element and fills no left slot
-    count = len(aw._elements)
+    count = len(built_elements(aw))
     for a in fresh:
         aw.in_fW(a)
         assert a.left == [None] * 3
-    assert len(aw._elements) == count
+    assert len(built_elements(aw)) == count
     # reduced_word and min_coset_rep fill at most one left slot per step
     def filled():
-        return sum(x is not None for e in aw._elements.values() for x in e.left)
+        return sum(x is not None for e in built_elements(aw) for x in e.left)
 
     for a in fresh:
         if aw.in_affine_weyl(a):
@@ -533,10 +593,10 @@ def test_ball_words_are_greedy_words(type_str, bound):
 @pytest.mark.parametrize("type_str,bound", BALL_SIZES)
 def test_enumerate_fW_builds_only_the_ball_and_its_neighbours(type_str, bound):
     aw = AffineWeyl(build_root_datum(type_str))
-    built = set(aw._elements.values())
+    built = set(built_elements(aw))
     ball = aw.enumerate_fW(bound)
     neighbours = {ws for w in ball for ws in w.right if ws is not None}
-    assert set(aw._elements.values()) <= built | set(ball) | neighbours
+    assert set(built_elements(aw)) <= built | set(ball) | neighbours
 
 
 def test_omega_group(ctx):

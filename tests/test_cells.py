@@ -15,16 +15,18 @@ from heckecells.cells import (
     right_cells,
     stabilization_n,
 )
-from heckecells.hecke import TableBasisProvider, table_from_zero_basis
+from heckecells.hecke import TableBasisProvider, build_context, table_from_zero_basis
 from heckecells.laurent import LaurentPoly
 
 from heckecells.rootdata import build_root_datum
 
 from oracles import (
     asph_canonical_oracle,
+    built_elements,
     decompose_oracle,
     enumerated_generation_sets,
     from_finite,
+    greedy_word,
     kl_gen,
     observed_stabilization_bound_oracle,
     stabilization_n_oracle,
@@ -96,6 +98,23 @@ def test_wgraph_edges_match_leading_term_expansion(ctx, type_str, L):
         )
     }
     assert set(edges) == oracle
+
+
+@pytest.mark.parametrize("type_str,L,m", [("A2", 10, 3), ("C2", 12, 4), ("G2", 14, 4), ("B3", 8, 3)])
+def test_boundary_nodes_hold_ball_words(type_str, L, m):
+    # the length-(L+1) targets get their words from the walk over fW, so
+    # sorting them builds nothing beyond the walk and the right neighbours of
+    # the sources, none of them outside fW
+    c = build_context(type_str)
+    aw = c.aw
+    before = set(built_elements(aw))
+    part = right_cells(aw, L, m, c.provider)
+    shell = [w for w in part.cell_of if w.length == L + 1]
+    assert shell and all(w.word is not None for w in shell)
+    ball = aw.enumerate_fW(L + 1)
+    neighbours = {ys for y in ball if y.length <= L for ys in y.right if ys is not None}
+    assert set(built_elements(aw)) <= before | set(ball) | neighbours
+    assert all(w.word == greedy_word(aw, w) for w in shell)
 
 
 def test_identity_is_singleton_cell(ctx):

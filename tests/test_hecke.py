@@ -27,6 +27,7 @@ from oracles import (
     in_positive_part,
     is_nonnegative,
     kl_gen,
+    kl_gen_targets_oracle,
     kl_mul,
     kl_oracle,
     laurent_canonical,
@@ -111,7 +112,9 @@ def test_coded_recursion_matches_laurent_recursion(type_str, bound):
     for y in aw.enumerate_fW(bound):
         ny = laurent_canonical(aw, c.asph.mul_by_kl_gen, asph_memo, y)
         assert c.asph.canonical(y) == ny, y
-        for i in range(len(aw.gens)):
+        targets = c.provider.kl_gen_targets(y)
+        assert len(targets) == len(aw.gens)
+        for i, got in enumerate(targets):
             ys = aw.mult_gen(y, i)
             if ys.length < y.length:
                 expected = [y]
@@ -121,8 +124,8 @@ def test_coded_recursion_matches_laurent_recursion(type_str, bound):
                     z for z, n in ny.terms.items()
                     if n.coeff(1) and aw.mult_gen(z, i).length < z.length
                 ]
-            got = c.provider.kl_gen_targets(y, i)
             assert sorted(got, key=aw.sort_key) == sorted(expected, key=aw.sort_key)
+            assert got == kl_gen_targets_oracle(c.provider, y, i)
 
 
 @pytest.mark.parametrize(
