@@ -42,7 +42,7 @@ def main() -> int:
             K = cell_generators(aw, consts, part, cid)
             orbit = table.orbit_of_cell(cid)
             name = orbit.name if orbit else "?"
-            members = sorted(part.cells[cid], key=aw.sort_key)
+            members = part.cells[cid]
             print(
                 f"  cell {cid} ({name}): {len(members)} members in range, "
                 f"|K| = {len(K)}, shortest = {aw.to_word(members[0])}"

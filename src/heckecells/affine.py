@@ -18,8 +18,10 @@ element (Bjorner-Brenti, 8.3).  A generator step changes the length by
 exactly one, and the record's step entries, filled on first use per
 generator and side, make it one pairing and one vector update: the record
 of w s_i (or s_i w), a right-descent pair, and for a left s0 step the shift
-w^-1(-theta).  General products memoize the product of each pair of finite
-parts.
+w^-1(-theta).  The dot-action walk that finds a weight's alcove takes its
+reflections by the same entries and translation update, and builds only the
+element it ends at.  General products memoize the product of each pair of
+finite parts.
 
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
@@ -81,10 +83,11 @@ class _FiniteRecord:
 
     ``elements`` maps lam to the context's element; ``flags`` are [w(a) < 0]
     over the positive roots; ``descents[i]`` is (c, n) with s_i . w t_lam
-    shorter iff <lam, c> < n.  The step entries are filled on first use:
-    ``right[i]`` is (record of w s_i, c, n) with w t_lam . s_i shorter iff
-    <lam, c> < n, and ``left[i]`` is (record of s_i w, shift) with s_i . w
-    t_lam = s_i w t_{lam + shift} (shift None for i >= 1).
+    shorter iff <lam, c> < n.  The step entries are filled on first use, by
+    an element's step or by :meth:`AffineWeyl.dot_walk`, which builds no
+    element on its way: ``right[i]`` is (record of w s_i, c, n) with w t_lam
+    . s_i shorter iff <lam, c> < n, and ``left[i]`` is (record of s_i w,
+    shift) with s_i . w t_lam = s_i w t_{lam + shift} (shift None for i >= 1).
     """
 
     __slots__ = ("fin", "elements", "flags", "descents", "right", "left")
@@ -126,18 +129,12 @@ class AffineWeyl:
         self._theta_coroot = d.affine_root.coroot
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
         self.identity.word = ()
-        finite_gens = tuple(
-            self.element(s, (0,) * d.rank) for s in d.simple_reflections
-        )
-        atilde = d.affine_root
-        s0 = self.element(
-            d.reflection(atilde), tuple(-c for c in atilde.fund)
-        )
+        s0 = self.element(d.reflection(d.affine_root), tuple(-c for c in d.affine_root.fund))
         if s0.length != 1:
             raise AssertionError("affine generator must have length 1")
-        self.affine_gen = s0
-        self.finite_gens = finite_gens
-        self.gens: tuple[AffineElement, ...] = (s0,) + finite_gens
+        self.gens: tuple[AffineElement, ...] = (s0,) + tuple(
+            self.element(s, (0,) * d.rank) for s in d.simple_reflections
+        )
         self.omega = self._build_omega()
         self._omega_inv = tuple(self.inverse(om) for om in self.omega)
 
@@ -228,11 +225,14 @@ class AffineWeyl:
             rec, lam = a.rec, a.trans
             nrec, c, n = rec.right[i] or self._right_step(rec, i)
             length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
-            k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
-            if k:
-                lam = tuple([x - k * r for x, r in zip(lam, self._step_roots[i])])
+            lam = self._step_trans(lam, i)
             out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, length)
         return out
+
+    def _step_trans(self, lam: Weight, i: int) -> Weight:
+        """The translation of w t_lam . s_i, whatever w: lam - k alpha_i."""
+        k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
+        return tuple([x - k * r for x, r in zip(lam, self._step_roots[i])]) if k else lam
 
     def mult_gen_left(self, i: int, a: AffineElement) -> AffineElement:
         """Left multiplication by the i-th simple generator, cached on a: the
@@ -446,34 +446,30 @@ class AffineWeyl:
         A step reflects in a wall the point lies strictly beyond; ties on a
         wall are broken by mu1, and with mu1 = 0 a point on a wall stays.
         Returns (w, nu) with w ._p nu = mu0, nu the end point's mu0 part.
+        Each reflection steps w to w s_i as :meth:`mult_gen` does, on w's
+        finite-part record and translation, and only w itself is built.
         """
-        d = self.datum
-        at = d.affine_root
+        d, theta = self.datum, self._theta_coroot
         nu0, nu1 = tuple(mu0), tuple(mu1)
-        fin, trans = d.identity_finite, (0,) * d.rank
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 100000:
-                raise UnsupportedRegimeError("weight too far from the fundamental alcove")
-            for i in range(d.rank):
-                c0, c1 = nu0[i] + d.rho[i], nu1[i]
+        rec, lam = self._record(d.identity_finite), (0,) * d.rank
+        for _ in range(100000):
+            # rho = (1, ..., 1), and <rho, theta^vee> = h - 1
+            for i in range(1, d.rank + 1):
+                c0, c1 = nu0[i - 1] + 1, nu1[i - 1]
                 if (c0, c1) < (0, 0):
-                    root, g = d.simple_roots[i].fund, self.finite_gens[i]
                     break
             else:
-                c0 = sum(c * (x + r) for c, x, r in zip(at.coroot, nu0, d.rho)) - p
-                c1 = sum(c * x for c, x in zip(at.coroot, nu1))
+                c0 = sum(map(mul, theta, nu0)) + d.coxeter_number - 1 - p
+                c1 = sum(map(mul, theta, nu1))
                 if (c0, c1) <= (0, 0):
-                    break
-                root, g = at.fund, self.affine_gen
-            # s ._p nu = nu - c * root, where c is nu's signed distance past the wall
+                    return self.element(rec.fin, lam), nu0
+                i = 0
+            # s ._p nu = nu - c * alpha_i, c being nu's signed distance past the wall
+            root = self._step_roots[i]
             nu0 = tuple(x - c0 * r for x, r in zip(nu0, root))
             nu1 = tuple(x - c1 * r for x, r in zip(nu1, root))
-            # w <- w . s, as in mult, with the length computed once at the end
-            fin = fin * g.fin
-            trans = tuple(x + y for x, y in zip(g.fin.apply_inverse(trans), g.trans))
-        return self.element(fin, trans), nu0
+            rec, lam = (rec.right[i] or self._right_step(rec, i))[0], self._step_trans(lam, i)
+        raise UnsupportedRegimeError("weight too far from the fundamental alcove")
 
     def alcove_of(self, lam, p: int) -> Alcove:
         """The alcove whose lower closure contains the dominant weight lam.

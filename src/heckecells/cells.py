@@ -40,7 +40,7 @@ class CellEdge:
 class CellPartition:
     length_bound: int
     margin: int
-    cells: list[frozenset[AffineElement]]
+    cells: list[tuple[AffineElement, ...]]  # each in (length, word) order
     trusted: list[bool]
     cell_of: dict[AffineElement, int]
     reach: list[frozenset[int]]  # cell ids reachable from each cell (incl. itself)
@@ -124,7 +124,7 @@ def right_cells(
     # order in which the search visits nodes, so nothing is sorted for it.
     emitted = _strongly_connected_components(succ, succ)
     comps = sorted(
-        (sorted(c, key=aw.sort_key) for c in emitted), key=lambda c: aw.sort_key(c[0])
+        (tuple(sorted(c, key=aw.sort_key)) for c in emitted), key=lambda c: aw.sort_key(c[0])
     )
 
     cell_of = {}
@@ -150,7 +150,7 @@ def right_cells(
     return CellPartition(
         length_bound=bound,
         margin=margin,
-        cells=[frozenset(c) for c in comps],
+        cells=comps,
         trusted=trusted,
         cell_of=cell_of,
         reach=reach,
@@ -175,13 +175,12 @@ def leq_R(
 def export_partition_json(aw: AffineWeyl, partition: CellPartition) -> dict:
     cells = []
     for i, comp in enumerate(partition.cells):
-        members = sorted(comp, key=aw.sort_key)
         cells.append(
             {
                 "id": i,
                 "trusted": partition.trusted[i],
-                "size": len(members),
-                "members": [aw.to_word(w) for w in members],
+                "size": len(comp),
+                "members": [aw.to_word(w) for w in comp],
             }
         )
     n = len(partition.cells)

@@ -524,7 +524,7 @@ def _json_rows(text: str) -> tuple:
     makes them."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise BasisTableError(f"bad JSON table: {e}") from e
     rows = [(rec["w"], rec["terms"]) for rec in obj.get("entries", [])]
     return obj.get("p"), obj.get("provenance", ""), rows
@@ -533,7 +533,11 @@ def _json_rows(text: str) -> tuple:
 def load_basis_table(aw: AffineWeyl, path) -> CanonicalBasisTable:
     """Read and validate a canonical-basis table from a file path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return CanonicalBasisTable.parse(aw, fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise BasisTableError(f"table is not UTF-8: {e}") from e
+    return CanonicalBasisTable.parse(aw, text)
 
 
 def table_from_zero_basis(hecke: Hecke, bound: int, provenance: str = "self") -> CanonicalBasisTable:

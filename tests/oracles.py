@@ -17,7 +17,8 @@ coset oracles walk the left descents of every element anew and multiply by
 the stripped scalar once per reflection, the word oracle descends greedily
 by general products, the step oracles take each generator step as a general
 product, the matrix oracle multiplies entry by entry, the target oracle
-scans N_y's codes for mu once per generator, the Levi oracles tally the
+scans N_y's codes for mu once per generator, the dot-walk oracle composes
+its element by one matrix product per reflection, the Levi oracles tally the
 grading degrees and the runs of a Levi subset one by one, and the
 stabilization oracles keep the chain's early exits and a running maximum.  The helpers at the end have callers only in the tests.
 """
@@ -586,6 +587,39 @@ def kl_gen_targets_oracle(provider, y, i):
     mus = [z for z, c in zip(elts, codes)
            if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
     return [ys] + mus if aw.in_fW(ys) else mus
+
+
+def dot_walk_oracle(aw, mu0, mu1, p: int):
+    """``AffineWeyl.dot_walk`` composing the element as (finite part,
+    translation) by one matrix product per reflection, as ``mult`` does,
+    with the length computed once at the end."""
+    d = aw.datum
+    at = d.affine_root
+    nu0, nu1 = tuple(mu0), tuple(mu1)
+    fin, trans = d.identity_finite, (0,) * d.rank
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 100000:
+            raise UnsupportedRegimeError("weight too far from the fundamental alcove")
+        for i in range(d.rank):
+            c0, c1 = nu0[i] + d.rho[i], nu1[i]
+            if (c0, c1) < (0, 0):
+                root, g = d.simple_roots[i].fund, aw.gens[i + 1]
+                break
+        else:
+            c0 = sum(c * (x + r) for c, x, r in zip(at.coroot, nu0, d.rho)) - p
+            c1 = sum(c * x for c, x in zip(at.coroot, nu1))
+            if (c0, c1) <= (0, 0):
+                break
+            root, g = at.fund, aw.gens[0]
+        # s ._p nu = nu - c * root, where c is nu's signed distance past the wall
+        nu0 = tuple(x - c0 * r for x, r in zip(nu0, root))
+        nu1 = tuple(x - c1 * r for x, r in zip(nu1, root))
+        # w <- w . s, as in mult, with the length computed once at the end
+        fin = fin * g.fin
+        trans = tuple(x + y for x, y in zip(g.fin.apply_inverse(trans), g.trans))
+    return aw.element(fin, trans), nu0
 
 
 def built_elements(aw) -> list:

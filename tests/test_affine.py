@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
 from heckecells.hecke import HeckeElt, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
-from heckecells.rootdata import _mat_mul, build_root_datum
+from heckecells.rootdata import FiniteWeylElement, _mat_mul, build_root_datum
 
 from oracles import (
     built_elements,
     coset_project_oracle,
+    dot_walk_oracle,
     from_finite,
     generate_finite_weyl,
     greedy_word,
@@ -140,7 +141,9 @@ def test_generator_steps_match_general_products(type_str, radius):
 @pytest.mark.parametrize("type_str", ["A2", "C2", "G2", "B3"])
 def test_step_records_fill_only_steps_taken(type_str):
     # a record entry is filled exactly when an element of that finite part
-    # took that step: a new context and each later walk fill no entry ahead
+    # took that step: a new context and each later ball walk fill no entry
+    # ahead.  A dot-action walk also fills the entries it steps through, but
+    # keeps only its end element, and no stage here calls one.
     aw = AffineWeyl(build_root_datum(type_str))
 
     def filled(side):
@@ -365,16 +368,16 @@ def test_reduced_word_stores_one_word(type_str):
 def test_coset_minimality_examples(ctx):
     aw = ctx("C2").aw
     assert aw.in_fW(aw.identity) and aw.in_fWf(aw.identity)
-    for s in aw.finite_gens:
+    for s in aw.gens[1:]:
         assert not aw.in_fW(s) and not aw.in_fWf(s)
-    assert aw.in_fW(aw.affine_gen) and aw.in_fWf(aw.affine_gen)
+    assert aw.in_fW(aw.gens[0]) and aw.in_fWf(aw.gens[0])
 
 
 def test_w_lambda_examples(ctx):
     aw = ctx("A1").aw
     assert aw.w_lambda((0,)) == aw.identity
     assert aw.w_lambda((2,)) == aw.translation((2,))
-    assert aw.w_lambda((-2,)) == aw.affine_gen
+    assert aw.w_lambda((-2,)) == aw.gens[0]
     # brute-force minimization over the finite Weyl group
     d = ctx("A1").datum
     for lam in [(-4,), (4,), (-6,)]:
@@ -491,7 +494,7 @@ def test_dot_action_examples(ctx):
     aw = ctx("A1").aw
     assert aw.dot_action(aw.identity, (3,), 5) == (3,)
     assert aw.dot_action(aw.translation((2,)), (0,), 5) == (10,)
-    assert aw.dot_action(aw.affine_gen, (0,), 5) == (8,)
+    assert aw.dot_action(aw.gens[0], (0,), 5) == (8,)
 
 
 @settings(max_examples=50, deadline=None)
@@ -515,7 +518,7 @@ def test_alcove_examples(ctx):
     aw = ctx("A1").aw
     assert aw.alcove_of((0,), 5).element == aw.identity
     alc = aw.alcove_of((5,), 5)
-    assert alc.element == aw.affine_gen
+    assert alc.element == aw.gens[0]
     assert alc.floors == (1,)
 
 
@@ -540,6 +543,53 @@ def test_alcove_low_p_rejected(ctx):
     aw = ctx("C2").aw
     with pytest.raises(UnsupportedRegimeError):
         aw.alcove_of((0, 0), 3)
+
+
+def _outcome(walk, mu0, mu1, p):
+    """(element, nu) of a walk, or (exception type, message) if it raises."""
+    try:
+        return walk(mu0, mu1, p)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_dot_walk_matches_oracle():
+    # the walk on step records against the walk by one matrix product per
+    # reflection, each in its own context: dominant, non-dominant and wall
+    # weights, tie-breaking by rho and none, p = h, h + 1 and a prime above
+    rng = random.Random(20)
+    for t in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+              "D4", "D5", "F4", "G2", "E6"):
+        d = build_root_datum(t)
+        aw, ref = AffineWeyl(d), AffineWeyl(d)
+        h, rank = d.coxeter_number, d.rank
+        prime = next(q for q in itertools.count(h + 2) if all(q % k for k in range(2, q)))
+        for p in (h, h + 1, prime):
+            weights = [(-1,) * rank] + [
+                tuple(rng.randint(lo, 3 * p) for _ in range(rank))
+                for lo in (0, -3 * p, -3 * p)
+            ]
+            for mu0, mu1 in itertools.product(weights, ((0,) * rank, d.rho)):
+                got = _outcome(aw.dot_walk, mu0, mu1, p)
+                want = _outcome(lambda *a: dot_walk_oracle(ref, *a), mu0, mu1, p)
+                assert got == want
+        # a weight of the wrong length fails alike
+        got = _outcome(aw.dot_walk, (), d.rho, h + 1)
+        assert got[0] is IndexError
+        assert got == _outcome(lambda *a: dot_walk_oracle(ref, *a), (), d.rho, h + 1)
+
+
+def test_dot_walk_builds_only_its_result(monkeypatch):
+    # 10 000 reflections take their finite parts from the records: at most
+    # |W_f| (rank + 1) = 4 finite products, and only the alcove's element is new
+    aw = AffineWeyl(build_root_datum("A1"))
+    before = built_elements(aw)
+    products, mul = [], FiniteWeylElement.__mul__
+    monkeypatch.setattr(FiniteWeylElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    alc = aw.alcove_of((50000,), 5)
+    assert len(products) <= 4
+    after = built_elements(aw)
+    assert len(after) == len(before) + 1 and alc.element in after and alc.element not in before
 
 
 # -- enumeration, omega, serialization ------------------------------------------

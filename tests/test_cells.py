@@ -122,7 +122,19 @@ def test_identity_is_singleton_cell(ctx):
         c = ctx(t)
         part = small_partition(c, 8, 2)
         cid = part.cell_index(c.aw.identity)
-        assert part.cells[cid] == frozenset({c.aw.identity})
+        assert part.cells[cid] == (c.aw.identity,)
+
+
+def test_cells_held_in_sort_order(ctx):
+    # each cell is a tuple in (length, word) order, and the cells are ordered
+    # by their first members
+    for t in ("A2", "C2", "G2"):
+        c = ctx(t)
+        part = small_partition(c, 10, 3)
+        for cell in part.cells:
+            assert type(cell) is tuple and list(cell) == sorted(cell, key=c.aw.sort_key)
+        firsts = [c.aw.sort_key(cell[0]) for cell in part.cells]
+        assert firsts == sorted(firsts)
 
 
 def test_leq_R_examples(ctx):
@@ -299,7 +311,7 @@ def test_cells_under_modified_p_table(ctx, tmp_path):
     provider = TableBasisProvider(c.hecke, c.asph, loaded)
     part = right_cells(aw, 8, 2, provider)
     assert part.basis_p == 2
-    assert part.cells[part.cell_index(aw.identity)] == frozenset({aw.identity})
+    assert part.cells[part.cell_index(aw.identity)] == (aw.identity,)
 
 
 def test_cells_error_on_incomplete_table(ctx):
@@ -565,7 +577,7 @@ def test_cell_generators_g2_all_cells(ctx):
     part = right_cells(aw, 24, 8, c.provider)
     for cid in part.trusted_cells():
         K = cell_generators(aw, consts, part, cid)
-        assert K <= part.cells[cid]
+        assert K <= set(part.cells[cid])
         assert K
 
 

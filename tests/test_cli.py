@@ -290,6 +290,18 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["code"] == 4
 
+    # a file that cannot be decoded is a data error too: bytes that are not
+    # UTF-8, and JSON nested deeper than the parser's recursion limit
+    for name, data in (
+        ("not_utf8.txt", b"p 0\n\xff\xfe w=e : e:1*v^0\n"),
+        ("deep.json", b'{"p":0,"entries":' + b"[" * 100000 + b"]" * 100000 + b"}"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["kl", "--type", "A1", "--w", "s0", "--basis", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and json.loads(err)["code"] == 4
+
     # an entry outside W (here the length-zero omega:1) is a data error
     # that names the entry, not a usage error raised later by the query
     outside = tmp_path / "omega_entry.json"

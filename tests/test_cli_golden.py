@@ -74,6 +74,20 @@ GOLDEN = [
      "c1119b01d3ab4ee6274f1d041b985c51583935c138262a65685bfea7aad79177"),
     ("humphreys --type A3 --p 7 --lambda 1,0,1",
      "4f10c1aa2aa81daf67f83228b7676a59679e56253df86df00a00b2a7ec353d15"),
+    # recorded before the dot-action walk stepped on the finite-part records:
+    # walks from far out, on every rank the walk serves
+    ("alcove --type A1 --p 5 --lambda 50000",
+     "f7b00f7eabe3117438f566b2db744382a3a39d25bbf275fa47e02b46a600856d"),
+    ("alcove --type B3 --p 7 --lambda 40,3,11",
+     "9d37a0cbdca148e55fdb562ea5941f241a28e4d85c8fa52302b3f88844ede013"),
+    ("alcove --type E6 --p 13 --lambda 5,0,2,1,0,7",
+     "66ea4000eb06ee72c3a797a0ae925dd284e579dc873953337ad6f932ccbed1b1"),
+    ("alcove --type F4 --p 13 --lambda 9,1,0,4",
+     "13d284609ea3ab9fbf3e31dd4e05b2efb2d051feec784f58bb3618856444766f"),
+    ("humphreys --type C2 --p 7 --lambda 400,9 --len 20 --margin 6",
+     "8a72431720cbd01b1d51dfa581c33503bea7693666b6a50755542d298dfb8e4e"),
+    ("humphreys --type G2 --p 11 --lambda 250,31",
+     "0388a2a2400296055417e49c79f618d899d22bb9ae3f6509e490a0768b1a0830"),
 ]
 
 
