@@ -11,17 +11,15 @@ The length function is the Iwahori-Matsumoto hyperplane count
                   + sum_{a>0, w(a)<0} |1 + <lambda, a^vee>|.
 
 Each finite part w gets one record, which every element w t_lambda points
-to.  It holds w's elements by translation; the flags [w(a) < 0], so that a
-length costs one pairing per root; and one (coroot, bound) pair per
-generator, so that deciding a left descent costs one pairing and builds no
-element (Bjorner-Brenti, 8.3).  A generator step changes the length by
-exactly one, and the record's step entries, filled on first use per
-generator and side, make it one pairing and one vector update: the record
-of w s_i (or s_i w), a right-descent pair, and for a left s0 step the shift
-w^-1(-theta).  The dot-action walk that finds a weight's alcove takes its
-reflections by the same entries and translation update, and builds only the
-element it ends at.  General products memoize the product of each pair of
-finite parts.
+to.  It holds w's elements by translation, and every other entry is filled
+on first use: the flags [w(a) < 0], by the first length computed from
+scratch; per generator, a (coroot, bound) pair that decides a left descent
+by one pairing and builds no element (Bjorner-Brenti, 8.3); per generator
+and side, a step entry; per finite part w', the record of w w'.  A generator
+step changes the length by exactly one; a right step moves lambda to
+lambda - k alpha_i, and k with the flag [w(alpha_i) < 0] held in its entry
+decides which way.  The dot-action walk that finds a weight's alcove steps
+by the same entries and builds only the element it ends at.
 
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
@@ -81,23 +79,25 @@ class AffineElement:
 class _FiniteRecord:
     """What one finite part w decides for all its elements w t_lam.
 
-    ``elements`` maps lam to the context's element; ``flags`` are [w(a) < 0]
-    over the positive roots; ``descents[i]`` is (c, n) with s_i . w t_lam
-    shorter iff <lam, c> < n.  The step entries are filled on first use, by
-    an element's step or by :meth:`AffineWeyl.dot_walk`, which builds no
-    element on its way: ``right[i]`` is (record of w s_i, c, n) with w t_lam
-    . s_i shorter iff <lam, c> < n, and ``left[i]`` is (record of s_i w,
-    shift) with s_i . w t_lam = s_i w t_{lam + shift} (shift None for i >= 1).
+    ``elements`` maps lam to the context's element.  Every other entry is
+    filled on first use: ``flags``, [w(a) < 0] over the positive roots, by a
+    length computed from scratch; ``descents[i]``, (c, n) with s_i . w t_lam
+    shorter iff <lam, c> < n, by a left descent test or step; ``right[i]``,
+    (record of w s_i, [w(alpha_i) < 0]), by a right step of an element or of
+    :meth:`AffineWeyl.dot_walk`; ``left[i]``, (record of s_i w, shift) with
+    s_i . w t_lam = s_i w t_{lam + shift} (shift None for i >= 1), by a left
+    step; ``products[r]``, the record of w times r's finite part, by
+    :meth:`AffineWeyl.mult`.
     """
 
-    __slots__ = ("fin", "elements", "flags", "descents", "right", "left")
+    __slots__ = ("fin", "elements", "flags", "descents", "right", "left", "products")
 
-    def __init__(self, fin: FiniteWeylElement, flags: tuple, descents: tuple):
+    def __init__(self, fin: FiniteWeylElement, ngens: int):
         self.fin = fin
         self.elements: dict[Weight, AffineElement] = {}
-        self.flags = flags
-        self.descents = descents
-        self.right, self.left = [None] * len(descents), [None] * len(descents)
+        self.flags = None
+        self.descents, self.right, self.left = [None] * ngens, [None] * ngens, [None] * ngens
+        self.products: dict[_FiniteRecord, _FiniteRecord] = {}
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,7 @@ class AffineWeyl:
         self.datum = datum
         d = datum
         self._records: dict[tuple, _FiniteRecord] = {}
-        self._fin_products: dict[tuple, FiniteWeylElement] = {}
-        # alpha_i per generator, alpha_0 the affine root theta; a right step
-        # moves lam to lam - k alpha_i, k = lam_i for i >= 1 and
-        # <lam, theta^vee> + 1 for s0, whatever the finite part
+        # alpha_i per generator, alpha_0 the affine root theta
         self._step_roots = (d.affine_root.fund,) + tuple(r.fund for r in d.simple_roots)
         self._theta_coroot = d.affine_root.coroot
         self.identity = self.element(d.identity_finite, (0,) * d.rank)
@@ -142,51 +139,64 @@ class AffineWeyl:
 
     def element(self, fin: FiniteWeylElement, trans) -> AffineElement:
         """The context's one instance of fin . t_trans; its length is computed once."""
-        trans = tuple(trans)
-        rec = self._record(fin)
-        out = rec.elements.get(trans)
-        if out is None:
-            out = self._new(rec, trans, self._length(rec, trans))
-        return out
+        return self._at(self._record(fin), tuple(trans))
+
+    def _at(self, rec: _FiniteRecord, trans: Weight) -> AffineElement:
+        """rec's element at trans; a new one gets its length from scratch."""
+        return rec.elements.get(trans) or self._new(rec, trans, self._length(rec, trans))
+
+    def _length(self, rec: _FiniteRecord, trans: Weight) -> int:
+        """One pairing per positive root against rec's flags, filled by the
+        first call."""
+        roots = self.datum.positive_roots
+        if rec.flags is None:
+            pos, fin = self.datum._posroot_fund, rec.fin
+            rec.flags = tuple(int(fin.apply(r.fund) not in pos) for r in roots)
+        return sum(abs(sum(map(mul, r.coroot, trans)) + f) for r, f in zip(roots, rec.flags))
 
     def _new(self, rec: _FiniteRecord, trans: Weight, length: int) -> AffineElement:
-        out = rec.elements[trans] = AffineElement(rec, trans, length, len(rec.descents))
+        out = rec.elements[trans] = AffineElement(rec, trans, length, len(rec.right))
         return out
 
     def _record(self, fin: FiniteWeylElement) -> _FiniteRecord:
-        """The record of the finite part w, built once with its flags and
-        left-descent pairs; its step entries stay empty until used."""
+        """The record of the finite part w, built once with no entry filled."""
         rec = self._records.get(fin.mat)
         if rec is None:
-            d, inv, pos = self.datum, fin.inverse(), self.datum._posroot_fund
-            flags = tuple(int(fin.apply(r.fund) not in pos) for r in d.positive_roots)
-            descents = tuple(
-                self._descent_pair(inv.apply(root), i) for i, root in enumerate(self._step_roots)
-            )
-            rec = self._records[fin.mat] = _FiniteRecord(fin, flags, descents)
+            rec = self._records[fin.mat] = _FiniteRecord(fin, len(self._step_roots))
         return rec
 
-    def _descent_pair(self, beta: Weight, i: int) -> tuple:
-        """(c, n) with s_i . w t_lam shorter than w t_lam iff <lam, c> < n, for
-        beta = w^-1(alpha_i) (the affine root theta for i = 0).  With k =
-        <lam, beta^vee> and n0 = [beta < 0], the test is k < n0 for i >= 1
-        and k > n0 for i = 0."""
+    def _descent(self, rec: _FiniteRecord, i: int) -> tuple:
+        """Fill rec.descents[i]: (c, n) with s_i . w t_lam shorter than w t_lam
+        iff <lam, c> < n.  With beta = w^-1(alpha_i) (the affine root theta
+        for i = 0), k = <lam, beta^vee> and n0 = [beta < 0], the test is
+        k < n0 for i >= 1 and k > n0 for i = 0."""
         pos = self.datum._posroot_fund
+        beta = rec.fin.apply_inverse(self._step_roots[i])
         n0 = int(beta not in pos)
         coroot = pos[tuple(-x for x in beta) if n0 else beta].coroot
         # c = beta^vee; for s0, c and n are negated so that k > n0 reads c < n
         sign = (-1) ** (n0 + (i == 0))
-        return tuple(sign * c for c in coroot), -n0 if i == 0 else n0
+        pair = rec.descents[i] = tuple(sign * c for c in coroot), -n0 if i == 0 else n0
+        return pair
 
-    def _right_step(self, rec: _FiniteRecord, i: int) -> tuple:
-        """Fill rec.right[i].  x s_i < x iff s_i x^-1 < x^-1, and x^-1 =
-        w^-1 t_{-w(lam)}: with (c, n) the left-descent pair of w^-1, the test
-        <-w(lam), c> < n is <lam, c'> < n for c' = -W^T c."""
-        fin = rec.fin
-        c, n = self._descent_pair(fin.apply(self._step_roots[i]), i)
-        c = tuple(-sum(map(mul, col, c)) for col in zip(*fin.mat))
-        step = rec.right[i] = (self._record(fin * self.gens[i].fin), c, n)
-        return step
+    def _right_step(self, rec: _FiniteRecord, lam: Weight, i: int) -> tuple:
+        """(record of w s_i, translation, length change) for w t_lam . s_i.
+
+        The translation is lam - k alpha_i, whatever w, with k = lam_i for
+        i >= 1 and <lam, theta^vee> + 1 for s0.  With the entry's flag
+        f = [w(alpha_i) < 0], the step goes down iff k + f > 0 for i >= 1
+        and iff k + f <= 0 for s0; rec.right[i] is filled on first use.
+        """
+        step = rec.right[i]
+        if step is None:
+            fin = rec.fin
+            f = int(fin.apply(self._step_roots[i]) not in self.datum._posroot_fund)
+            step = rec.right[i] = (self._record(fin * self.gens[i].fin), f)
+        nrec, f = step
+        k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
+        if k:
+            lam = tuple([x - k * r for x, r in zip(lam, self._step_roots[i])])
+        return nrec, lam, -1 if (k + f > 0) == (i > 0) else 1
 
     def _left_step(self, rec: _FiniteRecord, i: int) -> tuple:
         """Fill rec.left[i]: s0 . w t_lam = s_theta w t_{w^-1(-theta) + lam},
@@ -196,12 +206,6 @@ class AffineWeyl:
         step = rec.left[i] = (self._record(g.fin * rec.fin), shift)
         return step
 
-    def _length(self, rec: _FiniteRecord, trans) -> int:
-        return sum(
-            abs(sum(map(mul, r.coroot, trans)) + f)
-            for r, f in zip(self.datum.positive_roots, rec.flags)
-        )
-
     def translation(self, lam) -> AffineElement:
         return self.element(self.datum.identity_finite, lam)
 
@@ -209,30 +213,20 @@ class AffineWeyl:
 
     def mult(self, a: AffineElement, b: AffineElement) -> AffineElement:
         # (w t_lam)(w' t_mu) = w w' t_{w'^{-1}(lam) + mu}
-        key = (a.fin.mat, b.fin.mat)
-        fin = self._fin_products.get(key)
-        if fin is None:
-            fin = self._fin_products[key] = a.fin * b.fin
+        rec = a.rec.products.get(b.rec)
+        if rec is None:
+            rec = a.rec.products[b.rec] = self._record(a.fin * b.fin)
         moved = b.fin.apply_inverse(a.trans)
-        trans = tuple(x + y for x, y in zip(moved, b.trans))
-        return self.element(fin, trans)
+        return self._at(rec, tuple([x + y for x, y in zip(moved, b.trans)]))
 
     def mult_gen(self, a: AffineElement, i: int) -> AffineElement:
-        """Right multiplication by the i-th simple generator, cached on a: one
-        pairing decides the length, lam - k alpha_i is the translation."""
+        """Right multiplication by the i-th simple generator, cached on a and
+        read off the record's right entry (see :meth:`_right_step`)."""
         out = a.right[i]
         if out is None:
-            rec, lam = a.rec, a.trans
-            nrec, c, n = rec.right[i] or self._right_step(rec, i)
-            length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
-            lam = self._step_trans(lam, i)
-            out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, length)
+            nrec, lam, change = self._right_step(a.rec, a.trans, i)
+            out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, a.length + change)
         return out
-
-    def _step_trans(self, lam: Weight, i: int) -> Weight:
-        """The translation of w t_lam . s_i, whatever w: lam - k alpha_i."""
-        k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
-        return tuple([x - k * r for x, r in zip(lam, self._step_roots[i])]) if k else lam
 
     def mult_gen_left(self, i: int, a: AffineElement) -> AffineElement:
         """Left multiplication by the i-th simple generator, cached on a: the
@@ -241,7 +235,7 @@ class AffineWeyl:
         if out is None:
             rec, lam = a.rec, a.trans
             nrec, shift = rec.left[i] or self._left_step(rec, i)
-            c, n = rec.descents[i]
+            c, n = rec.descents[i] or self._descent(rec, i)
             length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
             if shift is not None:
                 lam = tuple([x + y for x, y in zip(lam, shift)])
@@ -262,9 +256,9 @@ class AffineWeyl:
     def left_descent(self, a: AffineElement, start: int = 0) -> int | None:
         """The first generator i >= start with s_i a < a, or None; one
         pairing per generator tried, and no element is built."""
-        descents, trans = a.rec.descents, a.trans
-        for i in range(start, len(descents)):
-            c, n = descents[i]
+        rec, trans = a.rec, a.trans
+        for i in range(start, len(rec.descents)):
+            c, n = rec.descents[i] or self._descent(rec, i)
             if sum(map(mul, c, trans)) < n:
                 return i
         return None
@@ -447,11 +441,11 @@ class AffineWeyl:
         wall are broken by mu1, and with mu1 = 0 a point on a wall stays.
         Returns (w, nu) with w ._p nu = mu0, nu the end point's mu0 part.
         Each reflection steps w to w s_i as :meth:`mult_gen` does, on w's
-        finite-part record and translation, and only w itself is built.
+        finite-part record, translation and length, and only w itself is built.
         """
         d, theta = self.datum, self._theta_coroot
         nu0, nu1 = tuple(mu0), tuple(mu1)
-        rec, lam = self._record(d.identity_finite), (0,) * d.rank
+        rec, lam, length = self._record(d.identity_finite), (0,) * d.rank, 0
         for _ in range(100000):
             # rho = (1, ..., 1), and <rho, theta^vee> = h - 1
             for i in range(1, d.rank + 1):
@@ -462,13 +456,14 @@ class AffineWeyl:
                 c0 = sum(map(mul, theta, nu0)) + d.coxeter_number - 1 - p
                 c1 = sum(map(mul, theta, nu1))
                 if (c0, c1) <= (0, 0):
-                    return self.element(rec.fin, lam), nu0
+                    return rec.elements.get(lam) or self._new(rec, lam, length), nu0
                 i = 0
             # s ._p nu = nu - c * alpha_i, c being nu's signed distance past the wall
             root = self._step_roots[i]
             nu0 = tuple(x - c0 * r for x, r in zip(nu0, root))
             nu1 = tuple(x - c1 * r for x, r in zip(nu1, root))
-            rec, lam = (rec.right[i] or self._right_step(rec, i))[0], self._step_trans(lam, i)
+            rec, lam, change = self._right_step(rec, lam, i)
+            length += change
         raise UnsupportedRegimeError("weight too far from the fundamental alcove")
 
     def alcove_of(self, lam, p: int) -> Alcove:

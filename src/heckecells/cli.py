@@ -25,7 +25,7 @@ from .orbits import (
     enumerate_orbits,
     humphreys_predict,
 )
-from .rootdata import CartanType
+from .rootdata import CartanType, build_root_datum
 from .tilting import fundamental_alcove_weights, fusion_multiplicity
 
 EXIT_OK = 0
@@ -184,7 +184,7 @@ def cmd_humphreys(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    datum, _, _, _, _ = build_context(args.type)
+    datum = build_root_datum(args.type)
     orbits = enumerate_orbits(datum)
     leq = closure_order(datum, orbits)
     obj = {

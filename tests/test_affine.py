@@ -104,11 +104,14 @@ def test_element_caches_match_uncached_products(type_str, bound):
             assert aw.mult_gen_left(i, w) == aw.mult(s, w)
         assert aw.reduced_word(w) == greedy_word(aw, w)
         assert w.length == length_oracle(aw, w.fin, w.trans)
-    # every memoized finite product is the product of its two factors
-    fins = {w.fin.mat: w.fin for w in built_elements(aw)}
-    assert aw._fin_products
-    for (a, b), prod in aw._fin_products.items():
-        assert prod == fins[a] * fins[b]
+    # every memoized finite product is the context's record of the product
+    # of its two factors
+    products = [
+        (rec, other, prod) for rec in aw._records.values() for other, prod in rec.products.items()
+    ]
+    assert products
+    for rec, other, prod in products:
+        assert prod.fin == rec.fin * other.fin and prod is aw._records[prod.fin.mat]
 
 
 STEP_BALLS = [
@@ -168,6 +171,23 @@ def test_step_records_fill_only_steps_taken(type_str):
         stage()
         assert filled("right") == taken("right")
         assert filled("left") == taken("left")
+
+
+def test_new_context_fills_flags_only_where_lengths_computed(monkeypatch):
+    # a length from scratch fills its record's flags, and nothing else does:
+    # the records a new context meets on the left-descent walks to
+    # w_{-varpi} hold none
+    counted, length = set(), AffineWeyl._length
+
+    def counting(aw, rec, trans):
+        counted.add(id(rec))
+        return length(aw, rec, trans)
+
+    monkeypatch.setattr(AffineWeyl, "_length", counting)
+    aw = AffineWeyl(build_root_datum("A12"))
+    with_flags = {id(rec) for rec in aw._records.values() if rec.flags is not None}
+    assert with_flags == counted >= {id(x.rec) for x in (aw.identity, *aw.gens)}
+    assert len(aw._records) > len(with_flags)
 
 
 def test_mat_mul_matches_entrywise_product():
@@ -556,7 +576,8 @@ def _outcome(walk, mu0, mu1, p):
 def test_dot_walk_matches_oracle():
     # the walk on step records against the walk by one matrix product per
     # reflection, each in its own context: dominant, non-dominant and wall
-    # weights, tie-breaking by rho and none, p = h, h + 1 and a prime above
+    # weights, tie-breaking by rho and none, p = h, h + 1 and a prime above;
+    # the oracle's element gets its length from scratch, the walk counts it
     rng = random.Random(20)
     for t in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
               "D4", "D5", "F4", "G2", "E6"):
@@ -573,6 +594,7 @@ def test_dot_walk_matches_oracle():
                 got = _outcome(aw.dot_walk, mu0, mu1, p)
                 want = _outcome(lambda *a: dot_walk_oracle(ref, *a), mu0, mu1, p)
                 assert got == want
+                assert getattr(got[0], "length", None) == getattr(want[0], "length", None)
         # a weight of the wrong length fails alike
         got = _outcome(aw.dot_walk, (), d.rho, h + 1)
         assert got[0] is IndexError
@@ -590,6 +612,24 @@ def test_dot_walk_builds_only_its_result(monkeypatch):
     assert len(products) <= 4
     after = built_elements(aw)
     assert len(after) == len(before) + 1 and alc.element in after and alc.element not in before
+
+
+def test_dot_walk_fills_no_flags_or_descents():
+    # a walk reads right step entries alone and counts its element's length
+    # as it goes: it fills no record's flags or left-descent pairs
+    aw = AffineWeyl(build_root_datum("E6"))
+
+    def state():
+        return {id(rec): (rec.flags, list(rec.descents)) for rec in aw._records.values()}
+
+    before = state()
+    alc = aw.alcove_of((5, 0, 2, 1, 0, 7), 13)
+    after = state()
+    assert len(after) > len(before)
+    empty = (None, [None] * len(aw.gens))
+    assert all(entries == before.get(key, empty) for key, entries in after.items())
+    w = alc.element
+    assert w.length == length_oracle(aw, w.fin, w.trans)
 
 
 # -- enumeration, omega, serialization ------------------------------------------
