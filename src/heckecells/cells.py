@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import AffineElement, AffineWeyl
 
 
-@dataclass(frozen=True)
-class CellEdge:
+class CellEdge(NamedTuple):
     frm: AffineElement
     to: AffineElement
     witness: int  # generator index
@@ -61,7 +61,7 @@ def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
     lies in fW with length <= bound + 1, so the walk's first step into it
     gives it its smallest reduced word (see ``AffineWeyl._ball``)."""
     return [
-        CellEdge(frm=y, to=w, witness=i)
+        CellEdge(y, w, i)
         for y in aw.enumerate_fW(bound + 1) if y.length <= bound
         for i, targets in enumerate(provider.kl_gen_targets(y))
         for w in targets

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage, 3 unsupported regime or type, 4 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -242,7 +243,10 @@ FLAGS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, as every call fills a fresh namespace."""
     parser = _Parser(
         prog="heckecells",
         description="Affine Weyl group cells, canonical bases, tilting "

@@ -8,9 +8,11 @@ the algebra and in the antispherical module, on Kronecker-coded integers: a
 coefficient n(v) is held as n(2^64) next to n(1).  It is nonnegative
 (Kazhdan-Lusztig 1980; Elias-Williamson 2014), so its base-2^64 digits are
 exact while n(1) < 2^63; a failed check raises UnsupportedRegimeError (exit
-3).  The antispherical module is sgn tensored over the finite Hecke algebra,
-with standard basis N_w indexed by the minimal coset representatives fW;
-finite simple reflections act on the sign line by -v.
+3).  By the uniqueness every right descent of w leads to the same element at
+w, so the recursion starts from the memoized one with the fewest terms.  The
+antispherical module is sgn tensored over the finite Hecke algebra, with
+standard basis N_w indexed by the minimal coset representatives fW; finite
+simple reflections act on the sign line by -v.
 
 Positive-characteristic canonical bases are never computed here: they are
 ingested from :class:`CanonicalBasisTable` files and only validated.
@@ -80,18 +82,25 @@ AsphElt = HeckeElt
 
 
 _BITS, _MASK, _BOUND = 64, (1 << 64) - 1, 1 << 63
+_DIGIT1 = _MASK << _BITS  # the digit of v^1 in a code
 
 
 def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list, list, list]:
     """Coded canonical basis element at w by the descent recursion with mu-terms.
 
-    With s the smallest right descent of w, C_w = C_ws (H_s + v) minus
-    mu(y, ws) C_y for every y with ys < y; H_s + v acts as in ``kl_gen_action``
-    with ``keep``, and ``memo`` caches finished elements, each a triple of
-    parallel lists: the support z, and n(2^64) and n(1) for the coefficient n
-    at z, with zero codes dropped.  While an element is built, one dict maps
-    each z to its position, so a term costs one lookup.  Off the diagonal n
-    lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
+    For any right descent s of w, C_w = C_ws (H_s + v) minus mu(y, ws) C_y
+    for every y with ys < y: the right side is bar-invariant, unitriangular
+    with off-diagonal coefficients in vZ[v], and such an element is unique
+    (Kazhdan-Lusztig 1979).  So s is chosen by cost: among the descents whose
+    C_ws is in ``memo``, the one with the fewest terms, else the smallest
+    descent (du Cloux 2002); a walk in length order finds every candidate
+    memoized.  H_s + v acts as in ``kl_gen_action`` with ``keep``, and
+    ``memo`` caches finished elements, each a triple of parallel lists: the
+    support z, and n(2^64) and n(1) for the coefficient n at z, with zero
+    codes dropped, in an order that follows the descent taken.  The loop
+    sums every term through one dict from z to its position, so a term costs
+    one lookup.  Off the diagonal n lies in vZ[v], so v^-1 is an exact shift
+    and mu(y, ws) is digit 1 at y.
     """
     out = memo.get(w)
     if out is not None:
@@ -100,21 +109,19 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
         out = ([w], [1], [1])
     else:
         mult_gen = aw.mult_gen
-        i = next(i for i in range(len(aw.gens)) if mult_gen(w, i).length < w.length)
+        i = lower = None
+        for j, ws in enumerate(w.right):
+            ws = ws or mult_gen(w, j)
+            if ws.length < w.length:
+                got = memo.get(ws)
+                if got is not None and (lower is None or len(got[0]) < len(lower[0])):
+                    i, lower = j, got
+                elif i is None:
+                    i, first = j, ws
+        if lower is None:
+            lower = _canonical(aw, keep, memo, first)
         index, elts, codes, ones = {}, [], [], []
-
-        def add(z, dc, dn):
-            k = index.get(z)
-            if k is None:
-                index[z] = len(elts)
-                elts.append(z)
-                codes.append(dc)
-                ones.append(dn)
-            else:
-                codes[k] += dc
-                ones[k] += dn
-
-        for x, c, n in zip(*_canonical(aw, keep, memo, mult_gen(w, i))):
+        for x, c, n in zip(*lower):
             xs = x.right[i] or mult_gen(x, i)
             if xs.length > x.length:
                 if keep is not None and not keep(xs):
@@ -125,9 +132,33 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
                 mu = cx & _MASK
                 if mu:
                     for z, cz, nz in zip(*_canonical(aw, keep, memo, x)):
-                        add(z, -mu * cz, -mu * nz)
-            add(xs, c, n)
-            add(x, cx, n)
+                        k = index.get(z)
+                        if k is None:
+                            index[z] = len(elts)
+                            elts.append(z)
+                            codes.append(-mu * cz)
+                            ones.append(-mu * nz)
+                        else:
+                            codes[k] -= mu * cz
+                            ones[k] -= mu * nz
+            k = index.get(xs)
+            if k is None:
+                index[xs] = len(elts)
+                elts.append(xs)
+                codes.append(c)
+                ones.append(n)
+            else:
+                codes[k] += c
+                ones[k] += n
+            k = index.get(x)
+            if k is None:
+                index[x] = len(elts)
+                elts.append(x)
+                codes.append(cx)
+                ones.append(n)
+            else:
+                codes[k] += cx
+                ones[k] += n
         k = index.get(w)
         diag = 0 if k is None else codes[k]
         elts, ones, codes = [list(compress(col, codes)) for col in (elts, ones, codes)]
@@ -572,16 +603,17 @@ class ZeroBasisProvider:
         zs < z and mu(z, y) != 0, digit 1 of N_y's code at z (Kazhdan-Lusztig
         1979, Soergel 1997).  The z with mu(z, y) != 0 are read once for all s."""
         aw = self.hecke.aw
+        mult_gen = aw.mult_gen
         out, mus = [], None
         for i in range(len(aw.gens)):
-            ys = aw.mult_gen(y, i)
+            ys = y.right[i] or mult_gen(y, i)
             if ys.length < y.length:
                 out.append([y])
                 continue
             if mus is None:
                 elts, codes, _ = self.asph._coded(y)
-                mus = [z for z, c in zip(elts, codes) if c >> _BITS & _MASK]
-            targets = [z for z in mus if aw.mult_gen(z, i).length < z.length]
+                mus = [z for z, c in zip(elts, codes) if c & _DIGIT1]
+            targets = [z for z in mus if (z.right[i] or mult_gen(z, i)).length < z.length]
             out.append([ys] + targets if aw.in_fW(ys) else targets)
         return out
 

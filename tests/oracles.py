@@ -126,6 +126,8 @@ def two_dict_canonical(aw, keep, memo: dict, w) -> tuple[dict, dict]:
     with ``keep``, and ``memo`` caches finished elements, each a pair of maps
     z -> n(2^64) and z -> n(1) for its coefficient n at z.  Off the diagonal
     n lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
+    The reference for ``hecke._canonical``, which starts from the memoized
+    descent with the fewest terms and sums through one position index.
     """
     out = memo.get(w)
     if out is not None:

@@ -45,6 +45,8 @@ def test_edges_from_identity(ctx):
     # via s0: N_e . (H_s0 + v) = N_s0 + v N_e, which is exactly the canonical
     # element at s0, so the only edge is e -> s0; via s1 the product vanishes
     assert from_e == {("s0", 0)}
+    # an edge is a named triple: its fields read as its positions
+    assert all(tuple(e) == (e.frm, e.to, e.witness) for e in edges)
 
 
 def test_edge_count_matches_full_algebra_oracle(ctx):

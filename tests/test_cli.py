@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heckecells.cli import main
+from heckecells.cli import build_parser, main
 from heckecells.hecke import table_from_zero_basis
 
 
@@ -353,3 +353,31 @@ def test_main_leaves_warning_filters_unchanged(tmp_path):
         assert main(["humphreys", "--type", "C2", "--p", "3", "--lambda", "0,0"]) == 3
         assert warnings.filters == before
     assert not caught
+
+
+def test_main_calls_share_one_parser_and_no_values(tmp_path, capsys):
+    # the parser is built once per process; a usage error, a run with --out
+    # and one without, in one process, each parse as a fresh parser does and
+    # carry nothing over to the next call
+    assert build_parser() is build_parser()
+    path = tmp_path / "out.json"
+    calls = [
+        ["kl", "--type", "A1", "--w", "s0", "--mode", "relative"],
+        ["kl", "--type", "A1", "--w", "s0.s1", "--out", str(path)],
+        ["kl", "--type", "A1", "--w", "s0.s1"],
+    ]
+    codes, streams = [], []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as e:  # argparse ends a bad command line
+            codes.append(e.code)
+        streams.append(capsys.readouterr())
+    assert codes == [2, 0, 0]
+    error = json.loads(streams[0].err)
+    assert error["code"] == 2 and "--mode" in error["message"]
+    assert streams[0].out == streams[1].out == streams[1].err == streams[2].err == ""
+    assert streams[2].out.encode() == path.read_bytes()
+    for argv in calls[1:]:
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+    assert build_parser().parse_args(calls[2]).out is None

@@ -132,10 +132,12 @@ def test_coded_recursion_matches_laurent_recursion(type_str, bound):
     "type_str,bound", [("A1", 10), ("A2", 8), ("C2", 10), ("G2", 10), ("B3", 8), ("A4", 8)]
 )
 def test_indexed_recursion_matches_two_dict_recursion(type_str, bound):
-    # the recursion with one position index per element against the same
-    # recursion summing into two dicts: every memo entry, in the algebra and
-    # in the antispherical module, holds the same terms in the same order,
-    # with the same codes and n(1)
+    # the recursion from the cheapest memoized descent, summing through one
+    # position index, against the smallest-descent recursion summing into two
+    # dicts: every memo entry, in the algebra and in the antispherical module,
+    # maps each z to the same code and n(1); the term order follows the
+    # descent taken, so it is not compared.  A ball walk memoizes the same
+    # elements; a single element computes none the oracle does not.
     aw = build_context(type_str).aw
     for keep, ball in ((None, aw.enumerate_W(bound)), (aw.in_fW, aw.enumerate_fW(bound))):
         memo, oracle_memo = {}, {}
@@ -145,7 +147,70 @@ def test_indexed_recursion_matches_two_dict_recursion(type_str, bound):
         assert memo.keys() == oracle_memo.keys()
         for w, (elts, codes, ones) in memo.items():
             ocodes, oones = oracle_memo[w]
-            assert list(zip(elts, codes, ones)) == [(z, c, oones[z]) for z, c in ocodes.items()], w
+            assert {z: (c, n) for z, c, n in zip(elts, codes, ones)} == {
+                z: (c, oones[z]) for z, c in ocodes.items()
+            }, w
+        for w in [w for w in ball if w.length == bound][:8]:
+            alone, oracle_alone = {}, {}
+            _canonical(aw, keep, alone, w)
+            two_dict_canonical(aw, keep, oracle_alone, w)
+            assert alone.keys() <= oracle_alone.keys(), w
+
+
+class _CountingMemo(dict):
+    """A memo whose stored supports count the terms read out of them."""
+
+    read = 0
+
+    def __setitem__(self, w, out):
+        super().__setitem__(w, (_CountedSupport(self, out[0]), *out[1:]))
+
+
+class _CountedSupport(list):
+    def __init__(self, memo, elts):
+        super().__init__(elts)
+        self.memo = memo
+
+    def __iter__(self):
+        self.memo.read += len(self)
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("in_module", [False, True], ids=["algebra", "module"])
+def test_recursion_takes_the_memoized_descent_with_fewest_terms(in_module):
+    # A walk in length order finds C_ws memoized for every right descent s
+    # of w, and building C_w from s reads |C_ws| product terms plus |C_x|
+    # for each x with xs < x and mu(x, ws) != 0.  The terms read through a
+    # counting memo equal that cost summed over the descents of fewest
+    # terms (the smallest of them on a tie), and the cost is lower than from
+    # the smallest descent, the rule of ``two_dict_canonical``, or from the
+    # descent of most terms.
+    aw = build_context("B3").aw
+    keep, ball = (aw.in_fW, aw.enumerate_fW(12)) if in_module else (None, aw.enumerate_W(8))
+    memo = _CountingMemo()
+    for w in ball:
+        _canonical(aw, keep, memo, w)
+    read = memo.read
+    size = {w: len(elts) for w, (elts, _, _) in memo.items()}
+
+    def cost(w, i):
+        ws = aw.mult_gen(w, i)
+        elts, codes, _ = memo[ws]
+        return size[ws] + sum(
+            size[x] for x, c in zip(elts, codes)
+            if c >> 64 & (1 << 64) - 1 and aw.mult_gen(x, i).length < x.length
+        )
+
+    totals = {"fewest": 0, "smallest": 0, "most": 0}
+    for w in ball:
+        descents = [i for i in range(len(aw.gens)) if aw.mult_gen(w, i).length < w.length]
+        if descents:
+            terms = [size[aw.mult_gen(w, i)] for i in descents]
+            totals["fewest"] += cost(w, descents[terms.index(min(terms))])
+            totals["smallest"] += cost(w, descents[0])
+            totals["most"] += cost(w, descents[terms.index(max(terms))])
+    assert read == totals["fewest"]
+    assert totals["fewest"] < min(totals["smallest"], totals["most"])
 
 
 @pytest.mark.parametrize(
