@@ -18,8 +18,10 @@ by one pairing and builds no element (Bjorner-Brenti, 8.3); per generator
 and side, a step entry; per finite part w', the record of w w'.  A generator
 step changes the length by exactly one; a right step moves lambda to
 lambda - k alpha_i, and k with the flag [w(alpha_i) < 0] held in its entry
-decides which way.  The dot-action walk that finds a weight's alcove steps
-by the same entries and builds only the element it ends at.
+decides which way; a left step, decided by the left-descent pair, keeps
+lambda but for s0.  The walks to a weight's alcove, a reduced word and a
+minimal coset representative step by these entries and build at most the
+element they return.
 
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
@@ -45,13 +47,12 @@ class AffineElement:
     Interned: an :class:`AffineWeyl` context holds one object per element;
     equality and hashing use the canonical form, so an element equals (and
     hashes like) the same element of another context of the same type.  The
-    context caches on it its products with the i-th generator, ``right[i]``
-    and ``left[i]``, its reduced ``word``, ``fmin`` (is it in fW) and ``rep``,
-    the minimal representative of its coset W_f a; ``rec`` is its finite
-    part's record.
+    context caches on it its product with the i-th generator, ``right[i]``,
+    its reduced ``word``, ``fmin`` (is it in fW) and ``rep``, the minimal
+    representative of its coset W_f a; ``rec`` is its finite part's record.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "right", "left", "word", "fmin", "rep", "rec")
+    __slots__ = ("fin", "trans", "length", "_hash", "right", "word", "fmin", "rep", "rec")
 
     def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int):
         self.rec = rec
@@ -59,7 +60,7 @@ class AffineElement:
         self.trans = trans
         self.length = length
         self._hash = hash((fin.mat, trans))
-        self.right, self.left = [None] * ngens, [None] * ngens
+        self.right = [None] * ngens
         self.word = self.fmin = self.rep = None
 
     def __eq__(self, other):
@@ -86,8 +87,8 @@ class _FiniteRecord:
     (record of w s_i, [w(alpha_i) < 0]), by a right step of an element or of
     :meth:`AffineWeyl.dot_walk`; ``left[i]``, (record of s_i w, shift) with
     s_i . w t_lam = s_i w t_{lam + shift} (shift None for i >= 1), by a left
-    step; ``products[r]``, the record of w times r's finite part, by
-    :meth:`AffineWeyl.mult`.
+    step of a left-descent walk; ``products[r]``, the record of w times r's
+    finite part, by :meth:`AffineWeyl.mult`.
     """
 
     __slots__ = ("fin", "elements", "flags", "descents", "right", "left", "products")
@@ -198,13 +199,22 @@ class AffineWeyl:
             lam = tuple([x - k * r for x, r in zip(lam, self._step_roots[i])])
         return nrec, lam, -1 if (k + f > 0) == (i > 0) else 1
 
-    def _left_step(self, rec: _FiniteRecord, i: int) -> tuple:
-        """Fill rec.left[i]: s0 . w t_lam = s_theta w t_{w^-1(-theta) + lam},
-        and s_i . w t_lam = s_i w t_lam for i >= 1."""
-        g = self.gens[i]
-        shift = rec.fin.apply_inverse(g.trans) if i == 0 else None
-        step = rec.left[i] = (self._record(g.fin * rec.fin), shift)
-        return step
+    def _left_step(self, rec: _FiniteRecord, lam: Weight, i: int) -> tuple:
+        """(record of s_i w, translation, length change) for s_i . w t_lam:
+        s0 . w t_lam = s_theta w t_{lam + w^-1(-theta)}, s_i . w t_lam = s_i w
+        t_lam for i >= 1, and rec.descents[i] decides the change; rec.left[i]
+        and rec.descents[i] are filled on first use."""
+        step = rec.left[i]
+        if step is None:
+            g = self.gens[i]
+            shift = rec.fin.apply_inverse(g.trans) if i == 0 else None
+            step = rec.left[i] = (self._record(g.fin * rec.fin), shift)
+        nrec, shift = step
+        c, n = rec.descents[i] or self._descent(rec, i)
+        change = -1 if sum(map(mul, c, lam)) < n else 1
+        if shift is not None:
+            lam = tuple([x + y for x, y in zip(lam, shift)])
+        return nrec, lam, change
 
     def translation(self, lam) -> AffineElement:
         return self.element(self.datum.identity_finite, lam)
@@ -228,20 +238,6 @@ class AffineWeyl:
             out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, a.length + change)
         return out
 
-    def mult_gen_left(self, i: int, a: AffineElement) -> AffineElement:
-        """Left multiplication by the i-th simple generator, cached on a: the
-        left-descent pair decides the length, s0 shifts the translation."""
-        out = a.left[i]
-        if out is None:
-            rec, lam = a.rec, a.trans
-            nrec, shift = rec.left[i] or self._left_step(rec, i)
-            c, n = rec.descents[i] or self._descent(rec, i)
-            length = a.length - 1 if sum(map(mul, c, lam)) < n else a.length + 1
-            if shift is not None:
-                lam = tuple([x + y for x, y in zip(lam, shift)])
-            out = a.left[i] = nrec.elements.get(lam) or self._new(nrec, lam, length)
-        return out
-
     def inverse(self, a: AffineElement) -> AffineElement:
         fin = a.fin.inverse()
         trans = tuple(-c for c in a.fin.apply(a.trans))
@@ -253,40 +249,43 @@ class AffineWeyl:
 
     # -- descents, cosets, words -------------------------------------------
 
-    def left_descent(self, a: AffineElement, start: int = 0) -> int | None:
-        """The first generator i >= start with s_i a < a, or None; one
-        pairing per generator tried, and no element is built."""
-        rec, trans = a.rec, a.trans
+    def left_descent(self, rec: _FiniteRecord, lam: Weight, start: int = 0) -> int | None:
+        """The first generator i >= start with s_i . w t_lam < w t_lam (rec is
+        w's record), or None; one pairing per generator tried, none built."""
         for i in range(start, len(rec.descents)):
             c, n = rec.descents[i] or self._descent(rec, i)
-            if sum(map(mul, c, trans)) < n:
+            if sum(map(mul, c, lam)) < n:
                 return i
         return None
 
     def min_coset_rep(self, a: AffineElement) -> AffineElement:
         """Minimal representative rep of W_f a.
 
-        a = u . rep with u in W_f of length a.length - rep.length: each
-        step strips one finite reflection and lowers the length by one.  The
-        walk stops at the first element with a known representative, and each
-        element passed keeps it.
+        a = u . rep with u in W_f of length a.length - rep.length: each left
+        step strips one finite reflection.  The walk moves on (record,
+        translation) pairs down to the first element with a known
+        representative; the elements it passes keep it, and only rep may be
+        built.
         """
-        path = []
-        while a.rep is None:
-            i = self.left_descent(a, 1)
+        path, rec, lam, length, cur = [], a.rec, a.trans, a.length, a
+        while cur is None or cur.rep is None:
+            path.append(cur)
+            i = self.left_descent(rec, lam, 1)
             if i is None:
-                a.rep = a
+                cur = cur or self._new(rec, lam, length)
+                cur.rep = cur
                 break
-            path.append(a)
-            a = self.mult_gen_left(i, a)
-        for elem in path:
-            elem.rep = a.rep
-        return a.rep
+            rec, lam, change = self._left_step(rec, lam, i)
+            length += change
+            cur = rec.elements.get(lam)
+        for elem in filter(None, path):
+            elem.rep = cur.rep
+        return cur.rep
 
     def in_fW(self, a: AffineElement) -> bool:
         """True if a is minimal in W_f a, cached on a."""
         if a.fmin is None:
-            a.fmin = self.left_descent(a, 1) is None
+            a.fmin = self.left_descent(a.rec, a.trans, 1) is None
         return a.fmin
 
     def in_fWf(self, a: AffineElement) -> bool:
@@ -306,16 +305,17 @@ class AffineWeyl:
         that part out of the word (see :meth:`to_word`).  Elements of an
         enumerated ball already hold theirs (see :meth:`_ball`); otherwise it
         is the first left descent i, then the word of s_i a, down to the first
-        element with a known word.  Only a keeps the word, so a long walk
-        costs memory linear in its length.
+        element with a known word, on (record, translation) pairs: no element
+        is built and only a keeps the word.
         """
-        letters, cur = [], a
-        while cur.word is None:
-            i = self.left_descent(cur)
+        letters, rec, lam, cur = [], a.rec, a.trans, a
+        while cur is None or cur.word is None:
+            i = self.left_descent(rec, lam)
             if i is None:
                 raise ValueError("element is not in W; use to_word for W_ext")
             letters.append(i)
-            cur = self.mult_gen_left(i, cur)
+            rec, lam, _ = self._left_step(rec, lam, i)
+            cur = rec.elements.get(lam)
         a.word = tuple(letters) + cur.word
         return a.word
 

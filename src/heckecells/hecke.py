@@ -8,11 +8,12 @@ the algebra and in the antispherical module, on Kronecker-coded integers: a
 coefficient n(v) is held as n(2^64) next to n(1).  It is nonnegative
 (Kazhdan-Lusztig 1980; Elias-Williamson 2014), so its base-2^64 digits are
 exact while n(1) < 2^63; a failed check raises UnsupportedRegimeError (exit
-3).  By the uniqueness every right descent of w leads to the same element at
-w, so the recursion starts from the memoized one with the fewest terms.  The
-antispherical module is sgn tensored over the finite Hecke algebra, with
-standard basis N_w indexed by the minimal coset representatives fW; finite
-simple reflections act on the sign line by -v.
+3), as does an algebra memo past KL_MEMO_TERMS terms.  By the uniqueness
+every right descent of w leads to the same element at w, so the recursion
+starts from the memoized one with the fewest terms.  The antispherical
+module is sgn tensored over the finite Hecke algebra, with standard basis
+N_w indexed by the minimal coset representatives fW; finite simple
+reflections act on the sign line by -v.
 
 Positive-characteristic canonical bases are never computed here: they are
 ingested from :class:`CanonicalBasisTable` files and only validated.
@@ -83,6 +84,25 @@ AsphElt = HeckeElt
 
 _BITS, _MASK, _BOUND = 64, (1 << 64) - 1, 1 << 63
 _DIGIT1 = _MASK << _BITS  # the digit of v^1 in a code
+
+# Budget on the terms of one Hecke algebra's canonical memo, under 2 GiB:
+# `kl` on the C2 word (s0.s1.s2)^k.s0 memoizes 0.8 M terms (174 MiB) at length
+# 61 and 3.9 M (1.06 GiB) at length 91.  Past it, `kl` is the exit-3 error.
+KL_MEMO_TERMS = 6_000_000
+
+
+class _BudgetMemo(dict):
+    """A canonical memo that counts the terms stored in it, up to KL_MEMO_TERMS."""
+
+    terms = 0
+
+    def __setitem__(self, w, out):
+        if self.terms + len(out[0]) > KL_MEMO_TERMS:
+            raise UnsupportedRegimeError(
+                f"canonical basis at length {w.length} needs over {KL_MEMO_TERMS} memo terms"
+            )
+        self.terms += len(out[0])
+        super().__setitem__(w, out)
 
 
 def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list, list, list]:
@@ -280,8 +300,7 @@ class Hecke:
 
     def __init__(self, aw: AffineWeyl):
         self.aw = aw
-        self._kl_cache: dict[AffineElement, tuple[list, list, list]] = {}
-        self._kl_elts: dict[AffineElement, HeckeElt] = {}
+        self._kl_cache: dict[AffineElement, tuple[list, list, list]] = _BudgetMemo()
         self._bar_std_cache: dict[AffineElement, HeckeElt] = {}
 
     # -- standard basis ------------------------------------------------
@@ -292,18 +311,6 @@ class Hecke:
     def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         """Right multiplication by the standard generator H_s."""
         return kl_gen_action(self.aw, h, i, None, LaurentPoly(), VINV - V)
-
-    def mul_by_word(self, h: HeckeElt, word) -> HeckeElt:
-        for i in word:
-            h = self.mul_by_gen(h, i)
-        return h
-
-    def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """Full product; the right factor is expanded along reduced words."""
-        out = HeckeElt()
-        for w, c in b.terms.items():
-            out = out + self.mul_by_word(a, self.aw.reduced_word(w)).scale(c)
-        return out
 
     # -- bar involution -----------------------------------------------------
 
@@ -327,11 +334,8 @@ class Hecke:
     # -- canonical basis ------------------------------------------------------
 
     def kl_basis(self, w: AffineElement) -> HeckeElt:
-        """The 0-canonical basis element at w, decoded once."""
-        out = self._kl_elts.get(w)
-        if out is None:
-            out = self._kl_elts[w] = _decode_elt(_canonical(self.aw, None, self._kl_cache, w))
-        return out
+        """The 0-canonical basis element at w, decoded from the memo on each call."""
+        return _decode_elt(_canonical(self.aw, None, self._kl_cache, w))
 
     def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
         """Expand in the 0-canonical basis by leading-term subtraction."""
@@ -360,11 +364,6 @@ class AsphModule:
     def mul_by_kl_gen(self, n: AsphElt, i: int) -> AsphElt:
         """Right action of the canonical generator H_s + v."""
         return kl_gen_action(self.aw, n, i, self.aw.in_fW, V, VINV)
-
-    def mul_by_word(self, n: AsphElt, word) -> AsphElt:
-        for i in word:
-            n = self.mul_by_gen(n, i)
-        return n
 
     def canonical(self, w: AffineElement) -> AsphElt:
         """0-canonical basis element of the antispherical module.
@@ -465,8 +464,7 @@ class CanonicalBasisTable:
         order = sorted(set(entries).union(*(h.terms for h in entries.values())), key=aw.sort_key)
         rank = {y: k for k, y in enumerate(order)}
         words = [aw.to_word(y) for y in order]
-        serialize = lru_cache(None)(LaurentPoly.serialize)
-        text = {i: serialize(c) for i, c in _coefficients(entries).items()}
+        text = {i: c.serialize() for i, c in _coefficients(entries).items()}
         rows = []
         for w in sorted(entries, key=rank.__getitem__):
             terms = entries[w].terms

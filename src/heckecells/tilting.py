@@ -107,10 +107,14 @@ def fundamental_alcove_weights(datum, p: int) -> list[Weight]:
 def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
     """Multiplicity of T(nu) in T(lam) (x) T(mu) for weights inside C_p.
 
-    Alternating sum of classical tensor multiplicities over the dot orbit of
-    nu; the enumeration bound is derived from the weight polytope of
-    lam + mu, and the first shell beyond it is checked to contribute zero
-    (a nonzero term there raises UnsupportedRegimeError).
+    Alternating sum of the classical tensor multiplicities m(lam, mu; eta)
+    over the w in fW of length <= bound = |Phi+| (floor(level / p) + 2),
+    level = <lam + mu + 2 rho, theta^vee>, with eta = w ._p nu dominant.  No
+    term lies beyond: eta + rho is inside the alcove of w, so l(w) is the sum
+    over a > 0 of floor(<eta + rho, a^vee> / p); as eta <= lam + mu when m is
+    nonzero and theta^vee (the highest coroot) is dominant, each pairing is
+    at most <lam + mu + rho, theta^vee> < level, so l(w) <= |Phi+| floor(level
+    / p) < bound.
     """
     d = aw.datum
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
@@ -124,16 +128,9 @@ def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
     level = sum(c * (a + b + 2) for c, a, b in zip(at.coroot, lam, mu))
     bound = len(d.positive_roots) * (level // p + 2)
     total = 0
-    for w in aw.enumerate_fW(bound + 1):
+    for w in aw.enumerate_fW(bound):
         eta = aw.dot_action(w, nu, p)
-        if not d.is_dominant(eta):
-            continue
-        k = d.tensor_multiplicity(lam, mu, eta)
-        if k:
-            if w.length > bound:
-                raise UnsupportedRegimeError(
-                    f"fusion enumeration bound {bound} too small: a term at length {w.length}"
-                )
+        if d.is_dominant(eta) and (k := d.tensor_multiplicity(lam, mu, eta)):
             total += -k if w.length % 2 else k
     return total
 

@@ -531,8 +531,8 @@ def validate_table_oracle(aw, p, entries) -> None:
 def min_coset_rep_oracle(aw, a):
     """Minimal representative of W_f a by the left-descent walk, reading
     and filling no cached representative."""
-    while (i := aw.left_descent(a, 1)) is not None:
-        a = aw.mult_gen_left(i, a)
+    while (i := aw.left_descent(a.rec, a.trans, 1)) is not None:
+        a = aw.mult(aw.gens[i], a)
     return a
 
 
@@ -654,6 +654,23 @@ def kl_gen(hecke: Hecke, i: int) -> HeckeElt:
 def kl_mul(hecke: Hecke, h: HeckeElt, i: int) -> HeckeElt:
     """Right multiplication by the canonical generator H_s + v."""
     return kl_gen_action(hecke.aw, h, i, None, V, VINV)
+
+
+def mul_by_word(module, x: HeckeElt, word) -> HeckeElt:
+    """x acted on by the standard generator H_s for each letter s of word, in
+    the algebra (module a Hecke) or the antispherical module (an AsphModule)."""
+    for i in word:
+        x = module.mul_by_gen(x, i)
+    return x
+
+
+def hecke_mul(hecke: Hecke, a: HeckeElt, b: HeckeElt) -> HeckeElt:
+    """Full product in the algebra; the right factor is expanded along
+    reduced words."""
+    out = HeckeElt()
+    for w, c in b.terms.items():
+        out = out + mul_by_word(hecke, a, hecke.aw.reduced_word(w)).scale(c)
+    return out
 
 
 def bs_product(hecke: Hecke, word) -> HeckeElt:

@@ -27,6 +27,14 @@ from oracles import (
 )
 
 
+def left_step_matches(aw, i, x):
+    """The left step on x's record gives the record, translation and length
+    of the general product s_i x (built after the step, from scratch)."""
+    nrec, lam, change = aw._left_step(x.rec, x.trans, i)
+    y = mult_gen_left_oracle(aw, i, x)
+    return (nrec, lam, x.length + change) == (y.rec, y.trans, y.length)
+
+
 def bfs_ball(aw, radius):
     """Graph distance from the identity in the Cayley graph of (W, S)."""
     dist = {aw.identity: 0}
@@ -90,7 +98,7 @@ def test_elements_are_interned(ctx):
                 assert aw.inverse(aw.inverse(x)) is x
                 for i, s in enumerate(aw.gens):
                     assert aw.mult_gen(x, i) is aw.mult(x, s)
-                    assert aw.mult_gen_left(i, x) is aw.mult(s, x)
+                    assert left_step_matches(aw, i, x)
                 twin = other.from_word_str(word)
                 assert twin == x and hash(twin) == hash(x) and twin is not x
 
@@ -101,7 +109,7 @@ def test_element_caches_match_uncached_products(type_str, bound):
     for w in aw.enumerate_W(bound):
         for i, s in enumerate(aw.gens):
             assert aw.mult_gen(w, i) == aw.mult(w, s)
-            assert aw.mult_gen_left(i, w) == aw.mult(s, w)
+            assert left_step_matches(aw, i, w)
         assert aw.reduced_word(w) == greedy_word(aw, w)
         assert w.length == length_oracle(aw, w.fin, w.trans)
     # every memoized finite product is the context's record of the product
@@ -125,7 +133,7 @@ def test_generator_steps_match_general_products(type_str, radius):
     # each step taken from the finite part's record, on a ball built by
     # general products and on its Omega-translates on both sides, against the
     # general product; the elements are rebuilt in a fresh context longest
-    # first, so steps down as well as up build new elements, and every
+    # first, so right steps down as well as up build new elements, and every
     # element there has the oracle's length
     aw = AffineWeyl(build_root_datum(type_str))
     ball = list(bfs_ball(aw, radius))
@@ -136,17 +144,25 @@ def test_generator_steps_match_general_products(type_str, radius):
         x = fresh.element(x.fin, x.trans)
         for i in range(len(fresh.gens)):
             assert fresh.mult_gen(x, i) is mult_gen_oracle(fresh, x, i)
-            assert fresh.mult_gen_left(i, x) is mult_gen_left_oracle(fresh, i, x)
+            assert left_step_matches(fresh, i, x)
     for y in built_elements(fresh):
         assert y.length == length_oracle(fresh, y.fin, y.trans)
 
 
 @pytest.mark.parametrize("type_str", ["A2", "C2", "G2", "B3"])
-def test_step_records_fill_only_steps_taken(type_str):
-    # a record entry is filled exactly when an element of that finite part
-    # took that step: a new context and each later ball walk fill no entry
-    # ahead.  A dot-action walk also fills the entries it steps through, but
-    # keeps only its end element, and no stage here calls one.
+def test_step_records_fill_only_steps_taken(type_str, monkeypatch):
+    # a right entry is filled exactly when an element of that finite part
+    # took that step, and a left entry exactly when a left-descent walk
+    # stepped from that record: a new context and each later stage fill no
+    # entry ahead.  A dot-action walk also fills the right entries it steps
+    # through, but keeps only its end element, and no stage here calls one.
+    left_steps, left_step = set(), AffineWeyl._left_step
+
+    def counting(aw, rec, lam, i):
+        left_steps.add((id(rec), i))
+        return left_step(aw, rec, lam, i)
+
+    monkeypatch.setattr(AffineWeyl, "_left_step", counting)
     aw = AffineWeyl(build_root_datum(type_str))
 
     def filled(side):
@@ -155,10 +171,10 @@ def test_step_records_fill_only_steps_taken(type_str):
             for i, entry in enumerate(getattr(rec, side)) if entry is not None
         }
 
-    def taken(side):
+    def taken_right():
         return {
             (id(a.rec), i) for a in built_elements(aw)
-            for i, b in enumerate(getattr(a, side)) if b is not None
+            for i, b in enumerate(a.right) if b is not None
         }
 
     stages = (
@@ -169,8 +185,9 @@ def test_step_records_fill_only_steps_taken(type_str):
     )
     for stage in stages:
         stage()
-        assert filled("right") == taken("right")
-        assert filled("left") == taken("left")
+        assert filled("right") == taken_right()
+        assert filled("left") == left_steps
+    assert left_steps
 
 
 def test_new_context_fills_flags_only_where_lengths_computed(monkeypatch):
@@ -316,10 +333,10 @@ def test_bruhat_rejects_extended_elements():
 
 
 def _left_descents(aw, a):
-    out, i = set(), aw.left_descent(a)
+    out, i = set(), aw.left_descent(a.rec, a.trans)
     while i is not None:
         out.add(i)
-        i = aw.left_descent(a, i + 1)
+        i = aw.left_descent(a.rec, a.trans, i + 1)
     return out
 
 
@@ -346,26 +363,27 @@ def test_descent_decisions_build_only_the_path_taken():
     words = [[rng.randrange(3) for _ in range(rng.randrange(1, 12))] for _ in range(40)]
     fresh = [aw.from_word(w) for w in words]
     fresh += [aw.mult(aw.omega[1], a) for a in fresh]
-    fresh = [a for a in fresh if a.left == [None] * 3]
+    fresh = list(dict.fromkeys(fresh))
     assert len(fresh) > 40
-    # in_fW builds no element and fills no left slot
-    count = len(built_elements(aw))
+
+    def filled():
+        return sum(x is not None for rec in aw._records.values() for x in rec.left)
+
+    # in_fW builds no element and fills no left entry
+    count, left = len(built_elements(aw)), filled()
     for a in fresh:
         aw.in_fW(a)
-        assert a.left == [None] * 3
-    assert len(built_elements(aw)) == count
-    # reduced_word and min_coset_rep fill at most one left slot per step
-    def filled():
-        return sum(x is not None for e in built_elements(aw) for x in e.left)
-
+    assert (len(built_elements(aw)), filled()) == (count, left)
+    # reduced_word builds no element and min_coset_rep at most the
+    # representative; each fills at most one left entry per step
     for a in fresh:
         if aw.in_affine_weyl(a):
-            before = filled()
+            before, count = filled(), len(built_elements(aw))
             steps = len(aw.reduced_word(a))
-            assert filled() - before <= steps
-        before = filled()
+            assert filled() - before <= steps and len(built_elements(aw)) == count
+        before, count = filled(), len(built_elements(aw))
         steps = a.length - aw.min_coset_rep(a).length
-        assert filled() - before <= steps
+        assert filled() - before <= steps and len(built_elements(aw)) - count <= 1
 
 
 @pytest.mark.parametrize("type_str", ["A1", "C2", "G2"])
@@ -378,11 +396,48 @@ def test_reduced_word_stores_one_word(type_str):
     assert w.length >= 30
     assert aw.to_word(w) == ".".join(f"s{i}" for i in greedy_word(aw, w))
     assert len(w.word) == w.length
-    cur = w
-    for i in w.word[:-1]:
-        cur = aw.mult_gen_left(i, cur)
-        assert cur.word is None
-    assert aw.mult_gen_left(w.word[-1], cur) is aw.identity
+    rec, lam = w.rec, w.trans
+    for i in w.word:
+        rec, lam, change = aw._left_step(rec, lam, i)
+        assert change == -1
+        cur = rec.elements.get(lam)
+        assert cur is None or cur.word is None or cur is aw.identity
+    assert rec.elements.get(lam) is aw.identity
+
+
+def test_long_reduced_word_walk_builds_no_element():
+    # the alcove of a far weight is a long element; its word is found by a
+    # left-descent walk on the records that builds nothing, so the walk
+    # costs no element per letter
+    aw = AffineWeyl(build_root_datum("A1"))
+    a = aw.alcove_of((400000,), 5).element
+    count = len(built_elements(aw))
+    word = aw.to_word(a)
+    assert len(built_elements(aw)) - count <= 1
+    other = AffineWeyl(aw.datum)
+    assert word == ".".join(f"s{i}" for i in greedy_word(other, other.element(a.fin, a.trans)))
+
+
+@pytest.mark.parametrize("type_str", ["A2", "C2", "G2"])
+def test_coset_rep_walk_builds_only_the_representative(type_str):
+    # min_coset_rep of a fresh translation builds only its representative,
+    # and every element of its walk that already existed gets it; the walk is
+    # traced by general products in another context
+    datum = build_root_datum(type_str)
+    lam = tuple(-3 - k for k in range(datum.rank))
+    other = AffineWeyl(datum)
+    path = [other.translation(lam)]
+    while (i := other.left_descent(path[-1].rec, path[-1].trans, 1)) is not None:
+        path.append(other.mult(other.gens[i], path[-1]))
+    assert len(path) > 3
+    aw = AffineWeyl(datum)
+    a = aw.translation(lam)
+    met = [aw.element(x.fin, x.trans) for x in path[1:-1:2]]
+    count = len(built_elements(aw))
+    rep = aw.min_coset_rep(a)
+    assert len(built_elements(aw)) == count + 1
+    assert rep == path[-1] and rep.rep is rep
+    assert all(x.rep is rep for x in [a, *met])
 
 
 def test_coset_minimality_examples(ctx):

@@ -130,16 +130,6 @@ def test_orbits_command_e7(tmp_path):
     assert len(obj["orbits"]) == 45 and obj["closure_leq"] is None
 
 
-def test_verlinde_bound_overrun_exits_3(tmp_path, capsys, monkeypatch):
-    # a nonzero term past the enumeration bound is an unsupported regime
-    from heckecells.rootdata import RootDatum
-
-    monkeypatch.setattr(RootDatum, "tensor_multiplicity", lambda self, lam, mu, nu: 1)
-    assert main(["verlinde", "--type", "A1", "--p", "5", "--lambda", "1", "--mu", "1"]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and json.loads(err[0])["code"] == 3
-
-
 def test_plot_command(tmp_path):
     code, data = run_cli(
         ["plot", "--type", "C2", "--p", "7", "--len", "10", "--margin", "3"],

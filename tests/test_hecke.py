@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     bs_product,
     dump_json_oracle,
     dump_text_oracle,
+    hecke_mul,
     in_positive_part,
     is_nonnegative,
     kl_gen,
@@ -31,6 +33,7 @@ from oracles import (
     kl_mul,
     kl_oracle,
     laurent_canonical,
+    mul_by_word,
     standard,
     table_rows_oracle,
     two_dict_canonical,
@@ -243,6 +246,27 @@ def test_recursion_guard_exits_3(monkeypatch, capsys):
     assert '"code": 3' in capsys.readouterr().err
 
 
+def test_kl_memo_budget_exits_3(monkeypatch, capsys):
+    # the algebra memo counts its terms as entries are stored; past the
+    # budget the recursion stops with the exit-3 error and prints nothing.
+    # The count is per context: a fresh one answers again under the budget.
+    word = ".".join(["s0.s1.s2"] * 10 + ["s0"])  # length 31: 53 183 memo terms
+    c = build_context("C2")
+    c.hecke.kl_basis(c.aw.from_word_str("s0.s1.s2.s0.s1"))
+    memo = c.hecke._kl_cache
+    assert memo.terms == sum(len(elts) for elts, _, _ in memo.values()) > 0
+    monkeypatch.setattr(heckecells.hecke, "KL_MEMO_TERMS", 20_000)
+    for _ in range(2):
+        assert main(["kl", "--type", "C2", "--w", word]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and json.loads(err)["code"] == 3
+        assert main(["kl", "--type", "C2", "--w", "s0.s1.s2.s0.s1.s2.s0"]) == 0
+        capsys.readouterr()
+    with pytest.raises(UnsupportedRegimeError, match="memo terms"):
+        c.hecke.kl_basis(c.aw.from_word_str(word))
+    assert memo.terms == sum(len(elts) for elts, _, _ in memo.values()) <= 20_000
+
+
 def test_kl_self_dual_and_triangular(ctx):
     c = ctx("C2")
     for w in c.aw.enumerate_W(5):
@@ -269,7 +293,7 @@ def test_structure_constants_nonnegative_sample(ctx):
     ball = c.aw.enumerate_W(3)
     for x in ball:
         for y in ball:
-            prod = c.hecke.mul(c.hecke.kl_basis(x), c.hecke.kl_basis(y))
+            prod = hecke_mul(c.hecke, c.hecke.kl_basis(x), c.hecke.kl_basis(y))
             for coeff in c.hecke.to_canonical(prod).values():
                 assert is_nonnegative(coeff)
 
@@ -295,7 +319,7 @@ def test_to_canonical_reconstructs_input():
     ball = c.aw.enumerate_W(2)
     for x in ball:
         for y in ball:
-            prod = c.hecke.mul(c.hecke.kl_basis(x), c.hecke.kl_basis(y))
+            prod = hecke_mul(c.hecke, c.hecke.kl_basis(x), c.hecke.kl_basis(y))
             expansion = c.hecke.to_canonical(prod)
             total = HeckeElt()
             for w, coeff in expansion.items():
@@ -315,8 +339,8 @@ def test_to_canonical_reconstructs_input():
                     total = total + canonical(w).scale(coeff)
                 assert total == n
 
-    for w, h in c.hecke._kl_elts.items():
-        assert h == kl_oracle(c.hecke, w)
+    for w in c.hecke._kl_cache:
+        assert c.hecke.kl_basis(w) == kl_oracle(c.hecke, w)
     for w, n in c.asph._canon_elts.items():
         assert n == asph_canonical_oracle(c.hecke, w)
 
@@ -358,7 +382,7 @@ def test_asph_action_consistent_with_projection(ctx):
     rng = random.Random(5)
     for _ in range(30):
         word = [rng.randrange(3) for _ in range(rng.randrange(7))]
-        h = c.hecke.mul_by_word(c.hecke.unit(), word)
+        h = mul_by_word(c.hecke, c.hecke.unit(), word)
         i = rng.randrange(3)
         lhs = c.hecke.asph_project(c.hecke.mul_by_gen(h, i))
         rhs = c.asph.mul_by_gen(c.hecke.asph_project(h), i)

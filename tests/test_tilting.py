@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from heckecells.affine import UnsupportedRegimeError
+from heckecells.affine import AffineWeyl, UnsupportedRegimeError
 from heckecells.hecke import specialize_v1
+from heckecells.rootdata import build_root_datum
 from heckecells.tilting import (
     GroupAlgebraElt,
     MZeroElt,
     c_of_module,
     dot_orbit_element,
+    fundamental_alcove_weights,
     fusion_multiplicity,
     in_fundamental_alcove,
     mzero_act,
@@ -200,6 +202,35 @@ def test_fusion_examples(ctx):
     assert fusion_multiplicity(aw, (3,), (3,), (0,), 5) == 1
     for lam in range(4):
         assert fusion_multiplicity(aw, (lam,), (0,), (lam,), 5) == 1
+
+
+def test_fusion_terms_lie_within_the_level_bound(monkeypatch):
+    # fusion_multiplicity enumerates fW to bound = |Phi+| (floor(level/p) + 2)
+    # and no further, and on fW to bound + 1 every nonzero term of the
+    # alternating sum has l(w) <= |Phi+| floor(level / p), with the same sum
+    asked, enumerate_fW = [], AffineWeyl.enumerate_fW
+    monkeypatch.setattr(
+        AffineWeyl, "enumerate_fW", lambda aw, bound: asked.append(bound) or enumerate_fW(aw, bound)
+    )
+    rng = random.Random(23)
+    for type_str, p, triples in (("A1", 7, 8), ("A2", 5, 8), ("C2", 7, 6), ("G2", 13, 4), ("A3", 5, 3)):
+        aw = AffineWeyl(build_root_datum(type_str))
+        d, npos = aw.datum, len(aw.datum.positive_roots)
+        alcove = fundamental_alcove_weights(d, p)
+        for _ in range(triples):
+            lam, mu, nu = (rng.choice(alcove) for _ in range(3))
+            level = sum(c * (a + b + 2) for c, a, b in zip(d.affine_root.coroot, lam, mu))
+            bound = npos * (level // p + 2)
+            asked.clear()
+            val = fusion_multiplicity(aw, lam, mu, nu, p)
+            assert asked == [bound]
+            total = 0
+            for w in enumerate_fW(aw, bound + 1):
+                eta = aw.dot_action(w, nu, p)
+                if d.is_dominant(eta) and (k := d.tensor_multiplicity(lam, mu, eta)):
+                    assert w.length <= npos * (level // p)
+                    total += -k if w.length % 2 else k
+            assert total == val
 
 
 def test_fusion_rejects_wall_weights(ctx):
