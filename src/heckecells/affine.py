@@ -44,9 +44,10 @@ class UnsupportedRegimeError(ValueError):
 class AffineElement:
     """Element of the extended affine Weyl group, as (finite part, translation).
 
-    Interned: an :class:`AffineWeyl` context holds one object per element;
-    equality and hashing use the canonical form, so an element equals (and
-    hashes like) the same element of another context of the same type.  The
+    Interned: a context holds one object per element and takes its own
+    elements.  Equality and the hash are structural; the hash is on ints
+    (whatever PYTHONHASHSEED), with lam's -1 count as hash(-1) == hash(-2),
+    so an element equals and hashes like its twin in another context.  The
     context caches on it its product with the i-th generator, ``right[i]``,
     its reduced ``word``, ``fmin`` (is it in fW) and ``rep``, the minimal
     representative of its coset W_f a; ``rec`` is its finite part's record.
@@ -56,10 +57,10 @@ class AffineElement:
 
     def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int):
         self.rec = rec
-        self.fin = fin = rec.fin
+        self.fin = rec.fin
         self.trans = trans
         self.length = length
-        self._hash = hash((fin.mat, trans))
+        self._hash = hash((rec.hash, trans, trans.count(-1)))
         self.right = [None] * ngens
         self.word = self.fmin = self.rep = None
 
@@ -80,9 +81,10 @@ class AffineElement:
 class _FiniteRecord:
     """What one finite part w decides for all its elements w t_lam.
 
-    ``elements`` maps lam to the context's element.  Every other entry is
-    filled on first use: ``flags``, [w(a) < 0] over the positive roots, by a
-    length computed from scratch; ``descents[i]``, (c, n) with s_i . w t_lam
+    ``elements`` maps lam to the context's element; ``hash`` is that of w's
+    doubled matrix (hash(-1) == hash(-2)).  Every other entry is filled on
+    first use: ``flags``, [w(a) < 0] over the positive roots, by a length
+    computed from scratch; ``descents[i]``, (c, n) with s_i . w t_lam
     shorter iff <lam, c> < n, by a left descent test or step; ``right[i]``,
     (record of w s_i, [w(alpha_i) < 0]), by a right step of an element or of
     :meth:`AffineWeyl.dot_walk`; ``left[i]``, (record of s_i w, shift) with
@@ -91,10 +93,11 @@ class _FiniteRecord:
     finite part, by :meth:`AffineWeyl.mult`.
     """
 
-    __slots__ = ("fin", "elements", "flags", "descents", "right", "left", "products")
+    __slots__ = ("fin", "hash", "elements", "flags", "descents", "right", "left", "products")
 
     def __init__(self, fin: FiniteWeylElement, ngens: int):
         self.fin = fin
+        self.hash = hash(tuple(tuple([2 * c for c in row]) for row in fin.mat))
         self.elements: dict[Weight, AffineElement] = {}
         self.flags = None
         self.descents, self.right, self.left = [None] * ngens, [None] * ngens, [None] * ngens
@@ -395,7 +398,7 @@ class AffineWeyl:
     # -- serialization ---------------------------------------------------------
 
     def to_word(self, a: AffineElement) -> str:
-        k, w = self.omega_part(a)
+        k, w = (0, a) if a.word is not None else self.omega_part(a)
         tokens = [f"s{i}" for i in self.reduced_word(w)]
         if k:
             tokens.insert(0, f"omega:{k}")

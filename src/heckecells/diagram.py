@@ -10,7 +10,6 @@ with a fixed precision so that identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .affine import AffineWeyl
 from .cells import CellPartition
@@ -39,9 +38,25 @@ def _embedding(datum):
     c = math.sqrt(float(g22) - b * b)
 
     def embed(x):
-        return (float(x[0]) * a + float(x[1]) * b, float(x[1]) * c)
+        return (x[0] * a + x[1] * b, x[1] * c)
 
     return embed
+
+
+def _alcove_corners(aw: AffineWeyl, p: int):
+    """(d, corners), corners(w) the vertices of w's alcove in rho-shifted
+    coordinates times d = c_1 c_2, theta^vee = (c_1, c_2): integers, and an
+    int / int rounds as float(Fraction) does.  The fundamental simplex has
+    vertices 0 and p/c_i e_i; w = u t_beta maps x to u(x + p beta)."""
+    c1, c2 = aw.datum.affine_root.coroot
+    d = c1 * c2
+    base = ((0, 0), (p * c2, 0), (0, p * c1))
+
+    def corners(w):
+        t1, t2 = d * p * w.trans[0], d * p * w.trans[1]
+        return [w.fin.apply((x + t1, y + t2)) for x, y in base]
+
+    return d, corners
 
 
 def render_cell_diagram(aw: AffineWeyl, partition: CellPartition, p: int) -> str:
@@ -60,31 +75,13 @@ def render_cell_diagram(aw: AffineWeyl, partition: CellPartition, p: int) -> str
     elements = aw.enumerate_fW(bound)  # sorted by length
     label_max = elements[min(15, len(elements) - 1)].length
 
-    # vertices of the closed fundamental simplex in rho-shifted coordinates
-    at = datum.affine_root
-    base = [(Fraction(0), Fraction(0))]
-    for i in range(2):
-        c = at.coroot[i]
-        base.append(
-            tuple(
-                Fraction(p, c) if j == i else Fraction(0) for j in range(2)
-            )
-        )
-
-    def alcove_vertices(w):
-        # x -> u(x + p beta) for w = u t_beta
-        out = []
-        for x in base:
-            shifted = tuple(x[j] + p * w.trans[j] for j in range(2))
-            img = w.fin.apply(shifted)
-            out.append(embed(img))
-        return out
+    d, corners = _alcove_corners(aw, p)
 
     polys = []
     labels = []
     xs, ys = [], []
     for w in elements:
-        verts = alcove_vertices(w)
+        verts = [embed((x / d, y / d)) for x, y in corners(w)]
         for vx, vy in verts:
             xs.append(vx)
             ys.append(vy)

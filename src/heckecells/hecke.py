@@ -8,7 +8,7 @@ the algebra and in the antispherical module, on Kronecker-coded integers: a
 coefficient n(v) is held as n(2^64) next to n(1).  It is nonnegative
 (Kazhdan-Lusztig 1980; Elias-Williamson 2014), so its base-2^64 digits are
 exact while n(1) < 2^63; a failed check raises UnsupportedRegimeError (exit
-3), as does an algebra memo past KL_MEMO_TERMS terms.  By the uniqueness
+3), as does a memo past its budget of terms.  By the uniqueness
 every right descent of w leads to the same element at w, so the recursion
 starts from the memoized one with the fewest terms.  The antispherical
 module is sgn tensored over the finite Hecke algebra, with standard basis
@@ -90,19 +90,41 @@ _DIGIT1 = _MASK << _BITS  # the digit of v^1 in a code
 # 61 and 3.9 M (1.06 GiB) at length 91.  Past it, `kl` is the exit-3 error.
 KL_MEMO_TERMS = 6_000_000
 
+# Budget on the terms of one antispherical module's canonical memo, under
+# 2 GiB at about 100 bytes a term: `cells --type C4 --len 60 --margin 16`
+# memoizes 10.5 M terms (1010 MiB).  Past it, `cells` is the exit-3 error.
+ASPH_MEMO_TERMS = 20_000_000
+
+
+class _OverBudget(Exception):
+    """A canonical memo reached its budget (see :meth:`_BudgetMemo.coded`)."""
+
 
 class _BudgetMemo(dict):
-    """A canonical memo that counts the terms stored in it, up to KL_MEMO_TERMS."""
+    """A canonical memo that counts the terms stored in it, up to the module
+    constant named ``budget`` (read at each store, once per entry)."""
 
     terms = 0
 
+    def __init__(self, budget: str):
+        self.budget = budget
+
     def __setitem__(self, w, out):
-        if self.terms + len(out[0]) > KL_MEMO_TERMS:
-            raise UnsupportedRegimeError(
-                f"canonical basis at length {w.length} needs over {KL_MEMO_TERMS} memo terms"
-            )
+        if self.terms + len(out[0]) > globals()[self.budget]:
+            raise _OverBudget
         self.terms += len(out[0])
         super().__setitem__(w, out)
+
+    def coded(self, aw: AffineWeyl, keep, w: AffineElement) -> tuple[list, list, list]:
+        """``_canonical`` at w on this memo; past the budget, the exit-3 error
+        names the length of w, not that of the entry that overflowed."""
+        try:
+            return _canonical(aw, keep, self, w)
+        except _OverBudget:
+            raise UnsupportedRegimeError(
+                f"canonical basis at length {w.length} needs over "
+                f"{globals()[self.budget]} memo terms"
+            ) from None
 
 
 def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list, list, list]:
@@ -118,9 +140,9 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
     ``memo`` caches finished elements, each a triple of parallel lists: the
     support z, and n(2^64) and n(1) for the coefficient n at z, with zero
     codes dropped, in an order that follows the descent taken.  The loop
-    sums every term through one dict from z to its position, so a term costs
-    one lookup.  Off the diagonal n lies in vZ[v], so v^-1 is an exact shift
-    and mu(y, ws) is digit 1 at y.
+    sums every term through one dict from id(z) (z is interned) to its
+    position: one lookup and no hash a term.  Off the diagonal n lies in
+    vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
     """
     out = memo.get(w)
     if out is not None:
@@ -152,34 +174,34 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
                 mu = cx & _MASK
                 if mu:
                     for z, cz, nz in zip(*_canonical(aw, keep, memo, x)):
-                        k = index.get(z)
+                        k = index.get(id(z))
                         if k is None:
-                            index[z] = len(elts)
+                            index[id(z)] = len(elts)
                             elts.append(z)
                             codes.append(-mu * cz)
                             ones.append(-mu * nz)
                         else:
                             codes[k] -= mu * cz
                             ones[k] -= mu * nz
-            k = index.get(xs)
+            k = index.get(id(xs))
             if k is None:
-                index[xs] = len(elts)
+                index[id(xs)] = len(elts)
                 elts.append(xs)
                 codes.append(c)
                 ones.append(n)
             else:
                 codes[k] += c
                 ones[k] += n
-            k = index.get(x)
+            k = index.get(id(x))
             if k is None:
-                index[x] = len(elts)
+                index[id(x)] = len(elts)
                 elts.append(x)
                 codes.append(cx)
                 ones.append(n)
             else:
                 codes[k] += cx
                 ones[k] += n
-        k = index.get(w)
+        k = index.get(id(w))
         diag = 0 if k is None else codes[k]
         elts, ones, codes = [list(compress(col, codes)) for col in (elts, ones, codes)]
         if diag != 1 or max(ones) >= _BOUND:
@@ -300,7 +322,7 @@ class Hecke:
 
     def __init__(self, aw: AffineWeyl):
         self.aw = aw
-        self._kl_cache: dict[AffineElement, tuple[list, list, list]] = _BudgetMemo()
+        self._kl_cache = _BudgetMemo("KL_MEMO_TERMS")
         self._bar_std_cache: dict[AffineElement, HeckeElt] = {}
 
     # -- standard basis ------------------------------------------------
@@ -335,7 +357,7 @@ class Hecke:
 
     def kl_basis(self, w: AffineElement) -> HeckeElt:
         """The 0-canonical basis element at w, decoded from the memo on each call."""
-        return _decode_elt(_canonical(self.aw, None, self._kl_cache, w))
+        return _decode_elt(self._kl_cache.coded(self.aw, None, w))
 
     def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
         """Expand in the 0-canonical basis by leading-term subtraction."""
@@ -354,7 +376,7 @@ class AsphModule:
     def __init__(self, hecke: Hecke):
         self.hecke = hecke
         self.aw = hecke.aw
-        self._canon_cache: dict[AffineElement, tuple[list, list, list]] = {}
+        self._canon_cache = _BudgetMemo("ASPH_MEMO_TERMS")
         self._canon_elts: dict[AffineElement, AsphElt] = {}
 
     def mul_by_gen(self, n: AsphElt, i: int) -> AsphElt:
@@ -378,7 +400,7 @@ class AsphModule:
 
     def _coded(self, w: AffineElement) -> tuple[list, list, list]:
         """The canonical element at w in fW as ``_canonical`` codes it."""
-        return _canonical(self.aw, self.aw.in_fW, self._canon_cache, w)
+        return self._canon_cache.coded(self.aw, self.aw.in_fW, w)
 
     def to_canonical(self, n: AsphElt) -> dict[AffineElement, LaurentPoly]:
         return _to_canonical(n, self.canonical, self.aw.sort_key)

@@ -18,7 +18,8 @@ the stripped scalar once per reflection, the word oracle descends greedily
 by general products, the step oracles take each generator step as a general
 product, the matrix oracle multiplies entry by entry, the target oracle
 scans N_y's codes for mu once per generator, the dot-walk oracle composes
-its element by one matrix product per reflection, the Levi oracles tally the
+its element by one matrix product per reflection, the alcove-vertex oracle
+maps the fundamental simplex in Fractions, the Levi oracles tally the
 grading degrees and the runs of a Levi subset one by one, and the
 stabilization oracles keep the chain's early exits and a running maximum.  The helpers at the end have callers only in the tests.
 """
@@ -622,6 +623,18 @@ def dot_walk_oracle(aw, mu0, mu1, p: int):
         fin = fin * g.fin
         trans = tuple(x + y for x, y in zip(g.fin.apply_inverse(trans), g.trans))
     return aw.element(fin, trans), nu0
+
+
+def alcove_vertices_oracle(aw, w, p: int) -> list:
+    """The vertices of w's alcove in rho-shifted coordinates, in Fractions:
+    the fundamental simplex 0, p/c_1 e_1, p/c_2 e_2 (theta^vee = (c_1, c_2))
+    under x -> u(x + p beta) for w = u t_beta."""
+    at = aw.datum.affine_root
+    base = [(Fraction(0), Fraction(0))]
+    for i in range(2):
+        c = at.coroot[i]
+        base.append(tuple(Fraction(p, c) if j == i else Fraction(0) for j in range(2)))
+    return [w.fin.apply(tuple(x[j] + p * w.trans[j] for j in range(2))) for x in base]
 
 
 def built_elements(aw) -> list:

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckecells
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
 from heckecells.hecke import HeckeElt, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
@@ -101,6 +105,32 @@ def test_elements_are_interned(ctx):
                     assert left_step_matches(aw, i, x)
                 twin = other.from_word_str(word)
                 assert twin == x and hash(twin) == hash(x) and twin is not x
+
+
+@pytest.mark.parametrize("type_str,bound,distinct", [("C2", 13, 244), ("B2", 20, 561), ("C3", 14, 1659)])
+def test_element_hash_parts_minus_one_from_minus_two(type_str, bound, distinct):
+    # hash(-1) == hash(-2) in CPython, so hashing (matrix, translation) alone
+    # gave the 244 elements of C2 up to length 13 only 213 distinct hashes
+    ball = AffineWeyl(build_root_datum(type_str)).enumerate_W(bound)
+    assert len(ball) == len({hash(w) for w in ball}) == distinct
+
+
+def test_element_hash_does_not_depend_on_the_hash_seed():
+    code = (
+        "from heckecells.affine import AffineWeyl;"
+        "from heckecells.rootdata import build_root_datum;"
+        "aw = AffineWeyl(build_root_datum('G2'));"
+        "print([hash(w) for w in aw.enumerate_W(6)])"
+    )
+    src = os.path.dirname(os.path.dirname(heckecells.__file__))
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        ).stdout
+        for seed in ("0", "1", "12345")
+    }
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("type_str,bound", [("A2", 8), ("C2", 8), ("G2", 8), ("B3", 6)])
@@ -775,6 +805,20 @@ def test_word_serialization_round_trip(ctx):
         if rng.random() < 0.5:
             w = aw.mult(rng.choice(aw.omega), w)
         assert aw.from_word_str(aw.to_word(w)) == w
+
+
+def test_to_word_of_an_element_holding_its_word_skips_the_omega_part(monkeypatch):
+    # only elements of W hold a word, so their omega index is 0 untested
+    aw = AffineWeyl(build_root_datum("C2"))
+    ball = aw.enumerate_W(8)
+    words = {w: aw.to_word(w) for w in ball}
+    tested = []
+    in_root_lattice = aw.datum.in_root_lattice
+    monkeypatch.setattr(aw.datum, "in_root_lattice", lambda lam: tested.append(lam) or in_root_lattice(lam))
+    assert {w: aw.to_word(w) for w in ball} == words
+    assert tested == []
+    x = aw.mult(aw.omega[1], ball[5])
+    assert aw.to_word(x) == "omega:1." + words[ball[5]] and tested
 
 
 @pytest.mark.parametrize("type_str,bound", [("A2", 6), ("C2", 7), ("G2", 8), ("A3", 5)])

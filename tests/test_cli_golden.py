@@ -88,6 +88,12 @@ GOLDEN = [
      "8a72431720cbd01b1d51dfa581c33503bea7693666b6a50755542d298dfb8e4e"),
     ("humphreys --type G2 --p 11 --lambda 250,31",
      "0388a2a2400296055417e49c79f618d899d22bb9ae3f6509e490a0768b1a0830"),
+    # recorded before the alcove vertices were scaled to integers: theta^vee
+    # is (2, 3) on G2 and (2, 1) on B2, so p / c_i is not an integer
+    ("plot --type G2 --p 11 --len 24 --margin 8",
+     "9e9c60caefd3e06a0b44956e35b1e66be2d4a7f0eafc009455a1ce7021947de5"),
+    ("plot --type B2 --p 5 --len 12 --margin 4",
+     "2a9171a2d659a6d693f23edf652ae7e46ad4ae9274a3bf32415c4634fef37956"),
 ]
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import heckecells.hecke
-from heckecells.affine import UnsupportedRegimeError
+from heckecells.affine import AffineElement, UnsupportedRegimeError
 from heckecells.cli import main
 from heckecells.hecke import (
     AsphElt,
@@ -160,6 +160,43 @@ def test_indexed_recursion_matches_two_dict_recursion(type_str, bound):
             assert alone.keys() <= oracle_alone.keys(), w
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of AffineElement.<name> from now on."""
+    calls = [0]
+    method = getattr(AffineElement, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    monkeypatch.setattr(AffineElement, name, counted)
+    return calls
+
+
+def test_recursion_hashes_elements_per_entry_not_per_term(monkeypatch):
+    # the sums key positions by id: the element hashes left are the memo's
+    # own, one lookup of w, one per right descent and one store per new
+    # entry, plus one lookup per mu-correction (25.4 per entry when the sums
+    # hashed every term)
+    c = build_context("B3")
+    ball = c.aw.enumerate_fW(12)
+    calls = _counting(monkeypatch, "__hash__")
+    for w in ball:
+        c.asph._coded(w)
+    assert calls[0] <= (len(c.aw.gens) + 2) * len(c.asph._canon_cache)
+
+
+def test_zero_table_compares_few_elements(monkeypatch):
+    # with -1 and -2 hashed apart, the 244 elements of C2 up to length 13
+    # have 244 hashes (213 before), and a fresh table takes few __eq__ calls
+    # (17 438 before)
+    c = build_context("C2")
+    calls = _counting(monkeypatch, "__eq__")
+    table = table_from_zero_basis(c.hecke, 13)
+    assert calls[0] < 1000
+    assert len(table.entries) == len({hash(w) for w in table.entries}) == 244
+
+
 class _CountingMemo(dict):
     """A memo whose stored supports count the terms read out of them."""
 
@@ -265,6 +302,37 @@ def test_kl_memo_budget_exits_3(monkeypatch, capsys):
     with pytest.raises(UnsupportedRegimeError, match="memo terms"):
         c.hecke.kl_basis(c.aw.from_word_str(word))
     assert memo.terms == sum(len(elts) for elts, _, _ in memo.values()) <= 20_000
+
+
+def test_kl_memo_budget_error_names_the_requested_element(monkeypatch, capsys):
+    # the memo runs out while it stores a shorter element (length 12 here),
+    # but the error gives the length of the element asked for
+    monkeypatch.setattr(heckecells.hecke, "KL_MEMO_TERMS", 2000)
+    word = ".".join(["s0.s1.s2"] * 12 + ["s0"])
+    assert main(["kl", "--type", "C2", "--w", word]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["code"] == 3
+    assert record["message"] == "canonical basis at length 37 needs over 2000 memo terms"
+
+
+def test_module_memo_budget_exits_3(monkeypatch, capsys):
+    # the antispherical memo counts its terms like the algebra's, against
+    # its own budget; past it, `cells` is the exit-3 error
+    args = ["cells", "--type", "C2", "--len", "16", "--margin", "4"]
+    c = build_context("C2")
+    for w in c.aw.enumerate_fW(16):
+        c.asph._coded(w)
+    memo = c.asph._canon_cache
+    assert memo.terms == sum(len(elts) for elts, _, _ in memo.values()) > 500
+    monkeypatch.setattr(heckecells.hecke, "ASPH_MEMO_TERMS", 500)
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["code"] == 3 and "memo terms" in json.loads(err)["message"]
+    monkeypatch.setattr(heckecells.hecke, "ASPH_MEMO_TERMS", memo.terms)
+    assert main(args) == 0
 
 
 def test_kl_self_dual_and_triangular(ctx):
