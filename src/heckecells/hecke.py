@@ -10,7 +10,10 @@ coefficient n(v) is held as n(2^64) next to n(1).  It is nonnegative
 exact while n(1) < 2^63; a failed check raises UnsupportedRegimeError (exit
 3), as does a memo past its budget of terms.  By the uniqueness
 every right descent of w leads to the same element at w, so the recursion
-starts from the memoized one with the fewest terms.  The antispherical
+starts from the memoized one with the fewest terms.  For that descent s,
+C_w (H_s + v) = (v + v^-1) C_w, so the coefficient at zs is v times the one
+at z whenever zs < z: the recursion sums only the upper member z of each
+pair {z, zs} and writes the lower one as its shift.  The antispherical
 module is sgn tensored over the finite Hecke algebra, with standard basis
 N_w indexed by the minimal coset representatives fW; finite simple
 reflections act on the sign line by -v.
@@ -139,10 +142,23 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
     memoized.  H_s + v acts as in ``kl_gen_action`` with ``keep``, and
     ``memo`` caches finished elements, each a triple of parallel lists: the
     support z, and n(2^64) and n(1) for the coefficient n at z, with zero
-    codes dropped, in an order that follows the descent taken.  The loop
-    sums every term through one dict from id(z) (z is interned) to its
-    position: one lookup and no hash a term.  Off the diagonal n lies in
-    vZ[v], so v^-1 is an exact shift and mu(y, ws) is digit 1 at y.
+    codes dropped, in an order that follows the descent taken.  Off the
+    diagonal n lies in vZ[v], so v^-1 is an exact shift and mu(y, ws) is
+    digit 1 at y.
+
+    Every summand is s-symmetric (C_y for ys < y as much as C_ws (H_s + v)),
+    and so is C_w: n at zs is v times n at z when zs < z, and in the module
+    n = 0 at a z whose zs > z lies outside fW (fW is closed under right
+    prefixes, so the lower member of a kept pair is in fW).  The loop
+    therefore sums only the upper members z: an ascending term x of C_ws
+    adds its code c to xs, a descending one adds c >> 64 to x, and a
+    mu-term only the upper half of C_y.  It sums through one dict from
+    id(z) (z is interned) to its position: one lookup and no hash a term.
+    After it, each lower zs is appended with the code of z shifted by 64
+    bits and the same n(1); when that shift equals the code c that C_ws
+    holds at z (zs then got nothing else), the object c itself is stored,
+    so the memo holds no more distinct code objects than a sum over both
+    members would.
     """
     out = memo.get(w)
     if out is not None:
@@ -162,51 +178,55 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
                     i, first = j, ws
         if lower is None:
             lower = _canonical(aw, keep, memo, first)
-        index, elts, codes, ones = {}, [], [], []
+        # per upper member z: its lower member zs, and the code object C_ws
+        # holds at z when z is a descending term (else 0), reused at zs
+        index, elts, codes, ones, lows, shared = {}, [], [], [], [], []
         for x, c, n in zip(*lower):
             xs = x.right[i] or mult_gen(x, i)
             if xs.length > x.length:
                 if keep is not None and not keep(xs):
                     continue
-                cx = c << _BITS
+                x, xs, q = xs, x, 0
             else:
-                cx = c >> _BITS
-                mu = cx & _MASK
+                q, c = c, c >> _BITS
+                mu = c & _MASK
                 if mu:
                     for z, cz, nz in zip(*_canonical(aw, keep, memo, x)):
+                        zs = z.right[i] or mult_gen(z, i)
+                        if zs.length > z.length:
+                            continue
                         k = index.get(id(z))
                         if k is None:
                             index[id(z)] = len(elts)
                             elts.append(z)
                             codes.append(-mu * cz)
                             ones.append(-mu * nz)
+                            lows.append(zs)
+                            shared.append(0)
                         else:
                             codes[k] -= mu * cz
                             ones[k] -= mu * nz
-            k = index.get(id(xs))
-            if k is None:
-                index[id(xs)] = len(elts)
-                elts.append(xs)
-                codes.append(c)
-                ones.append(n)
-            else:
-                codes[k] += c
-                ones[k] += n
             k = index.get(id(x))
             if k is None:
                 index[id(x)] = len(elts)
                 elts.append(x)
-                codes.append(cx)
+                codes.append(c)
                 ones.append(n)
+                lows.append(xs)
+                shared.append(q)
             else:
-                codes[k] += cx
+                codes[k] += c
                 ones[k] += n
         k = index.get(id(w))
         diag = 0 if k is None else codes[k]
-        elts, ones, codes = [list(compress(col, codes)) for col in (elts, ones, codes)]
+        elts, ones, lows, shared, codes = [
+            list(compress(col, codes)) for col in (elts, ones, lows, shared, codes)
+        ]
         if diag != 1 or max(ones) >= _BOUND:
             raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
-        out = (elts, codes, ones)
+        # C_w (H_s + v) = (v + v^-1) C_w: the code at zs is the one at z shifted
+        shared = [q if q >> _BITS == c else c << _BITS for c, q in zip(codes, shared)]
+        out = (elts + lows, codes + shared, ones + ones)
     memo[w] = out
     return out
 
@@ -414,7 +434,9 @@ class CanonicalBasisTable:
     below 2^31; never a bool); provenance is free text.  Entries are validated
     to be indexed by W and unitriangular with diagonal coefficient 1, each
     against its lower Bruhat interval, built from its prefix's, and to have
-    no negative coefficient (true of every p-canonical basis).  Validation
+    no negative coefficient (true of every p-canonical basis); at p > 0 each
+    entry's expansion on the computed 0-canonical basis must have
+    bar-invariant nonnegative coefficients.  Validation
     tests each distinct coefficient once, a dump serializes each once, and a
     parse or dump resolves each distinct word once.
     """
@@ -468,6 +490,19 @@ class CanonicalBasisTable:
                     raise BasisTableError(
                         f"entry {aw.to_word(w)} has a negative coefficient at {aw.to_word(y)}"
                     )
+        if p:
+            # a p-canonical element is a bar-invariant combination of the
+            # 0-canonical basis with nonnegative coefficients (Jensen-Williamson
+            # 2017, section 4)
+            hecke = Hecke(aw)
+            for w, h in entries.items():
+                for y, c in hecke.to_canonical(h).items():
+                    if min(c.c.values()) < 0 or c.bar() != c:
+                        raise BasisTableError(
+                            f"p={p} entry {aw.to_word(w)} has coefficient {c} at "
+                            f"{aw.to_word(y)} on the 0-canonical basis: not "
+                            "bar-invariant and nonnegative"
+                        )
 
     def entry(self, w: AffineElement) -> HeckeElt:
         h = self.entries.get(w)
@@ -545,17 +580,17 @@ def _coefficients(entries: dict) -> dict:
 def _text_rows(text: str) -> tuple:
     """(p, provenance, rows) of the text format, rows as ``CanonicalBasisTable._rows``
     makes them."""
-    p = None
-    provenance = ""
+    header = {}
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("p "):
-            p = int(line[2:])
-        elif line.startswith("provenance "):
-            provenance = line[len("provenance "):]
+        key, _, value = line.partition(" ")
+        if key in ("p", "provenance") and value:
+            if key in header:
+                raise BasisTableError(f"line {lineno} repeats the {key} header: {line!r}")
+            header[key] = value
         elif line.startswith("w="):
             head, _, body = line.partition(":")
             terms = []
@@ -567,7 +602,8 @@ def _text_rows(text: str) -> tuple:
             rows.append((head[2:].strip(), terms))
         else:
             raise BasisTableError(f"unparseable line {lineno}: {line!r}")
-    return p, provenance, rows
+    p = header.get("p")
+    return p if p is None else int(p), header.get("provenance", ""), rows
 
 
 def _json_rows(text: str) -> tuple:

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they are checking: the canonical
 basis oracle solves the bar-invariance equations triangularly, the
 antispherical oracle projects that solve from the full algebra, the
-recursion oracles run the descent recursion on ``LaurentPoly`` coefficients
-and on codes summed in two dicts, the length oracle applies the finite part
+recursion oracles run the descent recursion on ``LaurentPoly`` coefficients,
+on codes summed in two dicts and on codes summed at both members of every
+pair {z, zs}, the length oracle applies the finite part
 to every positive root, the orbit oracles conjugate root sets by
 breadth-first search and pair roots with an unreflected grading cocharacter,
 the decomposition oracle peels one translation at a time, the generation
@@ -164,6 +165,83 @@ def two_dict_canonical(aw, keep, memo: dict, w) -> tuple[dict, dict]:
         if codes.get(w) != 1 or max(ones.values()) >= _BOUND:
             raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
         out = (codes, ones)
+    memo[w] = out
+    return out
+
+
+def both_members_canonical(aw, keep, memo: dict, w) -> tuple[list, list, list]:
+    """Coded canonical basis element at w, summed over both members of each pair.
+
+    The recursion of ``hecke._canonical`` (from the memoized descent with the
+    fewest terms, through one position index keyed by id) as it was before
+    it summed only the upper member z (zs < z) of each pair {z, zs}: every
+    term of C_ws (H_s + v) and of each mu-term C_y is summed at xs and at x.
+    Its memo entries are the same triples of parallel lists, with the terms
+    in another order.
+    """
+    out = memo.get(w)
+    if out is not None:
+        return out
+    if w.length == 0:
+        out = ([w], [1], [1])
+    else:
+        mult_gen = aw.mult_gen
+        i = lower = None
+        for j, ws in enumerate(w.right):
+            ws = ws or mult_gen(w, j)
+            if ws.length < w.length:
+                got = memo.get(ws)
+                if got is not None and (lower is None or len(got[0]) < len(lower[0])):
+                    i, lower = j, got
+                elif i is None:
+                    i, first = j, ws
+        if lower is None:
+            lower = both_members_canonical(aw, keep, memo, first)
+        index, elts, codes, ones = {}, [], [], []
+        for x, c, n in zip(*lower):
+            xs = x.right[i] or mult_gen(x, i)
+            if xs.length > x.length:
+                if keep is not None and not keep(xs):
+                    continue
+                cx = c << _BITS
+            else:
+                cx = c >> _BITS
+                mu = cx & _MASK
+                if mu:
+                    for z, cz, nz in zip(*both_members_canonical(aw, keep, memo, x)):
+                        k = index.get(id(z))
+                        if k is None:
+                            index[id(z)] = len(elts)
+                            elts.append(z)
+                            codes.append(-mu * cz)
+                            ones.append(-mu * nz)
+                        else:
+                            codes[k] -= mu * cz
+                            ones[k] -= mu * nz
+            k = index.get(id(xs))
+            if k is None:
+                index[id(xs)] = len(elts)
+                elts.append(xs)
+                codes.append(c)
+                ones.append(n)
+            else:
+                codes[k] += c
+                ones[k] += n
+            k = index.get(id(x))
+            if k is None:
+                index[id(x)] = len(elts)
+                elts.append(x)
+                codes.append(cx)
+                ones.append(n)
+            else:
+                codes[k] += cx
+                ones[k] += n
+        k = index.get(id(w))
+        diag = 0 if k is None else codes[k]
+        elts, ones, codes = [list(itertools.compress(col, codes)) for col in (elts, ones, codes)]
+        if diag != 1 or max(ones) >= _BOUND:
+            raise UnsupportedRegimeError(f"canonical basis at length {w.length} is not exact")
+        out = (elts, codes, ones)
     memo[w] = out
     return out
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from heckecells.hecke import (
     AsphElt,
     BasisTableError,
     CanonicalBasisTable,
+    Hecke,
     HeckeElt,
     TableBasisProvider,
     build_context,
@@ -22,6 +24,7 @@ from heckecells.laurent import ONE, V, VINV, LaurentPoly
 
 from oracles import (
     asph_canonical_oracle,
+    both_members_canonical,
     bs_product,
     dump_json_oracle,
     dump_text_oracle,
@@ -158,6 +161,86 @@ def test_indexed_recursion_matches_two_dict_recursion(type_str, bound):
             _canonical(aw, keep, alone, w)
             two_dict_canonical(aw, keep, oracle_alone, w)
             assert alone.keys() <= oracle_alone.keys(), w
+
+
+def _coded_terms(entry):
+    """{z: (code, n(1))} of one memo entry."""
+    elts, codes, ones = entry
+    return {z: (c, n) for z, c, n in zip(elts, codes, ones)}
+
+
+_PAIR_BALLS = [
+    ("A2", 14, True), ("B2", 16, True), ("C2", 16, True), ("G2", 16, True), ("A3", 10, True),
+    ("B3", 14, False), ("C3", 14, False),
+]
+
+
+def _pair_runs(aw, bound, in_algebra):
+    """(keep, ball) for the fW ball and, if asked, the W ball 4 shorter."""
+    runs = [(aw.in_fW, aw.enumerate_fW(bound))]
+    if in_algebra:
+        runs.append((None, aw.enumerate_W(bound - 4)))
+    return runs
+
+
+@pytest.mark.parametrize("type_str,bound,in_algebra", _PAIR_BALLS)
+def test_pair_recursion_matches_summing_both_members(type_str, bound, in_algebra):
+    # summing only the upper member of each pair {z, zs} and writing the lower
+    # one as its shift gives every memo entry the codes and n(1) of the
+    # recursion that sums both, on a ball in the module and (where marked) on
+    # a ball in the algebra
+    aw = build_context(type_str).aw
+    for keep, ball in _pair_runs(aw, bound, in_algebra):
+        memo, oracle_memo = {}, {}
+        for w in ball:
+            _canonical(aw, keep, memo, w)
+            both_members_canonical(aw, keep, oracle_memo, w)
+        assert memo.keys() == oracle_memo.keys()
+        for w, entry in memo.items():
+            assert len(entry[0]) == len(oracle_memo[w][0])
+            assert _coded_terms(entry) == _coded_terms(oracle_memo[w]), w
+
+
+@pytest.mark.parametrize("type_str,bound,in_algebra", _PAIR_BALLS)
+def test_canonical_memo_is_symmetric_under_every_right_descent(type_str, bound, in_algebra):
+    # C_w (H_s + v) = (v + v^-1) C_w for every right descent s of w
+    # (Kazhdan-Lusztig 1979): the support is closed under z <-> zs, the code
+    # at zs < z is the code at z shifted by 64 bits with the same n(1), and
+    # in the module no z appears whose zs > z lies outside fW
+    aw = build_context(type_str).aw
+    for keep, ball in _pair_runs(aw, bound, in_algebra):
+        memo = {}
+        for w in ball:
+            _canonical(aw, keep, memo, w)
+        for w, entry in memo.items():
+            terms = _coded_terms(entry)
+            for i in range(len(aw.gens)):
+                if aw.mult_gen(w, i).length > w.length:
+                    continue
+                for z, (c, n) in terms.items():
+                    zs = aw.mult_gen(z, i)
+                    if zs.length < z.length:
+                        assert terms.get(zs) == (c << 64, n), (w, z, i)
+                    else:
+                        assert keep is None or keep(zs), (w, z, i)
+                        assert zs in terms, (w, z, i)
+
+
+@pytest.mark.parametrize("type_str", ["B3", "C3"])
+def test_pair_recursion_holds_no_more_code_objects(type_str):
+    # a lower member that takes only its share of C_ws (H_s + v) keeps C_ws's
+    # int object, so the memo holds no more distinct code objects than the
+    # recursion summing both members (both memos alive in one process)
+    aw = build_context(type_str).aw
+    memo, oracle_memo = {}, {}
+    for w in aw.enumerate_fW(16):
+        _canonical(aw, aw.in_fW, memo, w)
+        both_members_canonical(aw, aw.in_fW, oracle_memo, w)
+
+    def objects(m):
+        return len({id(c) for _, codes, _ in m.values() for c in codes})
+
+    assert objects(memo) <= objects(oracle_memo)
 
 
 def _counting(monkeypatch, name):
@@ -599,6 +682,75 @@ def test_table_parse_errors(ctx):
         CanonicalBasisTable.parse(c.aw, "w=s0 : s0:1*v^0\n")  # missing p header
     with pytest.raises(BasisTableError):
         CanonicalBasisTable.parse(c.aw, "p 0\ngarbage line\n")
+
+
+def _kl_with_table(tmp_path, capsys, text, word):
+    """(exit code, stdout, stderr) of `kl --type A1 --w word` on a table file."""
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code = main(["kl", "--type", "A1", "--basis", str(path), "--w", word])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p 0\nw=s1 : e:1*v^1, s1:1*v^0\np 3\n", "line 3 repeats the p header: 'p 3'"),
+        (
+            "provenance a\np 0\nprovenance b\nw=s1 : e:1*v^1, s1:1*v^0\n",
+            "line 3 repeats the provenance header: 'provenance b'",
+        ),
+    ],
+    ids=["p", "provenance"],
+)
+def test_text_table_rejects_a_repeated_header(ctx, tmp_path, capsys, text, message):
+    # a second p or provenance line is exit 4 naming it (the last one won
+    # before: `p 0 ... p 3` loaded as a p = 3 table)
+    with pytest.raises(BasisTableError, match=message):
+        CanonicalBasisTable.parse(ctx("A1").aw, text)
+    code, out, err = _kl_with_table(tmp_path, capsys, text, "s1")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "table", "message": message, "code": 4}
+
+
+# C_{s1 s0} + C_e, a nonnegative bar-invariant combination of the 0-basis
+_P2_PASSES = "p 2\nw=s1.s0 : e:1*v^0+1*v^2, s0:1*v^1, s1:1*v^1, s1.s0:1*v^0\n"
+# H_s1 + v^3 H_e = C_s1 + (v^3 - v) C_e
+_P2_FAILS = "p 2\nw=s1 : e:1*v^3, s1:1*v^0\n"
+
+
+def test_positive_p_table_is_checked_against_the_zero_basis(ctx, tmp_path, capsys):
+    # at p > 0 every entry must expand on the computed 0-canonical basis with
+    # bar-invariant nonnegative coefficients (Jensen-Williamson 2017, section 4)
+    aw = ctx("A1").aw
+    table = CanonicalBasisTable.parse(aw, _P2_PASSES)
+    w = aw.from_word_str("s1.s0")
+    assert Hecke(aw).to_canonical(table.entry(w)) == {w: ONE, aw.identity: ONE}
+    code, out, _ = _kl_with_table(tmp_path, capsys, _P2_PASSES, "s1.s0")
+    assert code == 0 and json.loads(out)["basis_p"] == 2
+    message = (
+        "p=2 entry s1 has coefficient -1*v + v^3 at e on the 0-canonical basis: "
+        "not bar-invariant and nonnegative"
+    )
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        CanonicalBasisTable.parse(aw, _P2_FAILS)
+    code, out, err = _kl_with_table(tmp_path, capsys, _P2_FAILS, "s1")
+    assert code == 4 and out == "" and json.loads(err)["message"] == message
+    # the same entry passes as a p = 0 table's: only p > 0 tables are expanded
+    CanonicalBasisTable.parse(aw, _P2_FAILS.replace("p 2", "p 0"))
+
+
+def test_zero_basis_relabelled_positive_p_passes_the_expansion_check(ctx):
+    # each entry of the 0-basis is one basis element, coefficient 1
+    c = ctx("C2")
+    entries = table_from_zero_basis(c.hecke, 9).entries
+    CanonicalBasisTable(c.aw, 2, entries)
+    top = max(entries, key=c.aw.sort_key)
+    bad = dict(entries)
+    bad[top] = entries[top] + HeckeElt({c.aw.identity: V + V * V * V})
+    with pytest.raises(BasisTableError, match=f"p=3 entry {c.aw.to_word(top)} has coefficient"):
+        CanonicalBasisTable(c.aw, 3, bad)
 
 
 @pytest.mark.parametrize("type_str,bound", [("A1", 12), ("A2", 10), ("C2", 13), ("G2", 12)])
