@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter, mul
+from operator import mul
 
 from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
 
@@ -347,22 +346,6 @@ class AffineWeyl:
         for i in self.reduced_word(b):
             below |= {self.mult_gen(y, i) for y in below}
         return below
-
-    def bruhat_intervals(self, elements):
-        """Yield (w, lower Bruhat interval of w) for elements of W in (length,
-        word) order: with s the last letter of w, I(ws) and its right translate
-        by s when ws came one length before, else :meth:`bruhat_interval`."""
-        prev = {}
-        for _, group in groupby(sorted(elements, key=self.sort_key), key=attrgetter("length")):
-            cur = {}
-            for w in group:
-                word = self.reduced_word(w)
-                lower = prev.get(self.mult_gen(w, word[-1])) if word else None
-                cur[w] = below = self.bruhat_interval(w) if lower is None else (
-                    lower | {self.mult_gen(y, word[-1]) for y in lower}
-                )
-                yield w, below
-            prev = cur
 
     def bruhat_leq(self, a: AffineElement, b: AffineElement) -> bool:
         """Bruhat order on W: a lies in the lower interval of b."""

@@ -19,7 +19,9 @@ N_w indexed by the minimal coset representatives fW; finite simple
 reflections act on the sign line by -v.
 
 Positive-characteristic canonical bases are never computed here: they are
-ingested from :class:`CanonicalBasisTable` files and only validated.
+ingested from :class:`CanonicalBasisTable` files and only validated, a
+term y of an entry w by the Z-property (y <= w iff min(y, ys) <= ws for a
+right descent s; Bjorner-Brenti, Prop. 2.2.7) against the entry ws.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
 from math import isqrt
+from operator import attrgetter
 from typing import NamedTuple
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
@@ -83,6 +86,13 @@ class HeckeElt:
 
 
 AsphElt = HeckeElt
+
+
+def _elt(terms: dict) -> HeckeElt:
+    """A HeckeElt on a terms dict with no zero coefficient (decoded or parsed), as is."""
+    out = object.__new__(HeckeElt)
+    out.terms = terms
+    return out
 
 
 _BITS, _MASK, _BOUND = 64, (1 << 64) - 1, 1 << 63
@@ -254,20 +264,20 @@ def _decode(code: int, one: int) -> LaurentPoly:
 
 
 def _decode_elt(coded: tuple[list, list, list]) -> HeckeElt:
-    return HeckeElt({z: _decode(c, n) for z, c, n in zip(*coded)})
+    return _elt({z: _decode(c, n) for z, c, n in zip(*coded)})
 
 
-def _to_canonical(x: HeckeElt, canonical, sort_key) -> dict[AffineElement, LaurentPoly]:
+def _to_canonical(x: HeckeElt, canonical) -> dict[AffineElement, LaurentPoly]:
     """Expand x in a canonical basis by leading-term subtraction.
 
-    ``canonical(w)`` is the basis element at w.  The subtraction works on a
-    private copy of x's terms, so neither x nor a cached basis element is
-    changed.
+    ``canonical(w)`` is the basis element at w; a longest remaining term is
+    Bruhat-maximal among the rest (the expansion is unique).  The private
+    copy of x's terms keeps x and every cached basis element unchanged.
     """
     rest = dict(x.terms)
     out: dict[AffineElement, LaurentPoly] = {}
     while rest:
-        w = max(rest, key=sort_key)
+        w = max(rest, key=attrgetter("length"))
         c = rest[w]
         out[w] = c
         for y, cy in canonical(w).terms.items():
@@ -343,35 +353,12 @@ class Hecke:
     def __init__(self, aw: AffineWeyl):
         self.aw = aw
         self._kl_cache = _BudgetMemo("KL_MEMO_TERMS")
-        self._bar_std_cache: dict[AffineElement, HeckeElt] = {}
 
     # -- standard basis ------------------------------------------------
-
-    def unit(self) -> HeckeElt:
-        return HeckeElt({self.aw.identity: ONE})
 
     def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
         """Right multiplication by the standard generator H_s."""
         return kl_gen_action(self.aw, h, i, None, LaurentPoly(), VINV - V)
-
-    # -- bar involution -----------------------------------------------------
-
-    def bar_standard(self, w: AffineElement) -> HeckeElt:
-        """bar(H_w) = (H_{w^{-1}})^{-1}, via H_s^{-1} = H_s + (v - v^{-1})."""
-        cached = self._bar_std_cache.get(w)
-        if cached is not None:
-            return cached
-        out = self.unit()
-        for i in self.aw.reduced_word(w):
-            out = kl_gen_action(self.aw, out, i, None, V - VINV, LaurentPoly())
-        self._bar_std_cache[w] = out
-        return out
-
-    def bar(self, h: HeckeElt) -> HeckeElt:
-        out = HeckeElt()
-        for w, c in h.terms.items():
-            out = out + self.bar_standard(w).scale(c.bar())
-        return out
 
     # -- canonical basis ------------------------------------------------------
 
@@ -381,7 +368,7 @@ class Hecke:
 
     def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
         """Expand in the 0-canonical basis by leading-term subtraction."""
-        return _to_canonical(h, self.kl_basis, self.aw.sort_key)
+        return _to_canonical(h, self.kl_basis)
 
     # -- antispherical projection ----------------------------------------------
 
@@ -423,7 +410,7 @@ class AsphModule:
         return self._canon_cache.coded(self.aw, self.aw.in_fW, w)
 
     def to_canonical(self, n: AsphElt) -> dict[AffineElement, LaurentPoly]:
-        return _to_canonical(n, self.canonical, self.aw.sort_key)
+        return _to_canonical(n, self.canonical)
 
 
 class CanonicalBasisTable:
@@ -432,13 +419,15 @@ class CanonicalBasisTable:
     The label p records which p-canonical basis the table claims to hold
     (0 means the ordinary Kazhdan-Lusztig basis, otherwise it is a prime
     below 2^31; never a bool); provenance is free text.  Entries are validated
-    to be indexed by W and unitriangular with diagonal coefficient 1, each
-    against its lower Bruhat interval, built from its prefix's, and to have
-    no negative coefficient (true of every p-canonical basis); at p > 0 each
-    entry's expansion on the computed 0-canonical basis must have
-    bar-invariant nonnegative coefficients.  Validation
-    tests each distinct coefficient once, a dump serializes each once, and a
-    parse or dump resolves each distinct word once.
+    to be indexed by W and unitriangular with diagonal coefficient 1, and to
+    have no negative coefficient (true of every p-canonical basis); at p > 0
+    each entry's expansion on the computed 0-canonical basis must have
+    bar-invariant nonnegative coefficients.  Validation tests each distinct
+    coefficient once and, in (length, word) order, finds each term y of w as
+    min(y, ys) in the entry ws for a right descent s; as a p-canonical element
+    is supported on its whole lower interval (Jensen-Williamson 2017), only an
+    entry with no prefix entry, or an invalid one, builds its Bruhat interval
+    to name the first offending term.  A parse or dump resolves each word once.
     """
 
     def __init__(self, aw: AffineWeyl, p: int, entries: dict, provenance: str = ""):
@@ -465,17 +454,17 @@ class CanonicalBasisTable:
             i for i, c in _coefficients(entries).items()
             if min(c.c.values()) < 0 or p == 0 and min(c.c) < 1
         }
-        for w, below in aw.bruhat_intervals(entries):
+        for w in sorted(entries, key=aw.sort_key):
             terms = entries[w].terms
             diag = terms.get(w, ZERO)
             if diag != ONE:
                 raise BasisTableError(f"diagonal coefficient of {aw.to_word(w)} is {diag}, not 1")
             # at p = 0 the diagonal 1 is flagged too: it may be the only one
-            if below.issuperset(terms) and sum(
-                map(flagged.__contains__, map(id, terms.values()))
-            ) == (id(diag) in flagged):
+            flags = sum(map(flagged.__contains__, map(id, terms.values())))
+            if flags == (id(diag) in flagged) and _below_by_prefix(aw, entries, w, terms):
                 continue
             # name the first offending term
+            below = aw.bruhat_interval(w)
             for y, c in terms.items():
                 if y not in below:
                     raise BasisTableError(
@@ -483,8 +472,7 @@ class CanonicalBasisTable:
                     )
                 if p == 0 and y != w and min(c.c) < 1:
                     raise BasisTableError(
-                        f"p=0 entry {aw.to_word(w)} has an off-diagonal "
-                        "coefficient outside vZ[v]"
+                        f"p=0 entry {aw.to_word(w)} has an off-diagonal coefficient outside vZ[v]"
                     )
                 if min(c.c.values()) < 0:
                     raise BasisTableError(
@@ -551,7 +539,13 @@ class CanonicalBasisTable:
         """Read either wire format; any malformed content is a BasisTableError."""
         text = text.lstrip()
         # call-local memos: exceptions are not cached, so a bad token still raises
-        word, poly = lru_cache(None)(aw.from_word_str), lru_cache(None)(LaurentPoly.deserialize)
+        word, zeros = lru_cache(None)(aw.from_word_str), []
+        @lru_cache(None)
+        def poly(c: str) -> LaurentPoly:  # each distinct text is tested for zero once
+            out = LaurentPoly.deserialize(c)
+            if not out:
+                zeros.append(c)
+            return out
         try:
             p, provenance, rows = (_json_rows if text.startswith("{") else _text_rows)(text)
             entries: dict[AffineElement, HeckeElt] = {}
@@ -562,12 +556,27 @@ class CanonicalBasisTable:
                 h = {word(y): poly(c) for y, c in terms}
                 if len(h) != len(terms):
                     raise BasisTableError(f"entry {w_word} lists a term twice")
-                entries[w] = HeckeElt(h)
+                entries[w] = HeckeElt(h) if zeros else _elt(h)
             return cls(aw, p, entries, provenance)
         except BasisTableError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
+
+
+def _below_by_prefix(aw: AffineWeyl, entries: dict, w: AffineElement, terms) -> bool:
+    """True if, for the first right descent s of w whose ws is an entry,
+    min(y, ys) is a term of that entry for every term y (structural lookups)."""
+    for i, ws in enumerate(w.right):
+        ws = ws or aw.mult_gen(w, i)
+        if ws.length < w.length and (prefix := entries.get(ws)) is not None:
+            below = prefix.terms
+            for y in terms:
+                ys = y.right[i] or aw.mult_gen(y, i)
+                if (ys if ys.length < y.length else y) not in below:
+                    return False
+            return True
+    return False
 
 
 def _coefficients(entries: dict) -> dict:
@@ -610,11 +619,19 @@ def _json_rows(text: str) -> tuple:
     """(p, provenance, rows) of the JSON format, rows as ``CanonicalBasisTable._rows``
     makes them."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_json_object)
     except (json.JSONDecodeError, RecursionError) as e:
         raise BasisTableError(f"bad JSON table: {e}") from e
     rows = [(rec["w"], rec["terms"]) for rec in obj.get("entries", [])]
     return obj.get("p"), obj.get("provenance", ""), rows
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object; a repeated key is an error, like a repeated text header."""
+    if len(obj := dict(pairs)) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise BasisTableError(f"JSON table repeats the key {key!r} in one object")
+    return obj
 
 
 def load_basis_table(aw: AffineWeyl, path) -> CanonicalBasisTable:
@@ -699,7 +716,7 @@ class TableBasisProvider:
         return out
 
     def asph_to_canonical(self, n: AsphElt):
-        return _to_canonical(n, self.asph_canonical, self.hecke.aw.sort_key)
+        return _to_canonical(n, self.asph_canonical)
 
     def kl_gen_targets(self, y: AffineElement) -> list:
         """Per generator s, the canonical-basis support of N_y (H_s + v), by

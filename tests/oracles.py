@@ -13,7 +13,9 @@ oracle enumerates Y0 and Z, the subregular oracle searches the cells below
 the identity cell, the orbit-table oracle pins the universal cells before it
 walks the rank-2 chain, the status oracle reads orbit names, the
 symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph,
-the table oracles sort, serialize and validate a table term by term, the
+the table oracles sort, serialize and validate a table term by term
+against Bruhat intervals, each built from its prefix's, the bar oracles
+apply H_s^-1 letter by letter, the
 coset oracles walk the left descents of every element anew and multiply by
 the stripped scalar once per reflection, the word oracle descends greedily
 by general products, the step oracles take each generator step as a general
@@ -51,7 +53,7 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
     aw = hecke.aw
     interval = sorted(aw.bruhat_interval(w), key=aw.sort_key, reverse=True)
     assert interval[0] == w
-    bar_rows = {y: hecke.bar_standard(y) for y in interval}
+    bar_rows = {y: bar_standard(aw, y) for y in interval}
     coeffs = {w: ONE}
     for z in interval[1:]:
         known = LaurentPoly()
@@ -64,6 +66,22 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
         if hz:
             coeffs[z] = hz
     return HeckeElt(coeffs)
+
+
+def bar_standard(aw, w) -> HeckeElt:
+    """bar(H_w) = (H_{w^{-1}})^{-1}, via H_s^{-1} = H_s + (v - v^{-1})."""
+    out = HeckeElt({aw.identity: ONE})
+    for i in aw.reduced_word(w):
+        out = kl_gen_action(aw, out, i, None, V - VINV, LaurentPoly())
+    return out
+
+
+def bar(aw, h: HeckeElt) -> HeckeElt:
+    """The bar involution on the Hecke algebra, term by term."""
+    out = HeckeElt()
+    for w, c in h.terms.items():
+        out = out + bar_standard(aw, w).scale(c.bar())
+    return out
 
 
 def length_oracle(aw, fin, trans) -> int:
@@ -575,6 +593,23 @@ def dump_json_oracle(table) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def bruhat_intervals(aw, elements):
+    """Yield (w, lower Bruhat interval of w) for elements of W in (length,
+    word) order: with s the last letter of w, I(ws) and its right translate
+    by s when ws came one length before, else ``aw.bruhat_interval``."""
+    prev = {}
+    for _, group in itertools.groupby(sorted(elements, key=aw.sort_key), key=lambda w: w.length):
+        cur = {}
+        for w in group:
+            word = aw.reduced_word(w)
+            lower = prev.get(aw.mult_gen(w, word[-1])) if word else None
+            cur[w] = below = aw.bruhat_interval(w) if lower is None else (
+                lower | {aw.mult_gen(y, word[-1]) for y in lower}
+            )
+            yield w, below
+        prev = cur
+
+
 def validate_table_oracle(aw, p, entries) -> None:
     """The table checks term by term: the p label, entries in W, diagonal 1,
     every term in the lower Bruhat interval and, at p = 0, every
@@ -587,7 +622,7 @@ def validate_table_oracle(aw, p, entries) -> None:
     for w in entries:
         if not aw.in_affine_weyl(w):
             raise BasisTableError(f"entry {aw.to_word(w)} is not in W")
-    for w, below in aw.bruhat_intervals(entries):
+    for w, below in bruhat_intervals(aw, entries):
         h = entries[w]
         diag = h.coeff(w)
         if diag != ONE:
@@ -766,7 +801,7 @@ def hecke_mul(hecke: Hecke, a: HeckeElt, b: HeckeElt) -> HeckeElt:
 
 def bs_product(hecke: Hecke, word) -> HeckeElt:
     """Product of canonical generators along a word (Bott-Samelson class)."""
-    out = hecke.unit()
+    out = standard(hecke.aw.identity)
     for i in word:
         out = kl_mul(hecke, out, i)
     return out

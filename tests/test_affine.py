@@ -16,6 +16,7 @@ from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import FiniteWeylElement, _mat_mul, build_root_datum
 
 from oracles import (
+    bruhat_intervals,
     built_elements,
     coset_project_oracle,
     dot_walk_oracle,
@@ -833,13 +834,13 @@ def test_bruhat_intervals_from_prefixes(ctx, type_str, bound, monkeypatch):
 
     # a prefix-closed set: only the identity is built by the full walk
     ball = aw.enumerate_W(bound)
-    assert dict(aw.bruhat_intervals(reversed(ball))) == {w: full(w) for w in ball}
+    assert dict(bruhat_intervals(aw, reversed(ball))) == {w: full(w) for w in ball}
     assert calls == [aw.identity]
     # with one element u missing, each w whose prefix is u takes the full walk
     u = next(w for w in ball if w.length == bound // 2)
     rest = [w for w in ball if w != u]
     calls.clear()
-    assert dict(aw.bruhat_intervals(rest)) == {w: full(w) for w in rest}
+    assert dict(bruhat_intervals(aw, rest)) == {w: full(w) for w in rest}
     fallback = {w for w in rest if w.length and prefix(w) == u}
     assert fallback and sorted(calls, key=aw.sort_key) == sorted(
         {aw.identity} | fallback, key=aw.sort_key

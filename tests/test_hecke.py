@@ -24,6 +24,7 @@ from heckecells.laurent import ONE, V, VINV, LaurentPoly
 
 from oracles import (
     asph_canonical_oracle,
+    bar,
     both_members_canonical,
     bs_product,
     dump_json_oracle,
@@ -71,7 +72,7 @@ def test_kl_generator_square(ctx):
 
 def test_bs_product_examples(ctx):
     c = ctx("A1")
-    assert bs_product(c.hecke, []) == c.hecke.unit()
+    assert bs_product(c.hecke, []) == standard(c.aw.identity)
     assert bs_product(c.hecke, [1]) == kl_gen(c.hecke, 1)
     assert bs_product(c.hecke, [1, 1]) == kl_gen(c.hecke, 1).scale(V + VINV)
 
@@ -80,7 +81,7 @@ def test_kl_basis_examples(ctx):
     c = ctx("A1")
     aw = c.aw
     s0, s1 = aw.gens
-    assert c.hecke.kl_basis(aw.identity) == c.hecke.unit()
+    assert c.hecke.kl_basis(aw.identity) == standard(aw.identity)
     assert c.hecke.kl_basis(s0) == HeckeElt({s0: ONE, aw.identity: V})
     w = aw.mult(s0, s1)
     expect = HeckeElt(
@@ -422,7 +423,7 @@ def test_kl_self_dual_and_triangular(ctx):
     c = ctx("C2")
     for w in c.aw.enumerate_W(5):
         h = c.hecke.kl_basis(w)
-        assert c.hecke.bar(h) == h
+        assert bar(c.aw, h) == h
         assert h.coeff(w) == ONE
         for y, coeff in h.terms.items():
             if y != w:
@@ -503,7 +504,7 @@ def test_asph_project_examples(ctx):
     c = ctx("A1")
     aw = c.aw
     s1 = aw.gens[1]
-    assert c.hecke.asph_project(c.hecke.unit()) == AsphElt({aw.identity: ONE})
+    assert c.hecke.asph_project(standard(aw.identity)) == AsphElt({aw.identity: ONE})
     assert c.hecke.asph_project(standard(s1)) == AsphElt(
         {aw.identity: LaurentPoly.v(1, -1)}
     )
@@ -533,7 +534,7 @@ def test_asph_action_consistent_with_projection(ctx):
     rng = random.Random(5)
     for _ in range(30):
         word = [rng.randrange(3) for _ in range(rng.randrange(7))]
-        h = mul_by_word(c.hecke, c.hecke.unit(), word)
+        h = mul_by_word(c.hecke, standard(c.aw.identity), word)
         i = rng.randrange(3)
         lhs = c.hecke.asph_project(c.hecke.mul_by_gen(h, i))
         rhs = c.asph.mul_by_gen(c.hecke.asph_project(h), i)
@@ -676,6 +677,100 @@ def test_table_validates_with_a_prefix_missing(ctx):
         CanonicalBasisTable(c.aw, 0, bad)
 
 
+def _first_prefix(aw, entries, w):
+    """ws for the first right descent s of w whose ws is an entry, or None."""
+    return next(
+        (ws for i in range(len(aw.gens))
+         if (ws := aw.mult_gen(w, i)).length < w.length and ws in entries),
+        None,
+    )
+
+
+@pytest.mark.parametrize("type_str,bound", [("A2", 10), ("C2", 10), ("G2", 10), ("B3", 8)])
+def test_table_validation_builds_only_the_identity_interval(type_str, bound, monkeypatch):
+    # every term of a ball's 0-basis is found by the Z-property in its prefix
+    # entry, so the full interval walk serves the identity alone
+    c = build_context(type_str)
+    entries = table_from_zero_basis(c.hecke, bound).entries
+    full, calls = c.aw.bruhat_interval, []
+    monkeypatch.setattr(c.aw, "bruhat_interval", lambda w: calls.append(w) or full(w))
+    CanonicalBasisTable(c.aw, 0, entries)
+    assert calls == [c.aw.identity]
+
+
+def test_table_validation_falls_back_when_a_prefix_lacks_a_term(ctx, monkeypatch):
+    # u without its identity term is still unitriangular; each entry whose
+    # first prefix entry is u misses e there and takes the interval walk
+    c = ctx("C2")
+    aw = c.aw
+    entries = dict(table_from_zero_basis(c.hecke, 8).entries)
+    u = aw.from_word((0, 1, 2, 1))
+    entries[u] = HeckeElt({y: x for y, x in entries[u].terms.items() if y != aw.identity})
+    above = [w for w in entries if _first_prefix(aw, entries, w) == u]
+    full, calls = aw.bruhat_interval, []
+    monkeypatch.setattr(aw, "bruhat_interval", lambda w: calls.append(w) or full(w))
+    CanonicalBasisTable(aw, 0, entries)
+    assert above and sorted(calls, key=aw.sort_key) == sorted(
+        [aw.identity, *above], key=aw.sort_key
+    )
+    w = above[0]
+    beside = next(y for y in entries if y.length == w.length and y != w)
+    bad = {**entries, w: entries[w] + HeckeElt({beside: V})}
+    expected = _raised(validate_table_oracle, aw, 0, bad)
+    assert expected == (
+        BasisTableError,
+        f"entry {aw.to_word(w)} is not unitriangular: {aw.to_word(beside)} appears",
+    )
+    assert _raised(CanonicalBasisTable, aw, 0, bad) == expected
+
+
+def test_fresh_table_parse_tests_no_term_and_validation_hashes_each_term_once(monkeypatch):
+    # validation finds each term by one lookup in its prefix entry (35 072
+    # element hashes on this table when it built Bruhat intervals), and a
+    # parse tests each distinct coefficient text for zero, not each term
+    # (18 899 LaurentPoly.__bool__ calls before)
+    dump = table_from_zero_basis(build_context("C2").hecke, 13).dump_text()
+    aw = build_context("C2").aw
+    hashes, bools, validated = _counting(monkeypatch, "__hash__"), [0], []
+    is_nonzero, validate = LaurentPoly.__bool__, CanonicalBasisTable._validate
+
+    def counted_bool(c):
+        bools[0] += 1
+        return is_nonzero(c)
+
+    def counted_validate(table):
+        before = hashes[0]
+        validate(table)
+        validated.append(hashes[0] - before)
+
+    monkeypatch.setattr(LaurentPoly, "__bool__", counted_bool)
+    monkeypatch.setattr(CanonicalBasisTable, "_validate", counted_validate)
+    table = CanonicalBasisTable.parse(aw, dump)
+    entries = len(table.entries)
+    terms = sum(len(h.terms) for h in table.entries.values())
+    texts = {c.serialize() for h in table.entries.values() for c in h.terms.values()}
+    assert (entries, terms) == (244, 18_899)
+    assert validated[0] <= terms + 3 * entries
+    assert bools[0] <= len(texts)
+
+
+def test_table_parse_drops_zero_terms(ctx):
+    # a coefficient text that reads as zero drops its term, in the entry
+    # where the first one appears and in every later entry
+    aw = ctx("A1").aw
+    text = (
+        "p 0\nw=s1 : e:1*v^1, s1:1*v^0\nw=s0 : e:0, s0:1*v^0\n"
+        "w=s1.s0 : e:1*v^2, s0:1*v^1, s1:1*v^1+-1*v^1, s1.s0:1*v^0\n"
+    )
+    table = CanonicalBasisTable.parse(aw, text)
+    s1, s0, s1s0 = (aw.from_word_str(w) for w in ("s1", "s0", "s1.s0"))
+    assert table.entries[s1] == HeckeElt({aw.identity: V, s1: ONE})
+    assert table.entries[s0] == HeckeElt({s0: ONE})
+    assert set(table.entries[s1s0].terms) == {aw.identity, s0, s1s0}
+    assert all(c for h in table.entries.values() for c in h.terms.values())
+    assert "e:0" not in table.dump_text() and "s1:" not in table.dump_text().splitlines()[-1]
+
+
 def test_table_parse_errors(ctx):
     c = ctx("A1")
     with pytest.raises(BasisTableError):
@@ -712,6 +807,31 @@ def test_text_table_rejects_a_repeated_header(ctx, tmp_path, capsys, text, messa
     code, out, err = _kl_with_table(tmp_path, capsys, text, "s1")
     assert code == 4 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "table", "message": message, "code": 4}
+
+
+_JSON_ENTRY = '{"w":"s1","terms":[["e","1*v^1"],["s1","1*v^0"]]}'
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"p":0,"p":3,"entries":[%s]}' % _JSON_ENTRY, "p"),
+        ('{"p":0,"entries":[%s]}' % _JSON_ENTRY.replace('{"w":"s1"', '{"w":"s0","w":"s1"'), "w"),
+    ],
+    ids=["p", "w"],
+)
+def test_json_table_rejects_a_repeated_key(ctx, tmp_path, capsys, text, key):
+    # json.loads keeps the last of two equal keys: `"p": 0, "p": 3` loaded
+    # as a p = 3 table with exit 0 before
+    message = f"JSON table repeats the key {key!r} in one object"
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        CanonicalBasisTable.parse(ctx("A1").aw, text)
+    code, out, err = _kl_with_table(tmp_path, capsys, text, "s1")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "table", "message": message, "code": 4}
+    # one key each, the same table loads
+    ok = text.replace('"p":0,"p":3', '"p":0').replace('"w":"s0",', "")
+    assert CanonicalBasisTable.parse(ctx("A1").aw, ok).p == 0
 
 
 # C_{s1 s0} + C_e, a nonnegative bar-invariant combination of the 0-basis
@@ -798,7 +918,7 @@ def _malformed_tables(aw, entries):
         yield p, entries
 
 
-@pytest.mark.parametrize("type_str", ["A1", "C2", "G2"])
+@pytest.mark.parametrize("type_str", ["A1", "A2", "B2", "C2", "G2"])
 def test_table_validation_matches_term_by_term_oracle(ctx, type_str):
     c = ctx(type_str)
     entries = table_from_zero_basis(c.hecke, 6).entries
