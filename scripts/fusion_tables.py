@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Dump complete fusion tables for small types and primes as TSV.
 
-Every triple of weights in the interior fundamental alcove gets a row when
-its multiplicity is nonzero.
+Every pair of weights (lambda, mu) in the interior fundamental alcove gets
+the rows of its nonzero multiplicities, nu sorted.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import warnings
 
 from heckecells.affine import AffineWeyl
 from heckecells.rootdata import build_root_datum
-from heckecells.tilting import fundamental_alcove_weights, fusion_multiplicity
+from heckecells.tilting import fundamental_alcove_weights, fusion_rows
 
 
 def main() -> int:
@@ -26,17 +26,8 @@ def main() -> int:
     print("lambda\tmu\tnu\tmultiplicity")
     for lam in alcove:
         for mu in alcove:
-            for nu in alcove:
-                mult = fusion_multiplicity(aw, lam, mu, nu, args.p)
-                if mult:
-                    print(
-                        "{}\t{}\t{}\t{}".format(
-                            ",".join(map(str, lam)),
-                            ",".join(map(str, mu)),
-                            ",".join(map(str, nu)),
-                            mult,
-                        )
-                    )
+            for nu, mult in fusion_rows(aw, lam, mu, args.p):
+                print("\t".join([",".join(map(str, x)) for x in (lam, mu, nu)] + [str(mult)]))
     return 0
 
 

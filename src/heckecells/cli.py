@@ -27,7 +27,7 @@ from .orbits import (
     humphreys_predict,
 )
 from .rootdata import CartanType, build_root_datum
-from .tilting import fundamental_alcove_weights, fusion_multiplicity
+from .tilting import fusion_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,33 +48,26 @@ def _bounds(args) -> tuple[int, int]:
     return L, m
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _record(args, **fields) -> dict:
+    """A JSON record: the schema/type header and the command's fields."""
+    return {"schema": 1, "type": str(args.type), **fields}
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _parse_weight(s: str, rank: int) -> tuple[int, ...]:
+def _parse_weight(args, s: str) -> tuple[int, ...]:
     coords = tuple(int(x) for x in s.split(","))
-    if len(coords) != rank:
-        raise ValueError(f"weight needs {rank} comma-separated coordinates")
+    if len(coords) != args.type.rank:
+        raise ValueError(f"weight needs {args.type.rank} comma-separated coordinates")
     return coords
 
 
-def cmd_cells(args) -> int:
+# each cmd_* handler maps its arguments to its output: a JSON-able record,
+# or the text of a tsv table or an SVG picture; main writes it
+def cmd_cells(args) -> dict:
     _, aw, _, _, provider = build_context(args.type, args.basis)
-    part = right_cells(aw, *_bounds(args), provider)
-    _emit(args, _json_text(export_partition_json(aw, part)))
-    return EXIT_OK
+    return export_partition_json(aw, right_cells(aw, *_bounds(args), provider))
 
 
-def _canonical(args, element) -> int:
+def _canonical(args, element) -> dict | str:
     """kl or asph: element(provider, w) is the canonical element of w."""
     _, aw, _, _, provider = build_context(args.type, args.basis)
     w = aw.from_word_str(args.w)
@@ -83,115 +76,62 @@ def _canonical(args, element) -> int:
         [aw.to_word(y), h.terms[y].serialize()]
         for y in sorted(h.support(), key=aw.sort_key)
     ]
-    obj = {
-        "schema": 1,
-        "type": str(args.type),
-        "basis_p": provider.p,
-        "w": aw.to_word(w),
-        "terms": terms,
-    }
     if args.format == "tsv":
-        lines = [f"{y}\t{c}" for y, c in terms]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json_text(obj))
-    return EXIT_OK
+        return "".join(f"{y}\t{c}\n" for y, c in terms)
+    return _record(args, basis_p=provider.p, w=aw.to_word(w), terms=terms)
 
 
-def cmd_kl(args) -> int:
+def cmd_kl(args) -> dict | str:
     return _canonical(args, lambda provider, w: provider.hecke_canonical(w))
 
 
-def cmd_asph(args) -> int:
+def cmd_asph(args) -> dict | str:
     return _canonical(args, lambda provider, w: provider.asph_canonical(w))
 
 
-def cmd_verlinde(args) -> int:
-    datum, aw, _, _, _ = build_context(args.type)
-    lam = _parse_weight(args.lam, datum.rank)
-    mu = _parse_weight(args.mu, datum.rank)
-    rows = []
-    for nu in fundamental_alcove_weights(datum, args.p):
-        mult = fusion_multiplicity(aw, lam, mu, nu, args.p)
-        if mult:
-            rows.append((nu, mult))
-    if args.format == "json":
-        obj = {
-            "schema": 1,
-            "type": str(args.type),
-            "p": args.p,
-            "lambda": list(lam),
-            "mu": list(mu),
-            "rows": [
-                {"nu": list(nu), "multiplicity": m} for nu, m in rows
-            ],
-        }
-        _emit(args, _json_text(obj))
-    else:
-        lines = ["lambda\tmu\tnu\tmultiplicity"]
-        for nu, m in rows:
-            lines.append(
-                "{}\t{}\t{}\t{}".format(
-                    ",".join(map(str, lam)),
-                    ",".join(map(str, mu)),
-                    ",".join(map(str, nu)),
-                    m,
-                )
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+def cmd_verlinde(args) -> dict | str:
+    _, aw, _, _, _ = build_context(args.type)
+    lam, mu = _parse_weight(args, args.lam), _parse_weight(args, args.mu)
+    rows = fusion_rows(aw, lam, mu, args.p)
+    if args.format == "tsv":
+        head = "\t".join(",".join(map(str, x)) for x in (lam, mu))
+        return "lambda\tmu\tnu\tmultiplicity\n" + "".join(
+            f"{head}\t{','.join(map(str, nu))}\t{m}\n" for nu, m in rows
+        )
+    return _record(args, p=args.p, **{"lambda": list(lam)}, mu=list(mu),
+                   rows=[{"nu": list(nu), "multiplicity": m} for nu, m in rows])
 
 
-def cmd_alcove(args) -> int:
-    datum, aw, _, _, _ = build_context(args.type)
-    lam = _parse_weight(args.lam, datum.rank)
+def cmd_alcove(args) -> dict:
+    _, aw, _, _, _ = build_context(args.type)
+    lam = _parse_weight(args, args.lam)
     alc = aw.alcove_of(lam, args.p)
-    obj = {
-        "schema": 1,
-        "type": str(args.type),
-        "p": args.p,
-        "lambda": list(lam),
-        "w": aw.to_word(alc.element),
-        "floors": list(alc.floors),
-    }
-    _emit(args, _json_text(obj))
-    return EXIT_OK
+    return _record(args, p=args.p, **{"lambda": list(lam)}, w=aw.to_word(alc.element),
+                   floors=list(alc.floors))
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     _, aw, _, _, _ = build_context(args.type)
     w = aw.from_word_str(args.w)
-    consts = generation_constants(aw)
-    lam, z = decompose_fW(aw, consts, w)
-    obj = {
-        "schema": 1,
-        "type": str(args.type),
-        "w": aw.to_word(w),
-        "lambda": list(lam),
-        "z": aw.to_word(z),
-    }
-    _emit(args, _json_text(obj))
-    return EXIT_OK
+    lam, z = decompose_fW(aw, generation_constants(aw), w)
+    return _record(args, w=aw.to_word(w), **{"lambda": list(lam)}, z=aw.to_word(z))
 
 
-def cmd_humphreys(args) -> int:
-    datum, aw, _, _, provider = build_context(args.type, args.basis)
-    lam = _parse_weight(args.lam, datum.rank)
+def cmd_humphreys(args) -> dict:
+    _, aw, _, _, provider = build_context(args.type, args.basis)
+    lam = _parse_weight(args, args.lam)
     part = right_cells(aw, *_bounds(args), provider)
     table = build_orbit_table(aw, part)
-    rec = humphreys_predict(aw, part, table, lam, args.p, mode=args.mode)
-    _emit(args, _json_text(rec.to_json()))
-    return EXIT_OK
+    return humphreys_predict(aw, part, table, lam, args.p, mode=args.mode).to_json()
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args) -> dict:
     datum = build_root_datum(args.type)
     orbits = enumerate_orbits(datum)
     leq = closure_order(datum, orbits)
-    obj = {
-        "schema": 1,
-        "type": str(args.type),
-        "orbits": [
+    return _record(
+        args,
+        orbits=[
             {
                 "name": o.name,
                 "dimension": o.dimension,
@@ -199,19 +139,15 @@ def cmd_orbits(args) -> int:
             }
             for o in orbits
         ],
-        "closure_leq": None if leq is None else [[int(x) for x in row] for row in leq],
-    }
-    _emit(args, _json_text(obj))
-    return EXIT_OK
+        closure_leq=None if leq is None else [[int(x) for x in row] for row in leq],
+    )
 
 
-def cmd_plot(args) -> int:
-    datum, aw, _, _, provider = build_context(args.type, args.basis)
-    if datum.rank != 2:
+def cmd_plot(args) -> str:
+    _, aw, _, _, provider = build_context(args.type, args.basis)
+    if args.type.rank != 2:
         raise UnsupportedTypeError("alcove diagrams are drawn for rank-2 types only")
-    part = right_cells(aw, *_bounds(args), provider)
-    _emit(args, render_cell_diagram(aw, part, args.p))
-    return EXIT_OK
+    return render_cell_diagram(aw, right_cells(aw, *_bounds(args), provider), args.p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,7 +227,14 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # silent regime warnings, for this run only
         warnings.simplefilter("ignore")
         try:
-            return args.run(args)
+            out = args.run(args)
+            text = out if isinstance(out, str) else json.dumps(out, sort_keys=True, indent=2) + "\n"
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return EXIT_OK
         except (UnsupportedRegimeError, UnsupportedTypeError) as e:
             return _fail(EXIT_REGIME, "unsupported", str(e))
         except BasisTableError as e:

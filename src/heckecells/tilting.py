@@ -135,6 +135,27 @@ def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
     return total
 
 
+def fusion_rows(aw: AffineWeyl, lam, mu, p: int) -> list[tuple[Weight, int]]:
+    """The nonzero rows (nu, N(lam, mu; nu)) of T(lam) (x) T(mu), nu sorted.
+
+    Inside C_p, T(x) = nabla(x), so the product has a good filtration with the
+    classical multiplicities m(lam, mu; nu), and the summand T(nu) = nabla(nu)
+    gives N <= m.  As m vanishes unless nu - lam is a weight of V(mu), only
+    those nu inside C_p are tried.
+    """
+    d = aw.datum
+    if p < 1:
+        raise ValueError(f"the fundamental alcove needs p >= 1, got p={p}")
+    lam, mu = tuple(lam), tuple(mu)
+    if not (in_fundamental_alcove(d, lam, p) and in_fundamental_alcove(d, mu, p)):
+        raise UnsupportedRegimeError("fusion rows need lam and mu inside the fundamental alcove")
+    rows = []
+    for nu in sorted({tuple(map(sum, zip(lam, tau))) for tau in d.all_weights(mu)}):
+        if in_fundamental_alcove(d, nu, p) and (n := fusion_multiplicity(aw, lam, mu, nu, p)):
+            rows.append((nu, n))
+    return rows
+
+
 def summand_multiplicity(aw: AffineWeyl, char: MZeroElt, lam, p: int) -> int:
     """Multiplicity of T(lam) as a direct summand of the class char.
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckecells.cli import build_parser, main
 from heckecells.hecke import table_from_zero_basis
@@ -241,6 +245,13 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == 2 and "p >= 1" in err["message"]
 
+    # fusion rows need lam and mu inside C_p, even where C_p is empty (A2 at
+    # p = 2) and no nu is tried
+    for t, p, lam in (("A2", "7", "5,5"), ("A2", "2", "0,0")):
+        assert main(["verlinde", "--type", t, "--p", p, "--lambda", lam, "--mu", "0,0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["code"] == 3
+
     # the fundamental alcove needs a positive p
     for p in ("0", "-3"):
         assert main(["verlinde", "--type", "A1", "--p", p, "--lambda", "1", "--mu", "1"]) == 2
@@ -371,3 +382,101 @@ def test_main_calls_share_one_parser_and_no_values(tmp_path, capsys):
     for argv in calls[1:]:
         assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
     assert build_parser().parse_args(calls[2]).out is None
+
+
+def test_verlinde_large_p(tmp_path):
+    # the candidate nu are lam + tau for the weights tau of V(mu), so a huge
+    # p costs no scan of the alcove
+    code, data = run_cli(
+        ["verlinde", "--type", "A1", "--p", "99999999", "--lambda", "1", "--mu", "1"], tmp_path
+    )
+    assert code == 0
+    assert json.loads(data)["rows"] == [
+        {"nu": [0], "multiplicity": 1},
+        {"nu": [2], "multiplicity": 1},
+    ]
+
+
+def _command_flags() -> dict[str, list[str]]:
+    """Each command's flags besides --help and --type, as its parser declares them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    skip = ("-h", "--help", "--type")
+    return {
+        name: [f for a in p._actions for f in a.option_strings if f not in skip]
+        for name, p in sub.choices.items()
+    }
+
+
+def _mostly(good, bad):
+    """Draws from good, or one time in ten from bad."""
+    return st.integers(0, 9).flatmap(lambda n: bad if n == 0 else good)
+
+
+def test_fuzz_exit_contract(tmp_path):
+    # random command lines, mostly well formed, end in exit 0, or in exit 2, 3
+    # or 4 with nothing on stdout and one JSON line on stderr naming the code
+    bad_table = tmp_path / "bad.txt"
+    bad_table.write_text("p 0\nw=s0 : s0:2*v^0\n")
+    command_flags = _command_flags()
+
+    @st.composite
+    def command_lines(draw):
+        command = draw(st.sampled_from(sorted(command_flags)))
+        type_str = draw(_mostly(
+            st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3"]),
+            st.sampled_from(["C02", "A0", "X5", "G3", "c2"]),
+        ))
+        rank = int(type_str[-1])
+
+        def weight(top):
+            coords = st.lists(st.integers(0, top), min_size=rank, max_size=rank)
+            return _mostly(coords.map(lambda c: ",".join(map(str, c))),
+                           st.sampled_from(["-1" + ",0" * (rank - 1), "a", "", "1,2,3,4,5"]))
+
+        word = st.lists(st.sampled_from([f"s{i}" for i in range(rank + 1)]), max_size=5)
+        values = {
+            "--type": st.just(type_str),
+            "--out": st.sampled_from([str(tmp_path / "out.txt"), str(tmp_path / "no-dir" / "out")]),
+            "--len": st.integers(-1, 8).map(str),
+            "--margin": st.integers(-1, 9).map(str),
+            "--basis": st.sampled_from([str(bad_table), str(tmp_path / "no-such-table.txt")]),
+            "--format": _mostly(st.sampled_from(["json", "tsv"]), st.just("svg")),
+            "--w": _mostly(word.map(lambda w: ".".join(w) or "e"),
+                           st.sampled_from(["s9", "s-1", "omega:1", "x", "", "s0..s1"])),
+            "--lambda": weight(40),
+            "--mu": weight(3),
+            "--p": _mostly(st.sampled_from(["5", "7", "11", "13", "99999999"]),
+                           st.sampled_from(["-3", "0", "1", "2", "x"])),
+            "--mode": _mostly(st.sampled_from(["absolute", "relative"]), st.just("other")),
+        }
+        # --len always (it stays small), --basis and --out now and then, any
+        # other flag mostly, and one time in ten a flag of another command
+        flags = [
+            f for f in ["--type", *command_flags[command]]
+            if f == "--len" or draw(st.integers(0, 9)) < (2 if f in ("--basis", "--out") else 9)
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            flags.append(draw(st.sampled_from(sorted(values))))
+        argv = [command]
+        for flag in flags:
+            argv += [flag, draw(values[flag])]
+        return argv
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argv=command_lines())
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse ends a bad command line
+                code = e.code
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            assert json.loads(err.getvalue())["code"] == code, argv
+        else:
+            assert err.getvalue() == "", argv
+
+    run()

@@ -110,3 +110,13 @@ def test_cli_stdout_digest(line, want, table_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("line, want", GOLDEN, ids=[line for line, _ in GOLDEN])
+def test_cli_out_file_digest(line, want, table_path, tmp_path, capsys):
+    # main writes every command's output, so --out gets the bytes of stdout
+    path = tmp_path / "out"
+    argv = [tok.format(table=table_path) for tok in line.split()] + ["--out", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want

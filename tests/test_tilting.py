@@ -13,6 +13,7 @@ from heckecells.tilting import (
     dot_orbit_element,
     fundamental_alcove_weights,
     fusion_multiplicity,
+    fusion_rows,
     in_fundamental_alcove,
     mzero_act,
     summand_multiplicity,
@@ -237,6 +238,26 @@ def test_fusion_rejects_wall_weights(ctx):
     c = ctx("A1")
     with pytest.raises(UnsupportedRegimeError):
         fusion_multiplicity(c.aw, (4,), (0,), (4,), 5)
+
+
+def test_fusion_rows_match_the_full_alcove_scan(ctx):
+    # fusion_rows tries only the nu = lam + tau, tau a weight of V(mu); the
+    # rows are those of a scan over every nu of the alcove
+    for type_str, p in (("A1", 7), ("A2", 5), ("C2", 7), ("G2", 11)):
+        c = ctx(type_str)
+        alcove = fundamental_alcove_weights(c.datum, p)
+        for lam, mu in itertools.product(alcove, repeat=2):
+            scan = [(nu, n) for nu in alcove if (n := fusion_multiplicity(c.aw, lam, mu, nu, p))]
+            assert fusion_rows(c.aw, lam, mu, p) == scan
+
+
+def test_fusion_rows_errors(ctx):
+    # the rows need p >= 1, and lam and mu inside C_p even when no nu is tried:
+    # at A2, p = 2 the alcove is empty
+    with pytest.raises(ValueError, match="p >= 1"):
+        fusion_rows(ctx("A1").aw, (0,), (0,), 0)
+    with pytest.raises(UnsupportedRegimeError):
+        fusion_rows(ctx("A2").aw, (0, 0), (0, 0), 2)
 
 
 def test_fusion_commutative_and_oracle_a1(ctx):
