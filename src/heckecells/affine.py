@@ -31,9 +31,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import count
 from operator import mul
 
 from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
+
+_KEYS = count()  # AffineElement.key, unique in the process
 
 
 class UnsupportedRegimeError(ValueError):
@@ -46,16 +49,18 @@ class AffineElement:
     Interned: a context holds one object per element and takes its own
     elements.  Equality and the hash are structural; the hash is on ints
     (whatever PYTHONHASHSEED), with lam's -1 count as hash(-1) == hash(-2),
-    so an element equals and hashes like its twin in another context.  The
-    context caches on it its product with the i-th generator, ``right[i]``,
+    so an element equals and hashes like its twin in another context; its
+    ``key`` is an int no other element in the process holds, not even one a
+    step from another context's element builds in this context's records.
+    The context caches on it its product with the i-th generator, ``right[i]``,
     its reduced ``word``, ``fmin`` (is it in fW) and ``rep``, the minimal
     representative of its coset W_f a; ``rec`` is its finite part's record.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "right", "word", "fmin", "rep", "rec")
+    __slots__ = ("fin", "trans", "length", "_hash", "key", "right", "word", "fmin", "rep", "rec")
 
-    def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int):
-        self.rec = rec
+    def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int, key: int):
+        self.rec, self.key = rec, key
         self.fin = rec.fin
         self.trans = trans
         self.length = length
@@ -158,7 +163,7 @@ class AffineWeyl:
         return sum(abs(sum(map(mul, r.coroot, trans)) + f) for r, f in zip(roots, rec.flags))
 
     def _new(self, rec: _FiniteRecord, trans: Weight, length: int) -> AffineElement:
-        out = rec.elements[trans] = AffineElement(rec, trans, length, len(rec.right))
+        out = rec.elements[trans] = AffineElement(rec, trans, length, len(rec.right), next(_KEYS))
         return out
 
     def _record(self, fin: FiniteWeylElement) -> _FiniteRecord:

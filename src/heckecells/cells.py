@@ -3,7 +3,9 @@
 The preorder is generated by single canonical-generator expansions: there is
 an edge y -> w (with witness s) whenever the canonical basis element indexed
 by w appears in N_y-bar . (H_s + v).  Cells are the strongly connected
-components of that edge graph, computed on a length-truncated ball.
+components of that edge graph, computed on a length-truncated ball: one
+structural dict numbers its nodes (a table's provider returns elements of
+the table's own context), and the search and reachability run on the numbers.
 
 For p = 0 the targets are read off the W-graph: y when ys < y, else ys (if
 in fW) and each z with zs < z and mu(z, y) != 0, the v^1 coefficient stored
@@ -68,40 +70,39 @@ def cell_edges(aw: AffineWeyl, provider, bound: int) -> list[CellEdge]:
     ]
 
 
-def _strongly_connected_components(nodes, succ):
-    """Iterative Tarjan; returns components as lists of nodes."""
-    index, low, on_stack, stack, comps, work = {}, {}, set(), [], [], []
+def _strongly_connected_components(succ: list) -> list[list[int]]:
+    """Iterative Tarjan on the nodes 0..n-1, succ[k] listing the successors
+    of k; returns the components as lists of nodes, in emission order.  An
+    emitted node's index becomes n, so that it lowers no other node's link."""
+    n = len(succ)
+    index, low, stack, comps, work, visits = [-1] * n, [0] * n, [], [], [], itertools.count()
 
     def push(node):
-        index[node] = low[node] = len(index)
+        index[node] = low[node] = next(visits)
         stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(succ.get(node, ()))))
+        work.append((node, iter(succ[node])))
 
-    for root in nodes:
-        if root not in index:
+    for root in range(n):
+        if index[root] < 0:
             push(root)
         while work:
             node, it = work[-1]
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     push(nxt)
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
+                low[node] = min(low[node], index[nxt])
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                 if low[node] == index[node]:
-                    comp = []
-                    while True:
+                    x, comp = None, []
+                    while x != node:
                         x = stack.pop()
-                        on_stack.discard(x)
+                        index[x] = n
                         comp.append(x)
-                        if x == node:
-                            break
                     comps.append(comp)
     return comps
 
@@ -117,20 +118,22 @@ def right_cells(
     # every node: N_e.(H_s0 + v) = N_s0 + v N_e, and for a right descent s of
     # y != e the 0-canonical expansion of N_y.(H_s + v) holds (v + v^-1) N_y,
     # to which the other terms of a p-canonical N_y add only nonnegatively.
-    succ: dict[AffineElement, set[AffineElement]] = {}
-    for e in edges:
-        succ.setdefault(e.frm, set()).add(e.to)
+    num: dict[AffineElement, int] = {}
+    arcs = [(num.setdefault(y, len(num)), num.setdefault(w, len(num))) for y, w, _ in edges]
+    nodes = list(num)
+    succ: list[list[int]] = [[] for _ in nodes]
+    for k, j in arcs:
+        succ[k].append(j)
     # The components and their final order by sort_key do not depend on the
     # order in which the search visits nodes, so nothing is sorted for it.
-    emitted = _strongly_connected_components(succ, succ)
-    comps = sorted(
-        (tuple(sorted(c, key=aw.sort_key)) for c in emitted), key=lambda c: aw.sort_key(c[0])
-    )
-
-    cell_of = {}
-    for i, comp in enumerate(comps):
-        for w in comp:
-            cell_of[w] = i
+    emitted = _strongly_connected_components(succ)
+    key = [aw.sort_key(w) for w in nodes]
+    ranked = sorted((sorted(c, key=key.__getitem__) for c in emitted), key=lambda c: key[c[0]])
+    cell = [0] * len(nodes)
+    for i, comp in enumerate(ranked):
+        for k in comp:
+            cell[k] = i
+    comps = [tuple(map(nodes.__getitem__, comp)) for comp in ranked]
 
     # a node of length bound + 1 has no out-edges, so it is a singleton
     # component; its length already fails the core test
@@ -141,9 +144,9 @@ def right_cells(
     # pass in emission order closes the condensation reachability.
     reach: list = [None] * len(comps)
     for comp in emitted:
-        i = cell_of[comp[0]]
+        i = cell[comp[0]]
         acc = {i}
-        for j in {cell_of[x] for w in comp for x in succ.get(w, ())} - {i}:
+        for j in {cell[x] for k in comp for x in succ[k]} - {i}:
             acc |= reach[j]
         reach[i] = frozenset(acc)
 
@@ -152,7 +155,7 @@ def right_cells(
         margin=margin,
         cells=comps,
         trusted=trusted,
-        cell_of=cell_of,
+        cell_of=dict(zip(nodes, cell)),
         reach=reach,
         basis_p=provider.p,
         provenance=provider.provenance,
@@ -165,24 +168,16 @@ def leq_R(
     """Whether w <=_R y in the computed preorder; None when untrusted."""
     cw = partition.cell_index(w)
     cy = partition.cell_index(y)
-    if cw is None or cy is None:
-        return None
-    if not (partition.trusted[cw] and partition.trusted[cy]):
+    if cw is None or cy is None or not (partition.trusted[cw] and partition.trusted[cy]):
         return None
     return cw in partition.reach[cy]
 
 
 def export_partition_json(aw: AffineWeyl, partition: CellPartition) -> dict:
-    cells = []
-    for i, comp in enumerate(partition.cells):
-        cells.append(
-            {
-                "id": i,
-                "trusted": partition.trusted[i],
-                "size": len(comp),
-                "members": [aw.to_word(w) for w in comp],
-            }
-        )
+    cells = [
+        {"id": i, "trusted": trusted, "size": len(comp), "members": [aw.to_word(w) for w in comp]}
+        for i, (comp, trusted) in enumerate(zip(partition.cells, partition.trusted))
+    ]
     n = len(partition.cells)
     matrix = [
         [1 if i in partition.reach[j] else 0 for j in range(n)] for i in range(n)

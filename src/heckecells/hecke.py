@@ -129,10 +129,10 @@ class _BudgetMemo(dict):
         super().__setitem__(w, out)
 
     def coded(self, aw: AffineWeyl, keep, w: AffineElement) -> tuple[list, list, list]:
-        """``_canonical`` at w on this memo; past the budget, the exit-3 error
-        names the length of w, not that of the entry that overflowed."""
+        """``_canonical`` at the context's own instance of w; past the budget, the
+        exit-3 error names the length of w, not that of the entry that overflowed."""
         try:
-            return _canonical(aw, keep, self, w)
+            return _canonical(aw, keep, self, aw.element(w.fin, w.trans))
         except _OverBudget:
             raise UnsupportedRegimeError(
                 f"canonical basis at length {w.length} needs over "
@@ -162,8 +162,8 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
     prefixes, so the lower member of a kept pair is in fW).  The loop
     therefore sums only the upper members z: an ascending term x of C_ws
     adds its code c to xs, a descending one adds c >> 64 to x, and a
-    mu-term only the upper half of C_y.  It sums through one dict from
-    id(z) (z is interned) to its position: one lookup and no hash a term.
+    mu-term only the upper half of C_y.  It sums through one dict from z.key
+    (w, and so every z, is the context's own instance) to its position.
     After it, each lower zs is appended with the code of z shifted by 64
     bits and the same n(1); when that shift equals the code c that C_ws
     holds at z (zs then got nothing else), the object c itself is stored,
@@ -205,9 +205,9 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
                         zs = z.right[i] or mult_gen(z, i)
                         if zs.length > z.length:
                             continue
-                        k = index.get(id(z))
+                        k = index.get(z.key)
                         if k is None:
-                            index[id(z)] = len(elts)
+                            index[z.key] = len(elts)
                             elts.append(z)
                             codes.append(-mu * cz)
                             ones.append(-mu * nz)
@@ -216,9 +216,9 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
                         else:
                             codes[k] -= mu * cz
                             ones[k] -= mu * nz
-            k = index.get(id(x))
+            k = index.get(x.key)
             if k is None:
-                index[id(x)] = len(elts)
+                index[x.key] = len(elts)
                 elts.append(x)
                 codes.append(c)
                 ones.append(n)
@@ -227,7 +227,7 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
             else:
                 codes[k] += c
                 ones[k] += n
-        k = index.get(id(w))
+        k = index.get(w.key)
         diag = 0 if k is None else codes[k]
         elts, ones, lows, shared, codes = [
             list(compress(col, codes)) for col in (elts, ones, lows, shared, codes)

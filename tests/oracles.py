@@ -20,7 +20,8 @@ coset oracles walk the left descents of every element anew and multiply by
 the stripped scalar once per reflection, the word oracle descends greedily
 by general products, the step oracles take each generator step as a general
 product, the matrix oracle multiplies entry by entry, the target oracle
-scans N_y's codes for mu once per generator, the dot-walk oracle composes
+scans N_y's codes for mu once per generator, the cell-graph oracle keys
+Tarjan's search and the reach sets by element, the dot-walk oracle composes
 its element by one matrix product per reflection, the alcove-vertex oracle
 maps the fundamental simplex in Fractions, the Levi oracles tally the
 grading degrees and the runs of a Levi subset one by one, and the
@@ -35,7 +36,7 @@ from functools import lru_cache
 from math import isqrt
 
 from heckecells.affine import AffineElement, AffineWeyl, UnsupportedRegimeError
-from heckecells.cells import CellPartition
+from heckecells.cells import CellPartition, cell_edges
 from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 from heckecells.orbits import OrbitTable, closure_order, enumerate_orbits
@@ -703,6 +704,68 @@ def kl_gen_targets_oracle(provider, y, i):
     mus = [z for z, c in zip(elts, codes)
            if c >> _BITS & _MASK and aw.mult_gen(z, i).length < z.length]
     return [ys] + mus if aw.in_fW(ys) else mus
+
+
+def right_cells_oracle(aw, bound: int, margin: int, provider) -> CellPartition:
+    """``right_cells`` on elements: successor sets, Tarjan's index, link and
+    stack, and the reach sets all keyed by the elements themselves."""
+    succ = {}
+    for e in cell_edges(aw, provider, bound):
+        succ.setdefault(e.frm, set()).add(e.to)
+    index, low, on_stack, stack, emitted, work = {}, {}, set(), [], [], []
+
+    def push(node):
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ.get(node, ()))))
+
+    for root in succ:
+        if root not in index:
+            push(root)
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    push(nxt)
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        x = stack.pop()
+                        on_stack.discard(x)
+                        comp.append(x)
+                        if x == node:
+                            break
+                    emitted.append(comp)
+    comps = sorted(
+        (tuple(sorted(c, key=aw.sort_key)) for c in emitted), key=lambda c: aw.sort_key(c[0])
+    )
+    cell_of = {w: i for i, comp in enumerate(comps) for w in comp}
+    reach = [None] * len(comps)
+    for comp in emitted:
+        i = cell_of[comp[0]]
+        acc = {i}
+        for j in {cell_of[x] for w in comp for x in succ.get(w, ())} - {i}:
+            acc |= reach[j]
+        reach[i] = frozenset(acc)
+    return CellPartition(
+        length_bound=bound,
+        margin=margin,
+        cells=comps,
+        trusted=[comp[0].length <= bound - margin for comp in comps],
+        cell_of=cell_of,
+        reach=reach,
+        basis_p=provider.p,
+        provenance=provider.provenance,
+    )
 
 
 def dot_walk_oracle(aw, mu0, mu1, p: int):

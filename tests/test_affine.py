@@ -845,3 +845,19 @@ def test_bruhat_intervals_from_prefixes(ctx, type_str, bound, monkeypatch):
     assert fallback and sorted(calls, key=aw.sort_key) == sorted(
         {aw.identity} | fallback, key=aw.sort_key
     )
+
+
+def test_element_keys_are_unique_across_contexts():
+    # keys come from one counter for the process: a step of context b from
+    # an element of context a builds the product inside a's records, and its
+    # key still differs from every key of either context
+    a, b = (AffineWeyl(build_root_datum("C2")) for _ in range(2))
+    a.enumerate_W(6)
+    b.enumerate_W(6)
+    held = len(built_elements(a))
+    for y in a.enumerate_W(6):
+        for i in range(len(b.gens)):
+            b.mult_gen(y, i)
+    assert len(built_elements(a)) > held
+    elements = built_elements(a) + built_elements(b)
+    assert len({w.key for w in elements}) == len(elements)

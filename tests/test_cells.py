@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckecells.affine import AffineWeyl
+from heckecells.affine import AffineElement, AffineWeyl
 from heckecells.cells import (
     cell_edges,
     cell_generators,
@@ -15,7 +15,12 @@ from heckecells.cells import (
     right_cells,
     stabilization_n,
 )
-from heckecells.hecke import TableBasisProvider, build_context, table_from_zero_basis
+from heckecells.hecke import (
+    CanonicalBasisTable,
+    TableBasisProvider,
+    build_context,
+    table_from_zero_basis,
+)
 from heckecells.laurent import LaurentPoly
 
 from heckecells.rootdata import build_root_datum
@@ -31,6 +36,7 @@ from oracles import (
     kl_gen,
     mul_by_word,
     observed_stabilization_bound_oracle,
+    right_cells_oracle,
     stabilization_n_oracle,
 )
 
@@ -363,6 +369,58 @@ def test_reach_is_transitive_closure_of_edges(ctx):
                 frontier = [j for i in frontier for j in succ.get(i, ()) if j not in seen]
                 seen.update(frontier)
             assert part.reach[start] == frozenset(seen)
+
+
+def _same_partition(got, want):
+    return (got.cells, got.trusted, got.reach, got.cell_of) == (
+        want.cells, want.trusted, want.reach, want.cell_of
+    )
+
+
+@pytest.mark.parametrize(
+    "type_str,L,m",
+    [("A2", 16, 4), ("C2", 16, 4), ("G2", 16, 5), ("A3", 12, 3), ("B3", 12, 3), ("C3", 12, 3)],
+)
+def test_numbered_graph_matches_element_keyed_oracle(ctx, type_str, L, m):
+    # the cell graph runs on node numbers; the oracle keys it by element.
+    # The table holds the computed 0-basis of fW up to length L + 1, every
+    # element the leading-term expansion of the edges asks for.
+    c = ctx(type_str)
+    entries = {w: c.hecke.kl_basis(w) for w in c.aw.enumerate_fW(L + 1)}
+    table = CanonicalBasisTable(c.aw, 0, entries, "fW ball")
+    for provider in (c.provider, TableBasisProvider(c.hecke, c.asph, table)):
+        assert _same_partition(
+            right_cells(c.aw, L, m, provider), right_cells_oracle(c.aw, L, m, provider)
+        )
+
+
+def test_cells_under_a_table_of_another_context(ctx):
+    # a table built in another context hands back that context's elements;
+    # the nodes are numbered by structural lookups, so they meet the ball's
+    c = ctx("C2")
+    other = build_context("C2")
+    provider = TableBasisProvider(c.hecke, c.asph, table_from_zero_basis(other.hecke, 13))
+    part = right_cells(c.aw, 12, 4, provider)
+    assert len(part.cells) == 10
+    assert _same_partition(part, right_cells_oracle(c.aw, 12, 4, provider))
+    assert _same_partition(part, right_cells(c.aw, 12, 4, c.provider))
+
+
+def test_graph_stage_hashes_each_edge_endpoint_once(ctx, monkeypatch):
+    # past the edges, right_cells hashes each endpoint of an edge once to
+    # number it and each node once for cell_of; the rest runs on ints
+    c = ctx("B3")
+    edges = cell_edges(c.aw, c.provider, 12)
+    monkeypatch.setattr("heckecells.cells.cell_edges", lambda aw, provider, bound: edges)
+    calls, method = [0], AffineElement.__hash__
+
+    def counted(w):
+        calls[0] += 1
+        return method(w)
+
+    monkeypatch.setattr(AffineElement, "__hash__", counted)
+    part = right_cells(c.aw, 12, 3, c.provider)
+    assert calls[0] <= 2 * len(edges) + len(part.cell_of)
 
 
 def test_export_json_deterministic(ctx):

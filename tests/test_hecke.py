@@ -258,7 +258,7 @@ def _counting(monkeypatch, name):
 
 
 def test_recursion_hashes_elements_per_entry_not_per_term(monkeypatch):
-    # the sums key positions by id: the element hashes left are the memo's
+    # the sums key positions by element key: the element hashes left are the memo's
     # own, one lookup of w, one per right descent and one store per new
     # entry, plus one lookup per mu-correction (25.4 per entry when the sums
     # hashed every term)
@@ -268,6 +268,51 @@ def test_recursion_hashes_elements_per_entry_not_per_term(monkeypatch):
     for w in ball:
         c.asph._coded(w)
     assert calls[0] <= (len(c.aw.gens) + 2) * len(c.asph._canon_cache)
+
+
+def test_recursion_calls_no_id(monkeypatch):
+    # the sums are keyed by the ints elements hold, not by object identity
+    def no_id(obj):
+        raise AssertionError("_canonical called id()")
+
+    monkeypatch.setattr(heckecells.hecke, "id", no_id, raising=False)
+    c = build_context("C2")
+    for w in c.aw.enumerate_W(8):
+        c.hecke.kl_basis(w)
+    for w in c.aw.enumerate_fW(12):
+        c.asph.canonical(w)
+
+
+def _length_seven_of_another_context(ball):
+    """A fresh C2 context whose memos hold the canonical basis of the given
+    ball up to length 6, and the elements of length 7 of that ball in a
+    second C2 context."""
+    a, b = build_context("C2"), build_context("C2")
+    return a, [w for w in getattr(b.aw, ball)(7) if w.length == 7]
+
+
+def test_canonical_basis_at_an_element_of_another_context():
+    # the recursion starts from the context's own instance of w, so the
+    # diagonal of an element of another context is found (an identity-keyed
+    # sum missed it: "canonical basis at length 7 is not exact", exit 3)
+    a, foreign = _length_seven_of_another_context("enumerate_W")
+    for w in a.aw.enumerate_W(6):
+        a.hecke.kl_basis(w)
+    assert len(foreign) == 19
+    got = [a.hecke.kl_basis(y) for y in foreign]
+    assert got == [a.hecke.kl_basis(a.aw.element(y.fin, y.trans)) for y in foreign]
+    assert got == [kl_oracle(a.hecke, a.aw.element(y.fin, y.trans)) for y in foreign]
+
+
+@pytest.mark.parametrize("method", ["canonical", "kl_gen_targets"])
+def test_antispherical_basis_at_an_element_of_another_context(method):
+    a, foreign = _length_seven_of_another_context("enumerate_fW")
+    for w in a.aw.enumerate_fW(6):
+        a.asph.canonical(w)
+    call = getattr(a.asph if method == "canonical" else a.provider, method)
+    assert len(foreign) == 3
+    got = [call(y) for y in foreign]
+    assert got == [call(a.aw.element(y.fin, y.trans)) for y in foreign]
 
 
 def test_zero_table_compares_few_elements(monkeypatch):

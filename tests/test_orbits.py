@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from heckecells.affine import AffineWeyl
 from heckecells.cells import right_cells
 from heckecells.orbits import (
     _distinguished_pairs,
@@ -469,3 +470,21 @@ def test_status_rule_matches_name_rule(type_str):
     for orbit in [None, *enumerate_orbits(d)]:
         for p in range(2, 40):
             assert _status_for(d, p, orbit) == status_oracle(d, p, orbit)
+
+
+@pytest.mark.parametrize(
+    "type_str,p,length",
+    [("A2", 5, 4), ("C2", 5, 7), ("G2", 7, 16), ("A3", 5, 10), ("B3", 7, 22), ("C3", 7, 22), ("D4", 7, 28)],
+)
+def test_zero_cell_starts_at_the_sum_of_rho_coroot_pairings(type_str, p, length):
+    # for a prime p > h, the w in fW with every coordinate of w ._p 0 at
+    # least p - 1 (T(w ._p 0) projective over G_1, support variety {0}) are
+    # the zero cell's; the shortest has length sum over a > 0 of <rho, a^vee>
+    aw = AffineWeyl(build_root_datum(type_str))
+    assert p > aw.datum.coxeter_number
+    assert sum(sum(a.coroot) for a in aw.datum.positive_roots) == length
+    zero = (0,) * aw.datum.rank
+    lengths = [
+        w.length for w in aw.enumerate_fW(length) if min(aw.dot_action(w, zero, p)) >= p - 1
+    ]
+    assert lengths and min(lengths) == length
