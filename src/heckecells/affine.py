@@ -23,6 +23,14 @@ lambda but for s0.  The walks to a weight's alcove, a reduced word and a
 minimal coset representative step by these entries and build at most the
 element they return.
 
+A right step fills both of its ends, as s_i^2 = 1: the record of w s_i gets
+(record of w, 1 - flag) at i, and the element stepped to gets the one it
+came from in its slot i.  An upward step from an element y of fW sets the fW
+flag of ys: ys is in fW exactly when lambda moved (k != 0), since otherwise
+ys = (w s_i w^-1) y lies in W_f y (Deodhar 1977).  Each record belongs to one
+context and links only to that context's records, so a step of one context
+from another context's element is taken inside the element's own.
+
 Generators are indexed ``0`` for the affine reflection ``s0`` and ``1..rank``
 for the finite simple reflections, matching the word tokens ``s0, s1, ...``.
 """
@@ -85,22 +93,25 @@ class AffineElement:
 class _FiniteRecord:
     """What one finite part w decides for all its elements w t_lam.
 
-    ``elements`` maps lam to the context's element; ``hash`` is that of w's
-    doubled matrix (hash(-1) == hash(-2)).  Every other entry is filled on
-    first use: ``flags``, [w(a) < 0] over the positive roots, by a length
-    computed from scratch; ``descents[i]``, (c, n) with s_i . w t_lam
-    shorter iff <lam, c> < n, by a left descent test or step; ``right[i]``,
-    (record of w s_i, [w(alpha_i) < 0]), by a right step of an element or of
-    :meth:`AffineWeyl.dot_walk`; ``left[i]``, (record of s_i w, shift) with
-    s_i . w t_lam = s_i w t_{lam + shift} (shift None for i >= 1), by a left
-    step of a left-descent walk; ``products[r]``, the record of w times r's
-    finite part, by :meth:`AffineWeyl.mult`.
+    ``aw`` is the owning context, and every record an entry links to is
+    one of its own.  ``elements`` maps lam to the context's element;
+    ``hash`` is that of w's doubled matrix (hash(-1) == hash(-2)).  Every
+    other entry is filled on first use: ``flags``, [w(a) < 0] over the
+    positive roots, by a length computed from scratch; ``descents[i]``,
+    (c, n) with s_i . w t_lam shorter iff <lam, c> < n, by a left descent
+    test or step; ``right[i]``, (record of w s_i, [w(alpha_i) < 0]), by a
+    right step of an element or of :meth:`AffineWeyl.dot_walk` from either
+    end (w s_i s_i = w, and the flag of w s_i is 1 minus w's); ``left[i]``,
+    (record of s_i w, shift) with s_i . w t_lam = s_i w t_{lam + shift}
+    (shift None for i >= 1), by a left step of a left-descent walk;
+    ``products[r]``, the record of w times r's finite part, by
+    :meth:`AffineWeyl.mult`.
     """
 
-    __slots__ = ("fin", "hash", "elements", "flags", "descents", "right", "left", "products")
+    __slots__ = ("aw", "fin", "hash", "elements", "flags", "descents", "right", "left", "products")
 
-    def __init__(self, fin: FiniteWeylElement, ngens: int):
-        self.fin = fin
+    def __init__(self, aw: "AffineWeyl", fin: FiniteWeylElement, ngens: int):
+        self.aw, self.fin = aw, fin
         self.hash = hash(tuple(tuple([2 * c for c in row]) for row in fin.mat))
         self.elements: dict[Weight, AffineElement] = {}
         self.flags = None
@@ -170,7 +181,7 @@ class AffineWeyl:
         """The record of the finite part w, built once with no entry filled."""
         rec = self._records.get(fin.mat)
         if rec is None:
-            rec = self._records[fin.mat] = _FiniteRecord(fin, len(self._step_roots))
+            rec = self._records[fin.mat] = _FiniteRecord(self, fin, len(self._step_roots))
         return rec
 
     def _descent(self, rec: _FiniteRecord, i: int) -> tuple:
@@ -193,13 +204,15 @@ class AffineWeyl:
         The translation is lam - k alpha_i, whatever w, with k = lam_i for
         i >= 1 and <lam, theta^vee> + 1 for s0.  With the entry's flag
         f = [w(alpha_i) < 0], the step goes down iff k + f > 0 for i >= 1
-        and iff k + f <= 0 for s0; rec.right[i] is filled on first use.
+        and iff k + f <= 0 for s0; rec.right[i] is filled on first use,
+        together with the entry of w s_i at i.
         """
         step = rec.right[i]
         if step is None:
             fin = rec.fin
             f = int(fin.apply(self._step_roots[i]) not in self.datum._posroot_fund)
-            step = rec.right[i] = (self._record(fin * self.gens[i].fin), f)
+            step = rec.right[i] = (rec.aw._record(fin * self.gens[i].fin), f)
+            step[0].right[i] = (rec, 1 - f)
         nrec, f = step
         k = lam[i - 1] if i else sum(map(mul, self._theta_coroot, lam)) + 1
         if k:
@@ -215,7 +228,7 @@ class AffineWeyl:
         if step is None:
             g = self.gens[i]
             shift = rec.fin.apply_inverse(g.trans) if i == 0 else None
-            step = rec.left[i] = (self._record(g.fin * rec.fin), shift)
+            step = rec.left[i] = (rec.aw._record(g.fin * rec.fin), shift)
         nrec, shift = step
         c, n = rec.descents[i] or self._descent(rec, i)
         change = -1 if sum(map(mul, c, lam)) < n else 1
@@ -232,17 +245,22 @@ class AffineWeyl:
         # (w t_lam)(w' t_mu) = w w' t_{w'^{-1}(lam) + mu}
         rec = a.rec.products.get(b.rec)
         if rec is None:
-            rec = a.rec.products[b.rec] = self._record(a.fin * b.fin)
+            rec = a.rec.products[b.rec] = a.rec.aw._record(a.fin * b.fin)
         moved = b.fin.apply_inverse(a.trans)
         return self._at(rec, tuple([x + y for x, y in zip(moved, b.trans)]))
 
     def mult_gen(self, a: AffineElement, i: int) -> AffineElement:
         """Right multiplication by the i-th simple generator, cached on a and
-        read off the record's right entry (see :meth:`_right_step`)."""
+        read off the record's right entry (see :meth:`_right_step`), inside
+        a's own context.  The product gets a in its slot i, and, on a step up
+        from an a in fW, its fW flag: true iff the translation moved."""
         out = a.right[i]
         if out is None:
             nrec, lam, change = self._right_step(a.rec, a.trans, i)
             out = a.right[i] = nrec.elements.get(lam) or self._new(nrec, lam, a.length + change)
+            out.right[i] = a
+            if change > 0 and a.fmin:
+                out.fmin = lam != a.trans
         return out
 
     def inverse(self, a: AffineElement) -> AffineElement:
@@ -498,7 +516,7 @@ class AffineWeyl:
         def up(w):
             if w.length < bound:
                 for i in range(len(self.gens)):
-                    ws = self.mult_gen(w, i)
+                    ws = w.right[i] or self.mult_gen(w, i)
                     if ws.length == w.length + 1 and (keep is None or keep(ws)):
                         if ws.word is None:
                             ws.word = w.word + (i,)

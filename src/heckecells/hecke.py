@@ -149,7 +149,8 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
     (Kazhdan-Lusztig 1979).  So s is chosen by cost: among the descents whose
     C_ws is in ``memo``, the one with the fewest terms, else the smallest
     descent (du Cloux 2002); a walk in length order finds every candidate
-    memoized.  H_s + v acts as in ``kl_gen_action`` with ``keep``, and
+    memoized.  H_s + v acts as in ``kl_gen_action`` with ``keep`` (None or
+    ``in_fW``, whose flag a step up may already have set), and
     ``memo`` caches finished elements, each a triple of parallel lists: the
     support z, and n(2^64) and n(1) for the coefficient n at z, with zero
     codes dropped, in an order that follows the descent taken.  Off the
@@ -194,7 +195,7 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
         for x, c, n in zip(*lower):
             xs = x.right[i] or mult_gen(x, i)
             if xs.length > x.length:
-                if keep is not None and not keep(xs):
+                if keep is not None and not (xs.fmin or keep(xs)):
                     continue
                 x, xs, q = xs, x, 0
             else:

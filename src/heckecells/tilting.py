@@ -138,10 +138,10 @@ def fusion_multiplicity(aw: AffineWeyl, lam, mu, nu, p: int) -> int:
 def fusion_rows(aw: AffineWeyl, lam, mu, p: int) -> list[tuple[Weight, int]]:
     """The nonzero rows (nu, N(lam, mu; nu)) of T(lam) (x) T(mu), nu sorted.
 
-    Inside C_p, T(x) = nabla(x), so the product has a good filtration with the
-    classical multiplicities m(lam, mu; nu), and the summand T(nu) = nabla(nu)
-    gives N <= m.  As m vanishes unless nu - lam is a weight of V(mu), only
-    those nu inside C_p are tried.
+    The Kac-Walton fold (Kac, Exercise 13.35; Walton 1990): each weight tau
+    of V(mu), with multiplicity m, adds (-1)^l(w) m at nu, where w ._p nu =
+    lam + tau walks lam + tau into the closed fundamental alcove; a nu on a
+    wall adds nothing.
     """
     d = aw.datum
     if p < 1:
@@ -149,11 +149,12 @@ def fusion_rows(aw: AffineWeyl, lam, mu, p: int) -> list[tuple[Weight, int]]:
     lam, mu = tuple(lam), tuple(mu)
     if not (in_fundamental_alcove(d, lam, p) and in_fundamental_alcove(d, mu, p)):
         raise UnsupportedRegimeError("fusion rows need lam and mu inside the fundamental alcove")
-    rows = []
-    for nu in sorted({tuple(map(sum, zip(lam, tau))) for tau in d.all_weights(mu)}):
-        if in_fundamental_alcove(d, nu, p) and (n := fusion_multiplicity(aw, lam, mu, nu, p)):
-            rows.append((nu, n))
-    return rows
+    rows: dict[Weight, int] = {}
+    for tau, m in d.all_weights(mu).items():
+        w, nu = aw.dot_walk(tuple(map(sum, zip(lam, tau))), (0,) * d.rank, p)
+        if in_fundamental_alcove(d, nu, p):
+            rows[nu] = rows.get(nu, 0) + (-m if w.length % 2 else m)
+    return sorted((nu, n) for nu, n in rows.items() if n)
 
 
 def summand_multiplicity(aw: AffineWeyl, char: MZeroElt, lam, p: int) -> int:

@@ -24,8 +24,11 @@ scans N_y's codes for mu once per generator, the cell-graph oracle keys
 Tarjan's search and the reach sets by element, the dot-walk oracle composes
 its element by one matrix product per reflection, the alcove-vertex oracle
 maps the fundamental simplex in Fractions, the Levi oracles tally the
-grading degrees and the runs of a Levi subset one by one, and the
-stabilization oracles keep the chain's early exits and a running maximum.  The helpers at the end have callers only in the tests.
+grading degrees and the runs of a Levi subset one by one, the
+stabilization oracles keep the chain's early exits and a running maximum,
+the fusion-row oracle sums over fW once per alcove weight nu, and the
+lowest-cell oracle searches right-descent prefixes for a w_J by general
+products.  The helpers at the end have callers only in the tests.
 """
 
 import itertools
@@ -40,7 +43,8 @@ from heckecells.cells import CellPartition, cell_edges
 from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
 from heckecells.laurent import ONE, V, VINV, LaurentPoly
 from heckecells.orbits import OrbitTable, closure_order, enumerate_orbits
-from heckecells.rootdata import closure, solve_exact
+from heckecells.rootdata import build_root_datum, closure, solve_exact
+from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
 
 
 def kl_oracle(hecke: Hecke, w) -> HeckeElt:
@@ -799,6 +803,55 @@ def dot_walk_oracle(aw, mu0, mu1, p: int):
         fin = fin * g.fin
         trans = tuple(x + y for x, y in zip(g.fin.apply_inverse(trans), g.trans))
     return aw.element(fin, trans), nu0
+
+
+def fusion_rows_oracle(aw, lam, mu, p: int) -> list:
+    """The nonzero rows (nu, N) of T(lam) (x) T(mu), one alternating sum
+    over fW (``fusion_multiplicity``) per nu = lam + tau inside C_p, tau a
+    weight of V(mu): N <= m(lam, mu; nu), which vanishes at any other nu."""
+    d = aw.datum
+    lam, mu = tuple(lam), tuple(mu)
+    rows = []
+    for nu in sorted({tuple(map(sum, zip(lam, tau))) for tau in d.all_weights(mu)}):
+        if in_fundamental_alcove(d, nu, p) and (n := fusion_multiplicity(aw, lam, mu, nu, p)):
+            rows.append((nu, n))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def lowest_cell_subsets(type_str: str) -> tuple[frozenset, ...]:
+    """The proper J of S (generator indices) whose longest element w_J has
+    length |Phi+|; w_J is reached by ascents in J from the identity."""
+    aw = AffineWeyl(build_root_datum(type_str))
+    n, out = len(aw.gens), []
+    for J in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(1, n)):
+        w = aw.identity
+        while ups := [i for i in J if aw.mult(w, aw.gens[i]).length > w.length]:
+            w = aw.mult(w, aw.gens[ups[0]])
+        if w.length == len(aw.datum.positive_roots):
+            out.append(frozenset(J))
+    return tuple(out)
+
+
+def shi_lowest_cell(aw, w, memo=None) -> bool:
+    """Is w in Shi's lowest two-sided cell c0 (J. London Math. Soc. 1987)?
+
+    c0 is the set of w = x . w_J . y with lengths adding, over the J with
+    l(w_J) = |Phi+|.  w is in it iff its right descents contain such a J
+    (y = e), or ws is for a right descent s: a prefix x . w_J of w stays a
+    prefix of ws when s is a descent of y.  ``memo`` maps elements to the
+    answer; descents and steps are general products.
+    """
+    memo = {} if memo is None else memo
+    got = memo.get(w)
+    if got is None:
+        subsets = lowest_cell_subsets(str(aw.datum.cartan_type))
+        steps = [aw.mult(w, s) for s in aw.gens]
+        descents = {i for i, ws in enumerate(steps) if ws.length < w.length}
+        got = memo[w] = any(J <= descents for J in subsets) or any(
+            shi_lowest_cell(aw, steps[i], memo) for i in descents
+        )
+    return got
 
 
 def alcove_vertices_oracle(aw, w, p: int) -> list:

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckecells
+from heckecells import cli
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
-from heckecells.hecke import HeckeElt, coset_project
+from heckecells.cells import right_cells
+from heckecells.hecke import HeckeElt, build_context, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import FiniteWeylElement, _mat_mul, build_root_datum
 
@@ -861,3 +863,106 @@ def test_element_keys_are_unique_across_contexts():
     assert len(built_elements(a)) > held
     elements = built_elements(a) + built_elements(b)
     assert len({w.key for w in elements}) == len(elements)
+
+
+def _owned(aw):
+    """No record entry or element slot of aw points outside aw: every record
+    reached is the one aw registered for its finite part, and every element
+    reached is the one its record holds."""
+
+    def mine(r):
+        return aw._records.get(r.fin.mat) is r
+
+    def held(b):
+        return b is None or (mine(b.rec) and b.rec.elements.get(b.trans) is b)
+
+    for rec in aw._records.values():
+        assert rec.aw is aw
+        assert all(mine(e[0]) for e in rec.right + rec.left if e is not None)
+        assert all(mine(r) and mine(prod) for r, prod in rec.products.items())
+        for a in rec.elements.values():
+            assert a.rec is rec and all(map(held, a.right)) and held(a.rep)
+
+
+def _cells_and_basis(c):
+    aw = c.aw
+    part = right_cells(aw, 16, 4, c.provider)
+    cells = [[aw.to_word(w) for w in cell] for cell in part.cells]
+    basis = {
+        aw.to_word(w): {aw.to_word(y): str(n) for y, n in c.hecke.kl_basis(w).terms.items()}
+        for w in aw.enumerate_W(10)
+    }
+    return cells, part.trusted, part.reach, basis
+
+
+def test_steps_of_another_contexts_elements_stay_in_its_context():
+    # a step, a coset walk, a word walk, the fW test or a product that
+    # context b takes from fresh elements of context a builds and links only
+    # inside a; afterwards both contexts answer as a fresh one does
+    a, b = build_context("C2"), build_context("C2")
+    words = ("s0.s1.s2.s0", "s1.s2.s1", "s2.s0.s1.s2.s1", "s0.s2.s0.s1", "omega:1.s0.s2")
+    fresh = [a.aw.from_word_str(w) for w in words] + [a.aw.translation((k, -1)) for k in (-2, 3)]
+    for x in fresh:
+        for i in range(len(b.aw.gens)):
+            b.aw.mult_gen(x, i)
+        b.aw.in_fW(x)
+        b.aw.min_coset_rep(x)
+        if b.aw.in_affine_weyl(x):
+            b.aw.reduced_word(x)
+        b.aw.mult(x, fresh[1])
+    answers = _cells_and_basis(build_context("C2"))
+    assert _cells_and_basis(a) == answers
+    assert _cells_and_basis(b) == answers
+    _owned(a.aw)
+    _owned(b.aw)
+
+
+STEP_FILL_BALLS = [
+    ("A2", 14, 8), ("C2", 14, 8), ("G2", 18, 8), ("A3", 9, 5), ("B3", 8, 4), ("C3", 8, 4), ("D4", 6, 3),
+]
+
+
+@pytest.mark.parametrize("type_str,fw_bound,w_bound", STEP_FILL_BALLS)
+def test_steps_fill_both_ends_and_the_fW_flag(type_str, fw_bound, w_bound, monkeypatch):
+    # a step fills both ends (s_i^2 = 1): the element stepped to holds the
+    # one it came from, and the record of w s_i the entry (record of w,
+    # 1 - flag); an upward step from an element of fW sets the fW flag of
+    # its target, checked against the left-descent test
+    tested, in_fW = set(), AffineWeyl.in_fW
+
+    def counting(aw, x):
+        if x.fmin is None:
+            tested.add(x.key)
+        return in_fW(aw, x)
+
+    monkeypatch.setattr(AffineWeyl, "in_fW", counting)
+    aw = AffineWeyl(build_root_datum(type_str))
+    aw.enumerate_fW(fw_bound)
+    aw.enumerate_W(w_bound)
+    aw.enumerate_fW(fw_bound + 1)
+    pos = aw.datum._posroot_fund
+    for rec in aw._records.values():
+        for i, entry in enumerate(rec.right):
+            if entry is not None:
+                nrec, f = entry
+                assert nrec.fin == rec.fin * aw.gens[i].fin and nrec.right[i] == (rec, 1 - f)
+                assert f == int(rec.fin.apply(aw._step_roots[i]) not in pos)
+    flagged = 0
+    for x in built_elements(aw):
+        for i, xs in enumerate(x.right):
+            if xs is not None:
+                assert xs is mult_gen_oracle(aw, x, i)
+                assert xs.right[i] is x or xs.right[i] is None
+        if x.fmin is not None:
+            assert x.fmin == (aw.left_descent(x.rec, x.trans, 1) is None)
+            flagged += x.key not in tested
+    assert flagged
+
+
+def test_cold_cells_job_right_steps(monkeypatch):
+    # a cold B3 28/8 cells job takes each step once for both of its ends:
+    # 909 right steps (1 584 when a step filled only the slot asked for)
+    steps, right_step = [], AffineWeyl._right_step
+    monkeypatch.setattr(AffineWeyl, "_right_step", lambda aw, *a: steps.append(1) or right_step(aw, *a))
+    assert cli.main(["cells", "--type", "B3", "--len", "28", "--margin", "8", "--out", os.devnull]) == 0
+    assert 0 < len(steps) <= 1000

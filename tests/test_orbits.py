@@ -23,6 +23,7 @@ from oracles import (
     orbit_dimension_oracle,
     orbit_table_oracle,
     partition_of_pair_oracle,
+    shi_lowest_cell,
     status_oracle,
     subregular_cover_oracle,
 )
@@ -488,3 +489,32 @@ def test_zero_cell_starts_at_the_sum_of_rho_coroot_pairings(type_str, p, length)
         w.length for w in aw.enumerate_fW(length) if min(aw.dot_action(w, zero, p)) >= p - 1
     ]
     assert lengths and min(lengths) == length
+
+
+@pytest.mark.parametrize(
+    "type_str,p,bound",
+    [("A2", 5, 14), ("C2", 5, 16), ("G2", 7, 22), ("A3", 5, 12), ("B3", 7, 26), ("C3", 7, 26), ("D4", 7, 30)],
+)
+def test_shi_lowest_cell_is_the_shifted_chamber(type_str, p, bound):
+    # Shi's c0 (a prefix x . w_J with l(w_J) = |Phi+|) meets fW where every
+    # coordinate of w ._p 0 is at least p - 1, for a prime p > h
+    aw = AffineWeyl(build_root_datum(type_str))
+    assert p > aw.datum.coxeter_number
+    zero, memo = (0,) * aw.datum.rank, {}
+    ball = aw.enumerate_fW(bound)
+    in_c0 = [w for w in ball if shi_lowest_cell(aw, w, memo)]
+    assert in_c0 and len(in_c0) < len(ball)
+    for w in ball:
+        assert shi_lowest_cell(aw, w, memo) == (min(aw.dot_action(w, zero, p)) >= p - 1)
+
+
+@pytest.mark.parametrize("type_str,L,m", [("C2", 20, 6), ("G2", 24, 8), ("A3", 16, 4), ("B3", 34, 10)])
+def test_shi_lowest_cell_is_the_pinned_zero_cell(ctx, type_str, L, m):
+    # among the trusted cells, Shi's c0 holds on every element of the cell
+    # the orbit table pins as zero and on no element of any other
+    c = ctx(type_str)
+    part, table = _table(c, L, m)
+    (zero,) = [i for i in table.cell_map if table.orbit_of_cell(i).dimension == 0]
+    memo = {}
+    for i in part.trusted_cells():
+        assert {shi_lowest_cell(c.aw, w, memo) for w in part.cells[i]} == {i == zero}

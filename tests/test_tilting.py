@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from heckecells.tilting import (
     weyl_module_character,
 )
 
-from oracles import length_oracle, tensor_character
+from oracles import fusion_rows_oracle, length_oracle, tensor_character
 
 
 def fusion_oracle(c, lam, mu, nu, p, length_cap=36):
@@ -249,6 +250,29 @@ def test_fusion_rows_match_the_full_alcove_scan(ctx):
         for lam, mu in itertools.product(alcove, repeat=2):
             scan = [(nu, n) for nu in alcove if (n := fusion_multiplicity(c.aw, lam, mu, nu, p))]
             assert fusion_rows(c.aw, lam, mu, p) == scan
+
+
+def test_fusion_rows_fold_matches_the_per_nu_sums(ctx):
+    # the Kac-Walton fold against one alternating sum over fW per
+    # nu = lam + tau inside C_p, on every (lam, mu) of the alcove
+    for type_str, p in (("A2", 7), ("G2", 11)):
+        c = ctx(type_str)
+        alcove = fundamental_alcove_weights(c.datum, p)
+        for lam, mu in itertools.product(alcove, repeat=2):
+            assert fusion_rows(c.aw, lam, mu, p) == fusion_rows_oracle(c.aw, lam, mu, p)
+
+
+def test_fusion_rows_at_a_large_mu_take_one_walk_per_weight():
+    # one dot walk per weight of V(mu), 2 791 of them for mu = 30,30 (one
+    # alternating sum over fW per nu takes about 100 s); at so large a p the
+    # rows are the classical V(1,1) (x) V(30,30): nu = mu + a root, and mu
+    # twice
+    aw = AffineWeyl(build_root_datum("A2"))
+    start = time.perf_counter()
+    rows = fusion_rows(aw, (1, 1), (30, 30), 99999999)
+    assert time.perf_counter() - start < 2.0
+    roots = [(2, -1), (-1, 2), (1, 1), (-2, 1), (1, -2), (-1, -1)]
+    assert rows == sorted([((30 + a, 30 + b), 1) for a, b in roots] + [((30, 30), 2)])
 
 
 def test_fusion_rows_errors(ctx):
