@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
-from .rootdata import FiniteWeylElement, RootDatum, Weight, closure
+from .rootdata import FiniteWeylElement, RootDatum, Weight
 
 _KEYS = count()  # AffineElement.key, unique in the process
 
@@ -243,9 +243,10 @@ class AffineWeyl:
 
     def mult(self, a: AffineElement, b: AffineElement) -> AffineElement:
         # (w t_lam)(w' t_mu) = w w' t_{w'^{-1}(lam) + mu}
-        rec = a.rec.products.get(b.rec)
+        key = b.rec if b.rec.aw is a.rec.aw else a.rec.aw._record(b.fin)
+        rec = a.rec.products.get(key)
         if rec is None:
-            rec = a.rec.products[b.rec] = a.rec.aw._record(a.fin * b.fin)
+            rec = a.rec.products[key] = a.rec.aw._record(a.fin * b.fin)
         moved = b.fin.apply_inverse(a.trans)
         return self._at(rec, tuple([x + y for x, y in zip(moved, b.trans)]))
 
@@ -503,26 +504,27 @@ class AffineWeyl:
     def _ball(self, bound: int, keep) -> list[AffineElement]:
         """Elements of length <= bound reached from the identity by
         length-increasing generator steps through elements passing ``keep``
-        (all of them when ``keep`` is None), in (length, word) order.
+        (None or ``in_fW``, asked only where no step set the flag), in
+        (length, word) order.
 
         ``keep`` is closed under prefixes (W and fW are), and a prefix of a
         smallest reduced word is a smallest reduced word, so the word of w is
         the least word(y) + (i,) over the steps y -> w = y s_i.  Breadth-first
         search takes each length level in word order and the generators in
         index order, so the first step into w is that least one: it sets the
-        word, and the search order is already (length, word).
+        word, the walk lists w at the step by the word's last letter alone (so
+        it keeps no set of elements), and its order is already (length, word).
         """
-
-        def up(w):
+        out = [self.identity]
+        for w in out:
             if w.length < bound:
                 for i in range(len(self.gens)):
                     ws = w.right[i] or self.mult_gen(w, i)
-                    if ws.length == w.length + 1 and (keep is None or keep(ws)):
-                        if ws.word is None:
-                            ws.word = w.word + (i,)
-                        yield ws
-
-        return closure([self.identity], up)
+                    if ws.length > w.length and (keep is None or ws.fmin or ws.fmin is None and keep(ws)):
+                        ws.word = ws.word or w.word + (i,)
+                        if ws.word[-1] == i:
+                            out.append(ws)
+        return out
 
     def enumerate_fW(self, bound: int) -> list[AffineElement]:
         """All elements of fW of length <= bound, in (length, word) order."""

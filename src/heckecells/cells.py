@@ -3,9 +3,9 @@
 The preorder is generated by single canonical-generator expansions: there is
 an edge y -> w (with witness s) whenever the canonical basis element indexed
 by w appears in N_y-bar . (H_s + v).  Cells are the strongly connected
-components of that edge graph, computed on a length-truncated ball: one
-structural dict numbers its nodes (a table's provider returns elements of
-the table's own context), and the search and reachability run on the numbers.
+components of that edge graph, computed on a length-truncated ball: node k
+is the k-th element of the walk over fW, which lists them in (length, word)
+order, and the search, the cell order and reachability run on the numbers.
 
 For p = 0 the targets are read off the W-graph: y when ys < y, else ys (if
 in fW) and each z with zs < z and mu(z, y) != 0, the v^1 coefficient stored
@@ -15,12 +15,13 @@ from its finite part's record.
 
 Truncation policy: edges are expanded from every source of length <= L, so
 targets up to length L+1 are known exactly; the walk over fW that lists the
-sources runs to L+1 and gives each target its smallest reduced word, so
-sorting them walks no left descent.  A component is *trusted* when it
-reaches down to the core zone: some member has length <= L - margin.  A
-target of length L+1 is never a source, so it is a singleton sink component
-and never trusted.  The margin is an engineering contract, not a theorem: it
-is the room we give merging paths near the boundary.
+sources runs to L+1, gives each target its smallest reduced word and
+lists the nodes in (length, word) order, so no sort key is built.  A
+component is *trusted* when it reaches down to the core zone: some member
+has length <= L - margin.  A target of length L+1 is never a source, so it
+is a singleton sink component and never trusted.  The margin is an
+engineering contract, not a theorem: it is the room we give merging paths
+near the boundary.
 """
 
 from __future__ import annotations
@@ -113,22 +114,28 @@ def right_cells(
     """Cell partition of the length-<=bound ball of fW under the given basis."""
     if not 0 <= margin <= bound:
         raise ValueError("need 0 <= margin <= length bound")
-    edges = cell_edges(aw, provider, bound)
-    # Every element y of the ball is an edge source, so the edges alone name
-    # every node: N_e.(H_s0 + v) = N_s0 + v N_e, and for a right descent s of
-    # y != e the 0-canonical expansion of N_y.(H_s + v) holds (v + v^-1) N_y,
-    # to which the other terms of a p-canonical N_y add only nonnegatively.
-    num: dict[AffineElement, int] = {}
-    arcs = [(num.setdefault(y, len(num)), num.setdefault(w, len(num))) for y, w, _ in edges]
-    nodes = list(num)
+    # Node k is the k-th element of the walk over fW to length bound + 1, in
+    # (length, word) order.  It holds every target (in fW, of length at most
+    # bound + 1), and each of its elements is one: of length bound + 1, ys for
+    # a source y, the leading term of N_y.(H_s + v) in any unitriangular
+    # basis.  Targets are numbered by key, or, when a table of another
+    # context returns its own elements, by a structural dict built once.
+    nodes = aw.enumerate_fW(bound + 1)
+    num, by_elem = {w.key: k for k, w in enumerate(nodes)}, None
     succ: list[list[int]] = [[] for _ in nodes]
-    for k, j in arcs:
-        succ[k].append(j)
-    # The components and their final order by sort_key do not depend on the
-    # order in which the search visits nodes, so nothing is sorted for it.
+    for y, out in zip(nodes, succ):
+        if y.length > bound:
+            break
+        for w in itertools.chain.from_iterable(provider.kl_gen_targets(y)):
+            k = num.get(w.key)
+            if k is None:
+                by_elem = by_elem or dict(zip(nodes, itertools.count()))
+                k = by_elem[w]
+            out.append(k)
+    # A cell lists its nodes by number, in (length, word) order, and the cells
+    # go by their least number; neither depends on the search's visit order.
     emitted = _strongly_connected_components(succ)
-    key = [aw.sort_key(w) for w in nodes]
-    ranked = sorted((sorted(c, key=key.__getitem__) for c in emitted), key=lambda c: key[c[0]])
+    ranked = sorted(map(sorted, emitted))
     cell = [0] * len(nodes)
     for i, comp in enumerate(ranked):
         for k in comp:

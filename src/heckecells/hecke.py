@@ -195,7 +195,7 @@ def _canonical(aw: AffineWeyl, keep, memo: dict, w: AffineElement) -> tuple[list
         for x, c, n in zip(*lower):
             xs = x.right[i] or mult_gen(x, i)
             if xs.length > x.length:
-                if keep is not None and not (xs.fmin or keep(xs)):
+                if keep is not None and not (xs.fmin or xs.fmin is None and keep(xs)):
                     continue
                 x, xs, q = xs, x, 0
             else:
@@ -688,7 +688,7 @@ class ZeroBasisProvider:
                 elts, codes, _ = self.asph._coded(y)
                 mus = [z for z, c in zip(elts, codes) if c & _DIGIT1]
             targets = [z for z in mus if (z.right[i] or mult_gen(z, i)).length < z.length]
-            out.append([ys] + targets if aw.in_fW(ys) else targets)
+            out.append([ys] + targets if ys.fmin or ys.fmin is None and aw.in_fW(ys) else targets)
         return out
 
 

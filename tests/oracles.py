@@ -21,7 +21,9 @@ the stripped scalar once per reflection, the word oracle descends greedily
 by general products, the step oracles take each generator step as a general
 product, the matrix oracle multiplies entry by entry, the target oracle
 scans N_y's codes for mu once per generator, the cell-graph oracle keys
-Tarjan's search and the reach sets by element, the dot-walk oracle composes
+Tarjan's search and the reach sets by element, the ball oracle finds each
+element of a length ball once through an element-keyed breadth-first search
+and leaves words alone, the dot-walk oracle composes
 its element by one matrix product per reflection, the alcove-vertex oracle
 maps the fundamental simplex in Fractions, the Levi oracles tally the
 grading degrees and the runs of a Levi subset one by one, the
@@ -710,6 +712,21 @@ def kl_gen_targets_oracle(provider, y, i):
     return [ys] + mus if aw.in_fW(ys) else mus
 
 
+def ball_oracle(aw, bound: int, keep) -> list:
+    """Elements of length <= bound reached from the identity by upward
+    generator steps through elements passing ``keep`` (all when None), in
+    breadth-first order, each kept once by ``closure``'s element-keyed dict."""
+
+    def up(w):
+        if w.length < bound:
+            for i in range(len(aw.gens)):
+                ws = aw.mult_gen(w, i)
+                if ws.length > w.length and (keep is None or keep(ws)):
+                    yield ws
+
+    return closure([aw.identity], up)
+
+
 def right_cells_oracle(aw, bound: int, margin: int, provider) -> CellPartition:
     """``right_cells`` on elements: successor sets, Tarjan's index, link and
     stack, and the reach sets all keyed by the elements themselves."""
@@ -980,3 +997,15 @@ def tensor_character(m1: dict, m2: dict) -> dict:
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, 0) + ma * mb
     return out
+
+
+def counting(monkeypatch, owner, name) -> list:
+    """A one-item list counting the calls of owner.<name> from now on."""
+    calls, method = [0], getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -18,6 +18,7 @@ from heckecells.laurent import ONE, V, LaurentPoly
 from heckecells.rootdata import FiniteWeylElement, _mat_mul, build_root_datum
 
 from oracles import (
+    ball_oracle,
     bruhat_intervals,
     built_elements,
     coset_project_oracle,
@@ -768,6 +769,20 @@ def test_ball_words_are_greedy_words(type_str, bound):
         _check_ball(primed, enumerate_ball(bound))
 
 
+@pytest.mark.parametrize("type_str,bound", BALL_SIZES + [("C3", 8), ("D4", 6)])
+def test_ball_walk_matches_closure_oracle(type_str, bound):
+    # the walk lists each element once, at the step by the last letter of
+    # its word, and in the order an element-keyed breadth-first search finds
+    # them; on one fresh context the walks go first, on another the oracle,
+    # whose fW tests set every flag and whose steps set no word
+    for walks_first in (True, False):
+        aw = AffineWeyl(build_root_datum(type_str))
+        walks = [lambda: aw.enumerate_fW(bound), lambda: aw.enumerate_W(bound)]
+        oracles = [lambda: ball_oracle(aw, bound, aw.in_fW), lambda: ball_oracle(aw, bound, None)]
+        first, second = (walks, oracles) if walks_first else (oracles, walks)
+        assert [f() for f in first] == [f() for f in second]
+
+
 @pytest.mark.parametrize("type_str,bound", BALL_SIZES)
 def test_enumerate_fW_builds_only_the_ball_and_its_neighbours(type_str, bound):
     aw = AffineWeyl(build_root_datum(type_str))
@@ -915,6 +930,26 @@ def test_steps_of_another_contexts_elements_stay_in_its_context():
     assert _cells_and_basis(b) == answers
     _owned(a.aw)
     _owned(b.aw)
+
+
+def test_products_across_contexts_key_their_own_records():
+    # a product of elements of two contexts is the left factor's element, and
+    # the left factor's products table keys it by its own context's record
+    # of the right factor's finite part: no record links into the other
+    a, b = (AffineWeyl(build_root_datum("C2")) for _ in range(2))
+    fresh = AffineWeyl(build_root_datum("C2"))
+    words = ("s0.s1.s2.s0", "s1.s2.s1", "omega:1.s0.s2", "s2.s0.s1", "e")
+    for u, w in itertools.product(words, repeat=2):
+        x, y = a.from_word_str(u), b.from_word_str(w)
+        for left, right, aw in ((x, y, b), (y, x, a)):
+            product = aw.mult(left, right)
+            assert product.rec.aw is left.rec.aw
+            twin = fresh.mult(*(fresh.element(z.fin, z.trans) for z in (left, right)))
+            assert product == twin
+    assert not any(k.aw is b for rec in a._records.values() for k in rec.products)
+    assert not any(k.aw is a for rec in b._records.values() for k in rec.products)
+    _owned(a)
+    _owned(b)
 
 
 STEP_FILL_BALLS = [

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import heckecells.cells
 from heckecells.affine import AffineElement, AffineWeyl
 from heckecells.cells import (
     cell_edges,
@@ -28,6 +29,7 @@ from heckecells.rootdata import build_root_datum
 from oracles import (
     asph_canonical_oracle,
     built_elements,
+    counting,
     decompose_oracle,
     enumerated_generation_sets,
     from_finite,
@@ -379,48 +381,86 @@ def _same_partition(got, want):
 
 @pytest.mark.parametrize(
     "type_str,L,m",
-    [("A2", 16, 4), ("C2", 16, 4), ("G2", 16, 5), ("A3", 12, 3), ("B3", 12, 3), ("C3", 12, 3)],
+    [
+        ("A2", 16, 4), ("C2", 16, 4), ("G2", 16, 5), ("A3", 12, 3), ("B3", 12, 3), ("C3", 12, 3),
+        ("D4", 12, 3),
+    ],
 )
 def test_numbered_graph_matches_element_keyed_oracle(ctx, type_str, L, m):
-    # the cell graph runs on node numbers; the oracle keys it by element.
-    # The table holds the computed 0-basis of fW up to length L + 1, every
-    # element the leading-term expansion of the edges asks for.
+    # the cell graph runs on the numbering of the fW ball to length L + 1,
+    # every element of which is a node; the oracle keys it by element.
+    # The table holds the computed 0-basis of that ball, every element the
+    # leading-term expansion of the edges asks for.
     c = ctx(type_str)
-    entries = {w: c.hecke.kl_basis(w) for w in c.aw.enumerate_fW(L + 1)}
-    table = CanonicalBasisTable(c.aw, 0, entries, "fW ball")
+    ball = c.aw.enumerate_fW(L + 1)
+    table = CanonicalBasisTable(c.aw, 0, {w: c.hecke.kl_basis(w) for w in ball}, "fW ball")
     for provider in (c.provider, TableBasisProvider(c.hecke, c.asph, table)):
-        assert _same_partition(
-            right_cells(c.aw, L, m, provider), right_cells_oracle(c.aw, L, m, provider)
-        )
+        part = right_cells(c.aw, L, m, provider)
+        assert set(part.cell_of) == set(ball)
+        assert _same_partition(part, right_cells_oracle(c.aw, L, m, provider))
 
 
-def test_cells_under_a_table_of_another_context(ctx):
-    # a table built in another context hands back that context's elements;
-    # the nodes are numbered by structural lookups, so they meet the ball's
+def test_cells_under_a_table_of_another_context(ctx, monkeypatch):
+    # a table built in another context hands back that context's elements,
+    # which no key of the ball names: the structural dict numbers each one,
+    # by an equality test across the two contexts, and meets the ball's
     c = ctx("C2")
     other = build_context("C2")
     provider = TableBasisProvider(c.hecke, c.asph, table_from_zero_basis(other.hecke, 13))
+    targets = {y.key: provider.kl_gen_targets(y) for y in c.aw.enumerate_fW(12)}
+    found = [w for per_gen in targets.values() for ts in per_gen for w in ts]
+    assert found and all(w.rec.aw is other.aw for w in found)
+    monkeypatch.setattr(provider, "kl_gen_targets", lambda y: targets[y.key])
+    across, method = [0], AffineElement.__eq__
+
+    def counted(a, b):
+        across[0] += isinstance(b, AffineElement) and a.rec.aw is not b.rec.aw
+        return method(a, b)
+
+    monkeypatch.setattr(AffineElement, "__eq__", counted)
     part = right_cells(c.aw, 12, 4, provider)
+    monkeypatch.undo()
+    assert across[0] >= len(found)
+    assert all(w.rec.aw is c.aw for w in part.cell_of)
     assert len(part.cells) == 10
     assert _same_partition(part, right_cells_oracle(c.aw, 12, 4, provider))
     assert _same_partition(part, right_cells(c.aw, 12, 4, c.provider))
 
 
-def test_graph_stage_hashes_each_edge_endpoint_once(ctx, monkeypatch):
-    # past the edges, right_cells hashes each endpoint of an edge once to
-    # number it and each node once for cell_of; the rest runs on ints
+def test_graph_stage_hashes_each_node_and_source_once(ctx, monkeypatch):
+    # on a warm memo, right_cells builds no edge list and no sort key, and
+    # the walk over the ball hashes no element: what is hashed is each
+    # source's memo entry and each node's cell_of entry; the rest runs on ints
     c = ctx("B3")
-    edges = cell_edges(c.aw, c.provider, 12)
-    monkeypatch.setattr("heckecells.cells.cell_edges", lambda aw, provider, bound: edges)
-    calls, method = [0], AffineElement.__hash__
-
-    def counted(w):
-        calls[0] += 1
-        return method(w)
-
-    monkeypatch.setattr(AffineElement, "__hash__", counted)
+    right_cells(c.aw, 12, 3, c.provider)
+    edges = counting(monkeypatch, heckecells.cells, "CellEdge")
+    keys = counting(monkeypatch, AffineWeyl, "sort_key")
+    hashes = counting(monkeypatch, AffineElement, "__hash__")
     part = right_cells(c.aw, 12, 3, c.provider)
-    assert calls[0] <= 2 * len(edges) + len(part.cell_of)
+    sources = sum(w.length <= 12 for w in part.cell_of)
+    assert edges == keys == [0]
+    assert hashes[0] <= len(part.cell_of) + sources
+
+
+def test_cold_cells_job_counts(monkeypatch):
+    # a cold B3 28/8 job: no edge list and no sort key; the fW flag is
+    # computed only where no generator step set it (4 times here), and the
+    # elements are hashed about five times per node (2 247 for 433 here)
+    c = build_context("B3")
+    counts = {
+        name: counting(monkeypatch, owner, name)
+        for owner, name in [
+            (heckecells.cells, "CellEdge"),
+            (AffineWeyl, "sort_key"),
+            (AffineWeyl, "in_fW"),
+            (AffineElement, "__hash__"),
+        ]
+    }
+    part = right_cells(c.aw, 28, 8, c.provider)
+    assert len(part.cell_of) == 433
+    assert counts["CellEdge"] == counts["sort_key"] == [0]
+    assert counts["in_fW"][0] <= 50
+    assert counts["__hash__"][0] <= 3500
 
 
 def test_export_json_deterministic(ctx):

@@ -27,6 +27,7 @@ from oracles import (
     bar,
     both_members_canonical,
     bs_product,
+    counting,
     dump_json_oracle,
     dump_text_oracle,
     hecke_mul,
@@ -244,19 +245,6 @@ def test_pair_recursion_holds_no_more_code_objects(type_str):
     assert objects(memo) <= objects(oracle_memo)
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of AffineElement.<name> from now on."""
-    calls = [0]
-    method = getattr(AffineElement, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return method(*args)
-
-    monkeypatch.setattr(AffineElement, name, counted)
-    return calls
-
-
 def test_recursion_hashes_elements_per_entry_not_per_term(monkeypatch):
     # the sums key positions by element key: the element hashes left are the memo's
     # own, one lookup of w, one per right descent and one store per new
@@ -264,7 +252,7 @@ def test_recursion_hashes_elements_per_entry_not_per_term(monkeypatch):
     # hashed every term)
     c = build_context("B3")
     ball = c.aw.enumerate_fW(12)
-    calls = _counting(monkeypatch, "__hash__")
+    calls = counting(monkeypatch, AffineElement, "__hash__")
     for w in ball:
         c.asph._coded(w)
     assert calls[0] <= (len(c.aw.gens) + 2) * len(c.asph._canon_cache)
@@ -320,7 +308,7 @@ def test_zero_table_compares_few_elements(monkeypatch):
     # have 244 hashes (213 before), and a fresh table takes few __eq__ calls
     # (17 438 before)
     c = build_context("C2")
-    calls = _counting(monkeypatch, "__eq__")
+    calls = counting(monkeypatch, AffineElement, "__eq__")
     table = table_from_zero_basis(c.hecke, 13)
     assert calls[0] < 1000
     assert len(table.entries) == len({hash(w) for w in table.entries}) == 244
@@ -776,7 +764,7 @@ def test_fresh_table_parse_tests_no_term_and_validation_hashes_each_term_once(mo
     # (18 899 LaurentPoly.__bool__ calls before)
     dump = table_from_zero_basis(build_context("C2").hecke, 13).dump_text()
     aw = build_context("C2").aw
-    hashes, bools, validated = _counting(monkeypatch, "__hash__"), [0], []
+    hashes, bools, validated = counting(monkeypatch, AffineElement, "__hash__"), [0], []
     is_nonzero, validate = LaurentPoly.__bool__, CanonicalBasisTable._validate
 
     def counted_bool(c):
