@@ -40,8 +40,8 @@ def main() -> int:
         print(f"  observed stabilization bound: {observed}")
         for cid in part.trusted_cells():
             K = cell_generators(aw, consts, part, cid)
-            orbit = table.orbit_of_cell(cid)
-            name = orbit.name if orbit else "?"
+            idx = table.cell_map.get(cid)
+            name = "?" if idx is None else table.orbits[idx].name
             members = part.cells[cid]
             print(
                 f"  cell {cid} ({name}): {len(members)} members in range, "

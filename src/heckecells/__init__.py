@@ -14,7 +14,6 @@ from .cells import (
     cell_generators,
     decompose_fW,
     generation_constants,
-    leq_R,
     right_cells,
     stabilization_n,
 )
@@ -51,7 +50,6 @@ from .tilting import (
     c_of_module,
     fusion_multiplicity,
     in_fundamental_alcove,
-    summand_multiplicity,
     tensor_translate,
     tilting_class,
     tilting_class_json,

@@ -348,12 +348,6 @@ class AffineWeyl:
     def sort_key(self, a: AffineElement):
         return (a.length, self.reduced_word(a))
 
-    def from_word(self, word) -> AffineElement:
-        out = self.identity
-        for i in word:
-            out = self.mult_gen(out, i)
-        return out
-
     # -- Bruhat order ------------------------------------------------------
 
     def bruhat_interval(self, b: AffineElement) -> set[AffineElement]:
@@ -363,7 +357,7 @@ class AffineWeyl:
 
         >>> from heckecells.rootdata import build_root_datum
         >>> aw = AffineWeyl(build_root_datum("A1"))
-        >>> sorted(aw.to_word(y) for y in aw.bruhat_interval(aw.from_word((0, 1))))
+        >>> sorted(aw.to_word(y) for y in aw.bruhat_interval(aw.from_word_str("s0.s1")))
         ['e', 's0', 's0.s1', 's1']
         """
         below = {self.identity}

@@ -169,17 +169,6 @@ def right_cells(
     )
 
 
-def leq_R(
-    w: AffineElement, y: AffineElement, partition: CellPartition
-) -> "bool | None":
-    """Whether w <=_R y in the computed preorder; None when untrusted."""
-    cw = partition.cell_index(w)
-    cy = partition.cell_index(y)
-    if cw is None or cy is None or not (partition.trusted[cw] and partition.trusted[cy]):
-        return None
-    return cw in partition.reach[cy]
-
-
 def export_partition_json(aw: AffineWeyl, partition: CellPartition) -> dict:
     cells = [
         {"id": i, "trusted": trusted, "size": len(comp), "members": [aw.to_word(w) for w in comp]}

@@ -144,9 +144,9 @@ def cmd_orbits(args) -> dict:
 
 
 def cmd_plot(args) -> str:
-    _, aw, _, _, provider = build_context(args.type, args.basis)
     if args.type.rank != 2:
         raise UnsupportedTypeError("alcove diagrams are drawn for rank-2 types only")
+    _, aw, _, _, provider = build_context(args.type, args.basis)
     return render_cell_diagram(aw, right_cells(aw, *_bounds(args), provider), args.p)
 
 

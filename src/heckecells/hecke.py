@@ -355,12 +355,6 @@ class Hecke:
         self.aw = aw
         self._kl_cache = _BudgetMemo("KL_MEMO_TERMS")
 
-    # -- standard basis ------------------------------------------------
-
-    def mul_by_gen(self, h: HeckeElt, i: int) -> HeckeElt:
-        """Right multiplication by the standard generator H_s."""
-        return kl_gen_action(self.aw, h, i, None, LaurentPoly(), VINV - V)
-
     # -- canonical basis ------------------------------------------------------
 
     def kl_basis(self, w: AffineElement) -> HeckeElt:
@@ -386,10 +380,6 @@ class AsphModule:
         self.aw = hecke.aw
         self._canon_cache = _BudgetMemo("ASPH_MEMO_TERMS")
         self._canon_elts: dict[AffineElement, AsphElt] = {}
-
-    def mul_by_gen(self, n: AsphElt, i: int) -> AsphElt:
-        """Right action of the standard generator H_s."""
-        return self.mul_by_kl_gen(n, i) - n.scale(V)
 
     def mul_by_kl_gen(self, n: AsphElt, i: int) -> AsphElt:
         """Right action of the canonical generator H_s + v."""
@@ -445,6 +435,8 @@ class CanonicalBasisTable:
             p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
         ):
             raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
+        if not isinstance(self.provenance, str):
+            raise BasisTableError(f"table provenance {self.provenance!r} is not text")
         aw, entries = self.aw, self.entries
         for w in entries:
             if not aw.in_affine_weyl(w):

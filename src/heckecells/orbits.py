@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import le, mul
 
-from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
+from .affine import AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
 from .rootdata import solve_exact
 
@@ -173,10 +173,6 @@ class OrbitTable:
     orbits: list[NilpotentOrbit]
     leq: "tuple[tuple[bool, ...], ...] | None"
     cell_map: dict[int, int]
-
-    def orbit_of_cell(self, cell_id: int) -> "NilpotentOrbit | None":
-        idx = self.cell_map.get(cell_id)
-        return None if idx is None else self.orbits[idx]
 
     def closure_chain(self, idx: int) -> list[str]:
         if self.leq is None:

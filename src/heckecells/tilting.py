@@ -157,23 +157,6 @@ def fusion_rows(aw: AffineWeyl, lam, mu, p: int) -> list[tuple[Weight, int]]:
     return sorted((nu, n) for nu, n in rows.items() if n)
 
 
-def summand_multiplicity(aw: AffineWeyl, char: MZeroElt, lam, p: int) -> int:
-    """Multiplicity of T(lam) as a direct summand of the class char.
-
-    The class lives in the principal block, so only lam = 0 can receive a
-    nonzero answer; other fundamental-alcove weights sit in different linkage
-    classes and contribute nothing.
-    """
-    if not in_fundamental_alcove(aw.datum, lam, p):
-        raise UnsupportedRegimeError("summand multiplicity needs lam inside C_p")
-    if any(c != 0 for c in lam):
-        return 0
-    total = 0
-    for w, c in char.terms.items():
-        total += -c if w.length % 2 else c
-    return total
-
-
 def tilting_class_json(aw: AffineWeyl, x: MZeroElt, basis_p: int = 0) -> dict:
     """JSON form of a class in M0, keyed by reduced words."""
     return {

@@ -900,6 +900,23 @@ def from_finite(aw, fin):
     return aw.element(fin, (0,) * aw.datum.rank)
 
 
+def from_word(aw, word):
+    """The product of the generators s_i, i in word, from the identity."""
+    out = aw.identity
+    for i in word:
+        out = aw.mult_gen(out, i)
+    return out
+
+
+def leq_R(w, y, partition: CellPartition) -> "bool | None":
+    """Whether w <=_R y in a computed preorder: w's cell is reached from y's.
+    None when either element is outside the ball or its cell is untrusted."""
+    cw, cy = partition.cell_index(w), partition.cell_index(y)
+    if cw is None or cy is None or not (partition.trusted[cw] and partition.trusted[cy]):
+        return None
+    return cw in partition.reach[cy]
+
+
 def standard(w) -> HeckeElt:
     """The standard basis element H_w, or N_w in the antispherical module."""
     return HeckeElt({w: ONE})
@@ -916,10 +933,12 @@ def kl_mul(hecke: Hecke, h: HeckeElt, i: int) -> HeckeElt:
 
 
 def mul_by_word(module, x: HeckeElt, word) -> HeckeElt:
-    """x acted on by the standard generator H_s for each letter s of word, in
-    the algebra (module a Hecke) or the antispherical module (an AsphModule)."""
+    """x acted on by the standard generator H_s = (H_s + v) - v for each
+    letter s of word, in the algebra (module a Hecke) or the antispherical
+    module (an AsphModule)."""
+    keep = None if isinstance(module, Hecke) else module.aw.in_fW
     for i in word:
-        x = module.mul_by_gen(x, i)
+        x = kl_gen_action(module.aw, x, i, keep, V, VINV) - x.scale(V)
     return x
 
 

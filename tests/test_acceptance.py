@@ -18,7 +18,6 @@ from heckecells.cells import (
     cell_generators,
     decompose_fW,
     generation_constants,
-    leq_R,
     right_cells,
 )
 from heckecells.cli import main
@@ -34,6 +33,7 @@ from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
 from oracles import (
     enumerated_generation_sets,
     from_finite,
+    from_word,
     generate_finite_weyl,
     hecke_mul,
     is_nonnegative,
@@ -179,8 +179,8 @@ def test_criterion_5_decomposition_suite():
         rng = random.Random(2024)
         count = 0
         while count < 1000:
-            w = aw.from_word(
-                [rng.randrange(len(aw.gens)) for _ in range(rng.randrange(5, 31))]
+            w = from_word(
+                aw, [rng.randrange(len(aw.gens)) for _ in range(rng.randrange(5, 31))]
             )
             w = aw.min_coset_rep(w)
             if w.length > 30:

@@ -11,7 +11,6 @@ from heckecells.cells import (
     decompose_fW,
     export_partition_json,
     generation_constants,
-    leq_R,
     observed_stabilization_bound,
     right_cells,
     stabilization_n,
@@ -33,9 +32,11 @@ from oracles import (
     decompose_oracle,
     enumerated_generation_sets,
     from_finite,
+    from_word,
     greedy_word,
     hecke_mul,
     kl_gen,
+    leq_R,
     mul_by_word,
     observed_stabilization_bound_oracle,
     right_cells_oracle,
@@ -546,7 +547,7 @@ def test_decompose_random_remultiplies(ctx):
         z_set = set(enumerated_generation_sets(aw, consts)[1])
         rng = random.Random(17)
         for _ in range(120):
-            w = aw.from_word([rng.randrange(3) for _ in range(20)])
+            w = from_word(aw, [rng.randrange(3) for _ in range(20)])
             w = aw.min_coset_rep(w)
             lam, z = decompose_fW(aw, consts, w)
             assert z in z_set

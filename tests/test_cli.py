@@ -152,6 +152,16 @@ def test_plot_command(tmp_path):
     assert len(texts) >= 16
 
 
+def test_plot_refuses_rank_three_before_reading_the_table(tmp_path, capsys):
+    # the rank is checked first: a missing or unparseable table is never read
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("not a table\n")
+    for basis in (tmp_path / "missing.txt", garbage):
+        assert main(["plot", "--type", "B3", "--p", "7", "--basis", str(basis)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["code"] == 3 and "rank-2" in err
+
+
 def test_plot_zero_bound(tmp_path):
     code, data = run_cli(
         ["plot", "--type", "C2", "--p", "7", "--len", "0", "--margin", "0"],

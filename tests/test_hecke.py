@@ -15,12 +15,13 @@ from heckecells.hecke import (
     HeckeElt,
     TableBasisProvider,
     build_context,
+    kl_gen_action,
     load_basis_table,
     specialize_v1,
     table_from_zero_basis,
 )
 from heckecells.hecke import _canonical, _decode
-from heckecells.laurent import ONE, V, VINV, LaurentPoly
+from heckecells.laurent import ONE, V, VINV, ZERO, LaurentPoly
 
 from oracles import (
     asph_canonical_oracle,
@@ -30,6 +31,7 @@ from oracles import (
     counting,
     dump_json_oracle,
     dump_text_oracle,
+    from_word,
     hecke_mul,
     in_positive_part,
     is_nonnegative,
@@ -49,7 +51,8 @@ from oracles import (
 def test_quadratic_relation(ctx):
     c = ctx("A1")
     s1 = c.aw.gens[1]
-    sq = c.hecke.mul_by_gen(standard(s1), 1)
+    # the standard generator H_s is the action with (up, down) = (0, v^-1 - v)
+    sq = kl_gen_action(c.aw, standard(s1), 1, None, ZERO, VINV - V)
     assert sq == HeckeElt({c.aw.identity: ONE, s1: VINV - V})
 
 
@@ -59,8 +62,8 @@ def test_quadratic_relation_on_kl_basis(ctx):
     for w in c.aw.enumerate_W(5):
         h = c.hecke.kl_basis(w)
         for i in range(len(c.aw.gens)):
-            hs = c.hecke.mul_by_gen(h, i)
-            assert c.hecke.mul_by_gen(hs, i) == h + hs.scale(VINV - V)
+            hs = kl_gen_action(c.aw, h, i, None, ZERO, VINV - V)
+            assert kl_gen_action(c.aw, hs, i, None, ZERO, VINV - V) == h + hs.scale(VINV - V)
 
 
 def test_kl_generator_square(ctx):
@@ -557,7 +560,7 @@ def test_asph_action_examples(ctx):
     aw = c.aw
     s0 = aw.gens[0]
     ne = standard(aw.identity)
-    assert c.asph.mul_by_gen(ne, 1) == ne.scale(LaurentPoly.v(1, -1))
+    assert mul_by_word(c.asph, ne, [1]) == ne.scale(LaurentPoly.v(1, -1))
     # canonical generator: N_e (H_{s0} + v) = N_{s0} + v N_e
     assert c.asph.mul_by_kl_gen(ne, 0) == AsphElt({s0: ONE, aw.identity: V})
 
@@ -569,8 +572,8 @@ def test_asph_action_consistent_with_projection(ctx):
         word = [rng.randrange(3) for _ in range(rng.randrange(7))]
         h = mul_by_word(c.hecke, standard(c.aw.identity), word)
         i = rng.randrange(3)
-        lhs = c.hecke.asph_project(c.hecke.mul_by_gen(h, i))
-        rhs = c.asph.mul_by_gen(c.hecke.asph_project(h), i)
+        lhs = c.hecke.asph_project(kl_mul(c.hecke, h, i))
+        rhs = c.asph.mul_by_kl_gen(c.hecke.asph_project(h), i)
         assert lhs == rhs
 
 
@@ -697,7 +700,7 @@ def test_table_validates_with_a_prefix_missing(ctx):
     # entries whose prefix is absent take their interval from the full walk
     c = ctx("C2")
     table = table_from_zero_basis(c.hecke, 6)
-    u = c.aw.from_word((0, 1, 2))
+    u = from_word(c.aw, (0, 1, 2))
     entries = {w: h for w, h in table.entries.items() if w != u}
     CanonicalBasisTable(c.aw, 0, entries)
     assert u.length == 3
@@ -737,7 +740,7 @@ def test_table_validation_falls_back_when_a_prefix_lacks_a_term(ctx, monkeypatch
     c = ctx("C2")
     aw = c.aw
     entries = dict(table_from_zero_basis(c.hecke, 8).entries)
-    u = aw.from_word((0, 1, 2, 1))
+    u = from_word(aw, (0, 1, 2, 1))
     entries[u] = HeckeElt({y: x for y, x in entries[u].terms.items() if y != aw.identity})
     above = [w for w in entries if _first_prefix(aw, entries, w) == u]
     full, calls = aw.bruhat_interval, []
@@ -865,6 +868,20 @@ def test_json_table_rejects_a_repeated_key(ctx, tmp_path, capsys, text, key):
     # one key each, the same table loads
     ok = text.replace('"p":0,"p":3', '"p":0').replace('"w":"s0",', "")
     assert CanonicalBasisTable.parse(ctx("A1").aw, ok).p == 0
+
+
+@pytest.mark.parametrize("value", ["5", "null"])
+def test_table_rejects_a_provenance_that_is_not_text(ctx, tmp_path, capsys, value):
+    # a number loaded with exit 0 before, and `cells --basis` printed it
+    text = '{"p":0,"provenance":%s,"entries":[%s]}' % (value, _JSON_ENTRY)
+    message = f"table provenance {json.loads(value)!r} is not text"
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        CanonicalBasisTable.parse(ctx("A1").aw, text)
+    code, out, err = _kl_with_table(tmp_path, capsys, text, "s1")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "table", "message": message, "code": 4}
+    ok = text.replace(f'"provenance":{value}', '"provenance":"text"')
+    assert CanonicalBasisTable.parse(ctx("A1").aw, ok).provenance == "text"
 
 
 # C_{s1 s0} + C_e, a nonnegative bar-invariant combination of the 0-basis

@@ -196,19 +196,19 @@ def test_cell_map_a1(ctx):
     c = ctx("A1")
     part, table = _table(c, 12, 3)
     id_cell = part.cell_index(c.aw.identity)
-    reg = table.orbit_of_cell(id_cell)
+    reg = table.orbits[table.cell_map[id_cell]]
     assert reg.name == "[2]" and reg.dimension == 2
     other = part.cell_index(c.aw.gens[0])
-    zero = table.orbit_of_cell(other)
+    zero = table.orbits[table.cell_map[other]]
     assert zero.name == "[1,1]" and zero.dimension == 0
 
 
 def test_cell_map_untrusted_raises(ctx):
-    # an untrusted cell has no entry, so its orbit is None
+    # an untrusted cell has no entry in the cell map
     c = ctx("A1")
     part, table = _table(c, 12, 3)
     bad = [i for i, t in enumerate(part.trusted) if not t][0]
-    assert table.orbit_of_cell(bad) is None
+    assert bad not in table.cell_map
 
 
 def _table_or_error(build, aw, part):
@@ -399,7 +399,7 @@ def test_universal_entries_only_in_higher_rank(ctx):
     part = right_cells(c.aw, 8, 2, c.provider)
     table = build_orbit_table(c.aw, part)
     id_cell = part.cell_index(c.aw.identity)
-    assert table.orbit_of_cell(id_cell).name == "[4]"
+    assert table.orbits[table.cell_map[id_cell]].name == "[4]"
     rec = humphreys_predict(c.aw, part, table, (0, 0, 0), 7)
     assert rec.orbit.name == "[4]" and rec.status == "theorem"
 
@@ -414,14 +414,14 @@ def test_rank3_trusted_cells_reach_orbit_count(ctx, type_str, trusted):
     assert len(part.trusted_cells()) == trusted == len(enumerate_orbits(c.datum))
     table = build_orbit_table(c.aw, part)
     dims = sorted(o.dimension for o in table.orbits)
-    pinned = sorted(table.orbit_of_cell(i).dimension for i in table.cell_map)
+    pinned = sorted(table.orbits[j].dimension for j in table.cell_map.values())
     assert pinned == [dims[0], dims[-2], dims[-1]]
     id_cell = part.cell_index(c.aw.identity)
-    assert table.orbit_of_cell(id_cell).dimension == dims[-1]
+    assert table.orbits[table.cell_map[id_cell]].dimension == dims[-1]
     # the zero cell is the deep corner: its weights lie in (p-1)rho + the
     # dominant cone
     p = 7
-    (zero_cell,) = [i for i in table.cell_map if table.orbit_of_cell(i).dimension == 0]
+    (zero_cell,) = [i for i, j in table.cell_map.items() if table.orbits[j].dimension == 0]
     for w in part.cells[zero_cell]:
         assert all(a >= p - 1 for a in c.aw.dot_action(w, (0, 0, 0), p))
 
@@ -434,7 +434,7 @@ def test_rank3_zero_orbit_needs_full_count(ctx, type_str):
     part = right_cells(c.aw, 10, 3, c.provider)
     table = build_orbit_table(c.aw, part)
     assert len(part.trusted_cells()) < len(table.orbits)
-    assert all(table.orbit_of_cell(i).dimension != 0 for i in table.cell_map)
+    assert all(table.orbits[j].dimension != 0 for j in table.cell_map.values())
 
 
 def test_a3_empty_margin_keeps_identity_regular(ctx):
@@ -514,7 +514,7 @@ def test_shi_lowest_cell_is_the_pinned_zero_cell(ctx, type_str, L, m):
     # the orbit table pins as zero and on no element of any other
     c = ctx(type_str)
     part, table = _table(c, L, m)
-    (zero,) = [i for i in table.cell_map if table.orbit_of_cell(i).dimension == 0]
+    (zero,) = [i for i, j in table.cell_map.items() if table.orbits[j].dimension == 0]
     memo = {}
     for i in part.trusted_cells():
         assert {shi_lowest_cell(c.aw, w, memo) for w in part.cells[i]} == {i == zero}

@@ -1,9 +1,12 @@
-"""The scripts under scripts/ run to completion, the module doctests hold, and
-the README names only what the package has."""
+"""The scripts under scripts/ run to completion, the module doctests hold,
+the README names only what the package has, and every library definition has
+a caller outside the tests."""
 
+import ast
 import doctest
 import functools
 import importlib
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -109,3 +112,47 @@ def test_readme_layout_names_exist():
     names = _layout_names()
     assert len(names) > 50
     assert [n for n in names if n not in commands and not resolves(n)] == []
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}"
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_every_definition_has_a_caller():
+    # code that only the tests call does not belong in the library: a name
+    # counts as used when src/ (other than the re-exports of __init__.py),
+    # scripts/ or bench/ names it, or when the benchmark's tracer wraps it
+    src = sorted((ROOT / "src" / "heckecells").glob("*.py"))
+    callers = [p for p in src if p.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(_used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in callers))
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    used |= {path.rsplit(".", 1)[-1] for targets in tracer.TIMED.values() for _, path in targets}
+    unused = [
+        f"{p.stem}.{name}"
+        for p in src
+        for name in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+        if not re.fullmatch(r"__\w+__", last := name.rsplit(".", 1)[-1]) and last not in used
+    ]
+    assert unused == []
