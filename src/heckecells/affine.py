@@ -61,11 +61,12 @@ class AffineElement:
     ``key`` is an int no other element in the process holds, not even one a
     step from another context's element builds in this context's records.
     The context caches on it its product with the i-th generator, ``right[i]``,
-    its reduced ``word``, ``fmin`` (is it in fW) and ``rep``, the minimal
-    representative of its coset W_f a; ``rec`` is its finite part's record.
+    its reduced ``word`` and that word's ``text`` (see :meth:`AffineWeyl.to_word`),
+    ``fmin`` (is it in fW) and ``rep``, the minimal representative of its
+    coset W_f a; ``rec`` is its finite part's record.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "key", "right", "word", "fmin", "rep", "rec")
+    __slots__ = ("fin", "trans", "length", "_hash", "key", "right", "word", "text", "fmin", "rep", "rec")
 
     def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int, key: int):
         self.rec, self.key = rec, key
@@ -74,7 +75,7 @@ class AffineElement:
         self.length = length
         self._hash = hash((rec.hash, trans, trans.count(-1)))
         self.right = [None] * ngens
-        self.word = self.fmin = self.rep = None
+        self.word = self.text = self.fmin = self.rep = None
 
     def __eq__(self, other):
         return self is other or (
@@ -399,11 +400,14 @@ class AffineWeyl:
     # -- serialization ---------------------------------------------------------
 
     def to_word(self, a: AffineElement) -> str:
-        k, w = (0, a) if a.word is not None else self.omega_part(a)
-        tokens = [f"s{i}" for i in self.reduced_word(w)]
-        if k:
-            tokens.insert(0, f"omega:{k}")
-        return ".".join(tokens) if tokens else "e"
+        """The text of a's word, formatted on first use and kept on a."""
+        if a.text is None:
+            k, w = (0, a) if a.word is not None else self.omega_part(a)
+            tokens = [f"s{i}" for i in self.reduced_word(w)]
+            if k:
+                tokens.insert(0, f"omega:{k}")
+            a.text = ".".join(tokens) if tokens else "e"
+        return a.text
 
     def from_word_str(self, s: str) -> AffineElement:
         s = s.strip()
@@ -508,6 +512,7 @@ class AffineWeyl:
         index order, so the first step into w is that least one: it sets the
         word, the walk lists w at the step by the word's last letter alone (so
         it keeps no set of elements), and its order is already (length, word).
+        The step that sets the word sets its text from the parent's.
         """
         out = [self.identity]
         for w in out:
@@ -515,7 +520,9 @@ class AffineWeyl:
                 for i in range(len(self.gens)):
                     ws = w.right[i] or self.mult_gen(w, i)
                     if ws.length > w.length and (keep is None or ws.fmin or ws.fmin is None and keep(ws)):
-                        ws.word = ws.word or w.word + (i,)
+                        if ws.word is None:
+                            ws.word = w.word + (i,)
+                            ws.text = f"{w.text or self.to_word(w)}.s{i}" if w.word else f"s{i}"
                         if ws.word[-1] == i:
                             out.append(ws)
         return out

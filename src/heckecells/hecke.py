@@ -435,8 +435,12 @@ class CanonicalBasisTable:
             p == 0 or 1 < p < 2**31 and all(p % q for q in range(2, isqrt(p) + 1))
         ):
             raise BasisTableError(f"table label p={p!r} is not 0 or a prime below 2^31")
-        if not isinstance(self.provenance, str):
-            raise BasisTableError(f"table provenance {self.provenance!r} is not text")
+        provenance = self.provenance
+        if not isinstance(provenance, str):
+            raise BasisTableError(f"table provenance {provenance!r} is not text")
+        # the text format holds the provenance on one header line, stripped
+        if provenance and (len(provenance.splitlines()) > 1 or provenance != provenance.rstrip()):
+            raise BasisTableError(f"table provenance {provenance!r} spans lines or ends in whitespace")
         aw, entries = self.aw, self.entries
         for w in entries:
             if not aw.in_affine_weyl(w):
@@ -519,13 +523,17 @@ class CanonicalBasisTable:
         return "\n".join(lines) + "\n"
 
     def dump_json(self) -> str:
-        obj = {
-            "schema": 1,
-            "p": self.p,
-            "provenance": self.provenance,
-            "entries": [{"w": w, "terms": terms} for w, terms in self._rows()],
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        # the schema-1 object as json.dumps(obj, sort_keys=True, separators=(",",
+        # ":")) writes it, from the rows: words and coefficient texts use only
+        # [a-z0-9.*^+-] (entries lie in W, so no omega: token) and need no
+        # escaping; p and provenance go through json.dumps.  Every entry holds
+        # its diagonal term, so no term list is empty.
+        entries = ",".join(
+            '{"terms":[["%s"]],"w":"%s"}' % ('"],["'.join(map('","'.join, terms)), w)
+            for w, terms in self._rows()
+        )
+        p, provenance = json.dumps(self.p), json.dumps(self.provenance)
+        return f'{{"entries":[{entries}],"p":{p},"provenance":{provenance},"schema":1}}\n'
 
     @classmethod
     def parse(cls, aw: AffineWeyl, text: str) -> "CanonicalBasisTable":
@@ -581,9 +589,10 @@ def _coefficients(entries: dict) -> dict:
 
 def _text_rows(text: str) -> tuple:
     """(p, provenance, rows) of the text format, rows as ``CanonicalBasisTable._rows``
-    makes them."""
+    makes them; each distinct item text is split and stripped once."""
     header = {}
     rows = []
+    items = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -597,10 +606,13 @@ def _text_rows(text: str) -> tuple:
             head, _, body = line.partition(":")
             terms = []
             for item in filter(str.strip, body.split(",")):
-                y, sep, c = item.rpartition(":")
-                if not sep:
-                    raise BasisTableError(f"term {item.strip()!r} on line {lineno} has no word")
-                terms.append((y.strip(), c.strip()))
+                term = items.get(item)
+                if term is None:
+                    y, sep, c = item.rpartition(":")
+                    if not sep:
+                        raise BasisTableError(f"term {item.strip()!r} on line {lineno} has no word")
+                    term = items[item] = (y.strip(), c.strip())
+                terms.append(term)
             rows.append((head[2:].strip(), terms))
         else:
             raise BasisTableError(f"unparseable line {lineno}: {line!r}")
@@ -622,7 +634,8 @@ def _json_rows(text: str) -> tuple:
 def _json_object(pairs: list) -> dict:
     """A JSON object; a repeated key is an error, like a repeated text header."""
     if len(obj := dict(pairs)) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise BasisTableError(f"JSON table repeats the key {key!r} in one object")
     return obj
 

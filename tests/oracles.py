@@ -13,7 +13,7 @@ oracle enumerates Y0 and Z, the subregular oracle searches the cells below
 the identity cell, the orbit-table oracle pins the universal cells before it
 walks the rank-2 chain, the status oracle reads orbit names, the
 symmetrizer oracle propagates the ratios d_j / d_i along the Dynkin graph,
-the table oracles sort, serialize and validate a table term by term
+the table oracles sort, serialize, split and validate a table term by term
 against Bruhat intervals, each built from its prefix's, the bar oracles
 apply H_s^-1 letter by letter, the
 coset oracles walk the left descents of every element anew and multiply by
@@ -598,6 +598,35 @@ def dump_json_oracle(table) -> str:
         "entries": [{"w": w, "terms": terms} for w, terms in table_rows_oracle(table)],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def text_rows_oracle(text: str) -> tuple:
+    """(p, provenance, rows) of the text format, splitting and stripping
+    every item of every line anew."""
+    header = {}
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        if key in ("p", "provenance") and value:
+            if key in header:
+                raise BasisTableError(f"line {lineno} repeats the {key} header: {line!r}")
+            header[key] = value
+        elif line.startswith("w="):
+            head, _, body = line.partition(":")
+            terms = []
+            for item in filter(str.strip, body.split(",")):
+                y, sep, c = item.rpartition(":")
+                if not sep:
+                    raise BasisTableError(f"term {item.strip()!r} on line {lineno} has no word")
+                terms.append((y.strip(), c.strip()))
+            rows.append((head[2:].strip(), terms))
+        else:
+            raise BasisTableError(f"unparseable line {lineno}: {line!r}")
+    p = header.get("p")
+    return p if p is None else int(p), header.get("provenance", ""), rows
 
 
 def bruhat_intervals(aw, elements):

@@ -840,6 +840,33 @@ def test_to_word_of_an_element_holding_its_word_skips_the_omega_part(monkeypatch
     assert aw.to_word(x) == "omega:1." + words[ball[5]] and tested
 
 
+def _word_text(aw, a) -> str:
+    """a's word formatted from ``omega_part`` and ``reduced_word``."""
+    k, w = aw.omega_part(a)
+    tokens = [f"omega:{k}"] * (k > 0) + [f"s{i}" for i in aw.reduced_word(w)]
+    return ".".join(tokens) or "e"
+
+
+@pytest.mark.parametrize("type_str,bound", [("A1", 14), ("A2", 8), ("C2", 10), ("G2", 12)])
+def test_to_word_is_the_text_of_the_reduced_word(type_str, bound):
+    # the walk sets each text from its parent's, also where reduced_word set
+    # the parent's word beforehand; to_word keeps the text it formats, also
+    # for an element outside W and for one of another context
+    aw, other = AffineWeyl(build_root_datum(type_str)), AffineWeyl(build_root_datum(type_str))
+    primed = from_word(aw, other.enumerate_fW(4)[-1].word)
+    assert primed.length == 4 and aw.reduced_word(primed) and primed.text is None
+    for ball in (aw.enumerate_fW(bound), aw.enumerate_W(bound)):
+        assert all(w.text is not None for w in ball[1:])
+        assert [aw.to_word(w) for w in ball] == [_word_text(aw, w) for w in ball]
+    for x in [x for x in aw.enumerate_W(bound) if x.length > 4][::7]:
+        y = from_word(other, x.word)
+        assert y.text is None and aw.to_word(y) == x.text == y.text
+    for om in aw.omega[1:]:
+        x = aw.mult(om, from_word(aw, [1, 0]))
+        assert x.text is None and aw.to_word(x) == _word_text(aw, x) == x.text
+        assert x.text.startswith("omega:")
+
+
 @pytest.mark.parametrize("type_str,bound", [("A2", 6), ("C2", 7), ("G2", 8), ("A3", 5)])
 def test_bruhat_intervals_from_prefixes(ctx, type_str, bound, monkeypatch):
     aw = ctx(type_str).aw

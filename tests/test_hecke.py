@@ -20,7 +20,7 @@ from heckecells.hecke import (
     specialize_v1,
     table_from_zero_basis,
 )
-from heckecells.hecke import _canonical, _decode
+from heckecells.hecke import _canonical, _decode, _text_rows
 from heckecells.laurent import ONE, V, VINV, ZERO, LaurentPoly
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     mul_by_word,
     standard,
     table_rows_oracle,
+    text_rows_oracle,
     two_dict_canonical,
     validate_table_oracle,
 )
@@ -884,6 +885,96 @@ def test_table_rejects_a_provenance_that_is_not_text(ctx, tmp_path, capsys, valu
     assert CanonicalBasisTable.parse(ctx("A1").aw, ok).provenance == "text"
 
 
+def test_json_table_finds_a_late_repeated_key_in_one_pass(ctx):
+    # the repeat was found by rebuilding a dict of every earlier key for each
+    # key (8 000 keys took 1.5 s); the first key seen twice is named
+    keys = ",".join(f'"k{i}":0' for i in range(20_000))
+    text = '{"p":0,"entries":[],%s,"k19990":1,"k7":1}' % keys
+    message = "JSON table repeats the key 'k19990' in one object"
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        CanonicalBasisTable.parse(ctx("A1").aw, text)
+
+
+# provenances the text format cannot hold: its header is one stripped line
+_BAD_PROVENANCES = ["a\nb", "   ", "a\u2028b", " padded ", "x\r", "tab\t", "a\x1cb"]
+
+
+@pytest.mark.parametrize("value", _BAD_PROVENANCES, ids=range(len(_BAD_PROVENANCES)))
+def test_table_rejects_a_provenance_the_text_format_cannot_hold(ctx, tmp_path, capsys, value):
+    # "a\nb" dumped to a text its own parse rejected (exit 4), and trailing
+    # whitespace was dropped; the JSON format kept both
+    message = f"table provenance {value!r} spans lines or ends in whitespace"
+    text = json.dumps({"p": 0, "provenance": value, "entries": json.loads(f"[{_JSON_ENTRY}]")})
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        CanonicalBasisTable.parse(ctx("A1").aw, text)
+    with pytest.raises(BasisTableError, match=re.escape(message)):
+        table_from_zero_basis(ctx("A1").hecke, 3, provenance=value)
+    code, out, err = _kl_with_table(tmp_path, capsys, text, "s1")
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "table", "message": message, "code": 4}
+
+
+@pytest.mark.parametrize("value", ["a b", " lead", 'quo"te', "back\\slash", "ψ ∈ ᶠW, é", ""])
+def test_provenance_round_trips_through_both_formats(ctx, value):
+    c = ctx("A1")
+    table = table_from_zero_basis(c.hecke, 3, provenance=value)
+    for dump in (table.dump_text, table.dump_json):
+        text = dump()
+        loaded = CanonicalBasisTable.parse(c.aw, text)
+        assert loaded.provenance == value
+        assert (loaded.dump_text(), loaded.dump_json()) == (table.dump_text(), table.dump_json())
+
+
+def _parsed(aw, text):
+    """(p, provenance, entries) of the table parse reads from text, or the
+    (type, message) of the error it raises."""
+    try:
+        table = CanonicalBasisTable.parse(aw, text)
+    except BasisTableError as e:
+        return type(e), str(e)
+    return table.p, table.provenance, table.entries
+
+
+# A1 tables: one item in several spacings and entries, blank items, trailing
+# commas and zero coefficients
+_HAND_TABLES = [
+    "p 0\nprovenance hand\nw=e : e:1*v^0\nw=s0 : e:1*v^1, s0:1*v^0,\n"
+    "w=s1 :e:1*v^1,s1:1*v^0 ,, \n"
+    "w=s0.s1 : e:1*v^2 ,  s0:1*v^1, s1 : 1*v^1, s0.s1:1*v^0, s1.s0:0\n"
+    "w=s1.s0 : , e:1*v^2, s0:1*v^1,s1:1*v^1, s1.s0:1*v^0 , s0.s1:0*v^3,\n",
+    "# comment\n\np 0\nw= s1 : e:1*v^1, s1:1*v^0,s0:0\nw=s0: s0:1*v^0, e:1*v^1 , s1 : 0",
+]
+
+# malformed A1 tables: an item with no ':' after one that parsed, two bad
+# items on a line, bad word and coefficient tokens, a term listed twice
+_MALFORMED_TEXT = [
+    "p 0\nw=s1 : e:1*v^1, s1:1*v^0\nw=s0 : e:1*v^1, s0 1*v^0\n",
+    "p 0\nw=s0 : e:1*v^1, bad, s0, s0:1*v^0\n",
+    "p 0\nw=s0 : e:1*v^1, s7:1*v^0\n",
+    "p 0\nw=s0 : e:1*v^1, s0:1*x^0\n",
+    "p 0\nw=s1 : e:1*v^1, s1:1*v^0, e:1*v^1\n",
+    "p 0\nw=s1 : e:1*v^1, s1:1*v^0\nq 1\n",
+]
+
+
+def test_text_parse_matches_term_by_term_oracle(ctx, monkeypatch):
+    # items are split once per distinct text; parse reads the same table,
+    # and raises the same error, as it does splitting every item anew
+    aw = ctx("A1").aw
+    big = table_from_zero_basis(ctx("C2").hecke, 13).dump_text()
+    cases = [(ctx("C2").aw, big)] + [(aw, text) for text in _HAND_TABLES + _MALFORMED_TEXT]
+    for case_aw, text in cases:
+        got = _parsed(case_aw, text)
+        with monkeypatch.context() as m:
+            m.setattr(heckecells.hecke, "_text_rows", text_rows_oracle)
+            assert _parsed(case_aw, text) == got
+        assert _raised(_text_rows, text) or _text_rows(text) == text_rows_oracle(text)
+        assert _raised(_text_rows, text) == _raised(text_rows_oracle, text)
+    assert [len(_parsed(aw, text)) for text in _HAND_TABLES] == [3, 3]
+    assert all(len(_parsed(aw, text)) == 2 for text in _MALFORMED_TEXT)
+    assert _parsed(aw, _MALFORMED_TEXT[1])[1] == "term 'bad' on line 2 has no word"
+
+
 # C_{s1 s0} + C_e, a nonnegative bar-invariant combination of the 0-basis
 _P2_PASSES = "p 2\nw=s1.s0 : e:1*v^0+1*v^2, s0:1*v^1, s1:1*v^1, s1.s0:1*v^0\n"
 # H_s1 + v^3 H_e = C_s1 + (v^3 - v) C_e
@@ -923,10 +1014,21 @@ def test_zero_basis_relabelled_positive_p_passes_the_expansion_check(ctx):
         CanonicalBasisTable(c.aw, 3, bad)
 
 
-@pytest.mark.parametrize("type_str,bound", [("A1", 12), ("A2", 10), ("C2", 13), ("G2", 12)])
-def test_table_dumps_match_term_by_term_oracle(ctx, type_str, bound):
+@pytest.mark.parametrize(
+    "type_str,bound,p,provenance",
+    [
+        pytest.param("A1", 12, 0, "self", id="A1-12"),
+        pytest.param("A2", 10, 0, "self", id="A2-10"),
+        pytest.param("C2", 13, 0, "self", id="C2-13"),
+        pytest.param("G2", 12, 0, "self", id="G2-12"),
+        pytest.param("C2", 9, 2, "relabelled", id="C2-9-p2"),
+        pytest.param("G2", 8, 0, 'say "hi" \\ ψ ∈ ᶠW', id="G2-8-quoted"),
+    ],
+)
+def test_table_dumps_match_term_by_term_oracle(ctx, type_str, bound, p, provenance):
+    # the JSON dump is written from the rows, json.dumps only for p and provenance
     c = ctx(type_str)
-    table = table_from_zero_basis(c.hecke, bound)
+    table = CanonicalBasisTable(c.aw, p, table_from_zero_basis(c.hecke, bound).entries, provenance)
     assert table._rows() == table_rows_oracle(table)
     assert table.dump_text() == dump_text_oracle(table)
     assert table.dump_json() == dump_json_oracle(table)
