@@ -71,6 +71,8 @@ def _canonical(args, element) -> dict | str:
     """kl or asph: element(provider, w) is the canonical element of w."""
     _, aw, _, _, provider = build_context(args.type, args.basis)
     w = aw.from_word_str(args.w)
+    if not aw.in_affine_weyl(w):
+        raise ValueError(f"--w {args.w!r} is not in W: canonical elements are indexed by W, not W_ext")
     h = element(provider, w)
     terms = [
         [aw.to_word(y), h.terms[y].serialize()]

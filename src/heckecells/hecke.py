@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from math import isqrt
 from operator import attrgetter
 from typing import NamedTuple
@@ -58,9 +58,6 @@ class HeckeElt:
         # the element owns the dict it is given; it is rebuilt only to drop zeros
         if not all(self.terms.values()):
             self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def coeff(self, w: AffineElement) -> LaurentPoly:
-        return self.terms.get(w, LaurentPoly())
 
     def support(self):
         return self.terms.keys()
@@ -414,11 +411,12 @@ class CanonicalBasisTable:
     have no negative coefficient (true of every p-canonical basis); at p > 0
     each entry's expansion on the computed 0-canonical basis must have
     bar-invariant nonnegative coefficients.  Validation tests each distinct
-    coefficient once and, in (length, word) order, finds each term y of w as
-    min(y, ys) in the entry ws for a right descent s; as a p-canonical element
-    is supported on its whole lower interval (Jensen-Williamson 2017), only an
-    entry with no prefix entry, or an invalid one, builds its Bruhat interval
-    to name the first offending term.  A parse or dump resolves each word once.
+    coefficient once and, in (length, word) order, walks each entry's terms
+    once, finding each term y of w as min(y, ys) in the entry ws for a right
+    descent s; as a p-canonical element is supported on its whole lower
+    interval (Jensen-Williamson 2017), only an entry with no prefix entry, or
+    a term its prefix entry lacks, builds the Bruhat interval of w, once.  A
+    parse or dump resolves each word once.
     """
 
     def __init__(self, aw: AffineWeyl, p: int, entries: dict, provenance: str = ""):
@@ -445,33 +443,38 @@ class CanonicalBasisTable:
         for w in entries:
             if not aw.in_affine_weyl(w):
                 raise BasisTableError(f"entry {aw.to_word(w)} is not in W")
-        # coefficients that no off-diagonal term may carry: a negative one,
-        # and at p = 0 one outside vZ[v]; each distinct coefficient is tested once
-        flagged = {
-            i for i, c in _coefficients(entries).items()
-            if min(c.c.values()) < 0 or p == 0 and min(c.c) < 1
-        }
+        bad = {}  # id -> (outside vZ[v] at p = 0, negative) of each distinct coefficient
         for w in sorted(entries, key=aw.sort_key):
             terms = entries[w].terms
             diag = terms.get(w, ZERO)
             if diag != ONE:
                 raise BasisTableError(f"diagonal coefficient of {aw.to_word(w)} is {diag}, not 1")
-            # at p = 0 the diagonal 1 is flagged too: it may be the only one
-            flags = sum(map(flagged.__contains__, map(id, terms.values())))
-            if flags == (id(diag) in flagged) and _below_by_prefix(aw, entries, w, terms):
-                continue
-            # name the first offending term
-            below = aw.bruhat_interval(w)
+            # y <= w iff min(y, ys) <= ws: find it in the first prefix entry ws,
+            # or, from the first term that entry lacks, in the interval of w
+            below = None
+            for i, ws in enumerate(w.right):
+                ws = ws or aw.mult_gen(w, i)
+                if ws.length < w.length and (h := entries.get(ws)) is not None:
+                    prefix = h.terms
+                    break
+            else:
+                below = aw.bruhat_interval(w)
             for y, c in terms.items():
-                if y not in below:
+                if below is None:
+                    ys = y.right[i] or aw.mult_gen(y, i)
+                    if (ys if ys.length < y.length else y) not in prefix:
+                        below = aw.bruhat_interval(w)
+                if below is not None and y not in below:
                     raise BasisTableError(
                         f"entry {aw.to_word(w)} is not unitriangular: {aw.to_word(y)} appears"
                     )
-                if p == 0 and y != w and min(c.c) < 1:
+                if (flags := bad.get(id(c))) is None:
+                    flags = bad[id(c)] = (p == 0 and min(c.c) < 1, min(c.c.values()) < 0)
+                if flags[0] and y != w:
                     raise BasisTableError(
                         f"p=0 entry {aw.to_word(w)} has an off-diagonal coefficient outside vZ[v]"
                     )
-                if min(c.c.values()) < 0:
+                if flags[1]:
                     raise BasisTableError(
                         f"entry {aw.to_word(w)} has a negative coefficient at {aw.to_word(y)}"
                     )
@@ -506,12 +509,14 @@ class CanonicalBasisTable:
         order = sorted(set(entries).union(*(h.terms for h in entries.values())), key=aw.sort_key)
         rank = {y: k for k, y in enumerate(order)}
         words = [aw.to_word(y) for y in order]
-        text = {i: c.serialize() for i, c in _coefficients(entries).items()}
+        text = {}  # id -> text; the entries keep each coefficient alive, so no id is reused
         rows = []
         for w in sorted(entries, key=rank.__getitem__):
             terms = entries[w].terms
             ranked = sorted(zip(map(rank.__getitem__, terms), terms.values()))
-            rows.append((words[rank[w]], [(words[k], text[id(c)]) for k, c in ranked]))
+            rows.append((words[rank[w]], [
+                (words[k], text.get(id(c)) or text.setdefault(id(c), c.serialize())) for k, c in ranked
+            ]))
         return rows
 
     def dump_text(self) -> str:
@@ -563,28 +568,6 @@ class CanonicalBasisTable:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise BasisTableError(f"malformed table: {type(e).__name__}: {e}") from e
-
-
-def _below_by_prefix(aw: AffineWeyl, entries: dict, w: AffineElement, terms) -> bool:
-    """True if, for the first right descent s of w whose ws is an entry,
-    min(y, ys) is a term of that entry for every term y (structural lookups)."""
-    for i, ws in enumerate(w.right):
-        ws = ws or aw.mult_gen(w, i)
-        if ws.length < w.length and (prefix := entries.get(ws)) is not None:
-            below = prefix.terms
-            for y in terms:
-                ys = y.right[i] or aw.mult_gen(y, i)
-                if (ys if ys.length < y.length else y) not in below:
-                    return False
-            return True
-    return False
-
-
-def _coefficients(entries: dict) -> dict:
-    """id -> coefficient, each distinct coefficient object of the entries
-    once; the entries keep every one alive, so no id is reused."""
-    values = [h.terms.values() for h in entries.values()]
-    return dict(zip(map(id, chain.from_iterable(values)), chain.from_iterable(values)))
 
 
 def _text_rows(text: str) -> tuple:

@@ -88,9 +88,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.c)
 
-    def coeff(self, exp: int) -> int:
-        return self.c.get(exp, 0)
-
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^{-1}."""
         return _clean({-k: v for k, v in self.c.items()})

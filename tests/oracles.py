@@ -43,7 +43,7 @@ from math import isqrt
 from heckecells.affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from heckecells.cells import CellPartition, cell_edges
 from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
-from heckecells.laurent import ONE, V, VINV, LaurentPoly
+from heckecells.laurent import ONE, V, VINV, ZERO, LaurentPoly
 from heckecells.orbits import OrbitTable, closure_order, enumerate_orbits
 from heckecells.rootdata import build_root_datum, closure, solve_exact
 from heckecells.tilting import fusion_multiplicity, in_fundamental_alcove
@@ -65,9 +65,9 @@ def kl_oracle(hecke: Hecke, w) -> HeckeElt:
     for z in interval[1:]:
         known = LaurentPoly()
         for y, hy in coeffs.items():
-            known = known + hy.bar() * bar_rows[y].coeff(z)
+            known = known + hy.bar() * bar_rows[y].terms.get(z, ZERO)
         # h_z - bar(h_z) = known, h_z in vZ[v]
-        assert known.coeff(0) == 0, "constant term obstructs bar-invariance"
+        assert known.c.get(0, 0) == 0, "constant term obstructs bar-invariance"
         hz = positive_part(known)
         assert hz - hz.bar() == known, "bar equation not antisymmetric"
         if hz:
@@ -133,14 +133,14 @@ def laurent_canonical(aw, mul_by_kl_gen, memo: dict, w) -> HeckeElt:
         lower = laurent_canonical(aw, mul_by_kl_gen, memo, aw.mult_gen(w, i))
         acc = dict(mul_by_kl_gen(lower, i).terms)
         for y, c in lower.terms.items():
-            mu = c.coeff(1)
+            mu = c.c.get(1, 0)
             if mu and aw.mult_gen(y, i).length < y.length:
                 for z, cz in laurent_canonical(aw, mul_by_kl_gen, memo, y).terms.items():
                     prev = acc.get(z)
                     delta = cz.scale(-mu)
                     acc[z] = delta if prev is None else prev + delta
         out = HeckeElt(acc)
-        assert out.coeff(w) == ONE
+        assert out.terms.get(w, ZERO) == ONE
     memo[w] = out
     return out
 
@@ -660,7 +660,7 @@ def validate_table_oracle(aw, p, entries) -> None:
             raise BasisTableError(f"entry {aw.to_word(w)} is not in W")
     for w, below in bruhat_intervals(aw, entries):
         h = entries[w]
-        diag = h.coeff(w)
+        diag = h.terms.get(w, ZERO)
         if diag != ONE:
             raise BasisTableError(
                 f"diagonal coefficient of {aw.to_word(w)} is {diag}, not 1"

@@ -21,7 +21,7 @@ from heckecells.hecke import (
     build_context,
     table_from_zero_basis,
 )
-from heckecells.laurent import LaurentPoly
+from heckecells.laurent import ZERO, LaurentPoly
 
 from heckecells.rootdata import build_root_datum
 
@@ -86,7 +86,7 @@ def test_edge_count_matches_full_algebra_oracle(ctx):
             rest = prod
             while rest:
                 w = max(rest.support(), key=aw.sort_key)
-                coeff = rest.coeff(w)
+                coeff = rest.terms[w]
                 oracle_edges.add((y, w, i))
                 rest = rest - oracle_canon(w).scale(coeff)
     assert edges == oracle_edges
@@ -348,7 +348,7 @@ def test_affine_a1_kl_polynomials_trivial(ctx):
         interval = aw.bruhat_interval(w)
         assert set(h.support()) == interval
         for y in interval:
-            assert h.coeff(y) == LaurentPoly.v(w.length - y.length)
+            assert h.terms.get(y, ZERO) == LaurentPoly.v(w.length - y.length)
 
 
 def test_reach_is_transitive_closure_of_edges(ctx):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckecells.cli import build_parser, main
-from heckecells.hecke import table_from_zero_basis
+from heckecells.hecke import ZeroBasisProvider, table_from_zero_basis
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -174,7 +174,7 @@ def test_plot_zero_bound(tmp_path):
     assert len(polys) == 1
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         main(["cells", "--type", "A1", "--bogus"])
     assert e.value.code == 2
@@ -187,6 +187,21 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["decompose", "--type", t, "--w", word]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["code"] == 2 and "fW" in err["message"]
+
+    # an element of W_ext outside W has no canonical element; W-membership
+    # is checked before any is computed
+    for name in ("hecke_canonical", "asph_canonical"):
+        monkeypatch.setattr(ZeroBasisProvider, name, None)
+    for command in ("kl", "asph"):
+        for word in ("omega:1", "omega:1.s0"):
+            assert main([command, "--type", "C2", "--w", word]) == 2
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err == {
+                "error": "usage",
+                "message": f"--w {word!r} is not in W: canonical elements are indexed by W, not W_ext",
+                "code": 2,
+            }
+    monkeypatch.undo()
 
     # generator tokens out of range or negative are usage errors
     for word in ("s9", "omega:9", "s-1"):

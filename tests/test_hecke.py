@@ -134,7 +134,7 @@ def test_coded_recursion_matches_laurent_recursion(type_str, bound):
                 expected = [ys] if aw.in_fW(ys) else []
                 expected += [
                     z for z, n in ny.terms.items()
-                    if n.coeff(1) and aw.mult_gen(z, i).length < z.length
+                    if n.c.get(1, 0) and aw.mult_gen(z, i).length < z.length
                 ]
             assert sorted(got, key=aw.sort_key) == sorted(expected, key=aw.sort_key)
             assert got == kl_gen_targets_oracle(c.provider, y, i)
@@ -461,7 +461,7 @@ def test_kl_self_dual_and_triangular(ctx):
     for w in c.aw.enumerate_W(5):
         h = c.hecke.kl_basis(w)
         assert bar(c.aw, h) == h
-        assert h.coeff(w) == ONE
+        assert h.terms.get(w, ZERO) == ONE
         for y, coeff in h.terms.items():
             if y != w:
                 assert in_positive_part(coeff)
@@ -1113,3 +1113,39 @@ def test_table_rejects_negative_coefficient(ctx, p):
     with pytest.raises(BasisTableError, match="entry s1 has a negative coefficient at e"):
         CanonicalBasisTable(aw, p, {s1: bad})
     assert _raised(validate_table_oracle, aw, p, {s1: bad}) is None
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("prefixed", [True, False], ids=["prefix", "no-prefix"])
+def test_table_validation_names_the_first_bad_term_of_an_entry(ctx, p, prefixed):
+    # the first bad term in the entry's own order is named, and a term that
+    # fails two checks gets the message of the first: below w, then (p = 0)
+    # in vZ[v], then nonnegative; -v is in vZ[v], so only the sign check
+    # catches it, and v^-1 is bad only at p = 0
+    c = ctx("C2")
+    aw = c.aw
+    entries = table_from_zero_basis(c.hecke, 6).entries
+    top = max(entries, key=aw.sort_key)
+    low = next(y for y in entries[top].terms if y.length == 1)
+    beside = next(y for y in entries if y.length == top.length and y != top)
+    w = aw.to_word(top)
+    negative = f"entry {w} has a negative coefficient at "
+    not_below = f"entry {w} is not unitriangular: {aw.to_word(beside)} appears"
+    outside = f"p=0 entry {w} has an off-diagonal coefficient outside vZ[v]" if p == 0 else None
+    kinds = [
+        (low, -V, negative + aw.to_word(low)),
+        (beside, V, not_below),
+        (aw.identity, VINV, outside),
+    ]
+    cases = [[first, second] for first in kinds for second in kinds if first is not second]
+    cases += [
+        [(aw.identity, -VINV, outside or negative + "e")],
+        [(beside, -V, not_below)],
+    ]
+    rest = {y: x for y, x in entries[top].terms.items() if y not in (low, beside, aw.identity)}
+    for bad in cases:
+        expected = next(message for _, _, message in bad if message is not None)
+        terms = {y: x for y, x, _ in bad}
+        for merged in ({**terms, **rest}, {**rest, **terms}):
+            table = {**entries, top: HeckeElt(merged)} if prefixed else {top: HeckeElt(merged)}
+            assert _raised(CanonicalBasisTable, aw, p, table) == (BasisTableError, expected)

@@ -125,34 +125,53 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}"
 
 
-def _used_names(tree: ast.AST) -> set[str]:
-    used = set()
+def _used_names(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(names, attributes): the bare names and import aliases the tree uses,
+    and the attribute names it reaches."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rsplit(".", 1)[-1])
-    return used
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names, attributes
 
 
 def test_every_definition_has_a_caller():
-    # code that only the tests call does not belong in the library: a name
-    # counts as used when src/ (other than the re-exports of __init__.py),
-    # scripts/ or bench/ names it, or when the benchmark's tracer wraps it
+    # code that only the tests call does not belong in the library.  Callers
+    # are src/ (other than the re-exports of __init__.py), scripts/ and
+    # bench/.  A function or class counts as used when a caller names it; a
+    # method only when a caller reaches it as an attribute (a local name such
+    # as a parameter does not count) or when it overrides a base-class
+    # method.  Whatever the benchmark's tracer wraps counts as used too.
     src = sorted((ROOT / "src" / "heckecells").glob("*.py"))
     callers = [p for p in src if p.name != "__init__.py"]
     callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used = set().union(*(_used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in callers))
+    names, attributes = set(), set()
+    for p in callers:
+        found_names, found_attributes = _used_names(ast.parse(p.read_text(encoding="utf-8")))
+        names |= found_names
+        attributes |= found_attributes
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    used |= {path.rsplit(".", 1)[-1] for targets in tracer.TIMED.values() for _, path in targets}
+    traced = {f"{module}.{path}" for targets in tracer.TIMED.values() for module, path in targets}
+
+    def used(module: str, name: str) -> bool:
+        owner, _, last = name.rpartition(".")
+        if re.fullmatch(r"__\w+__", last) or f"{module}.{name}" in traced:
+            return True
+        if not owner:
+            return last in names or last in attributes
+        cls = getattr(importlib.import_module(f"heckecells.{module}"), owner)
+        return last in attributes or any(last in vars(base) for base in cls.__mro__[1:])
+
     unused = [
         f"{p.stem}.{name}"
         for p in src
         for name in _definitions(ast.parse(p.read_text(encoding="utf-8")))
-        if not re.fullmatch(r"__\w+__", last := name.rsplit(".", 1)[-1]) and last not in used
+        if not used(p.stem, name)
     ]
     assert unused == []
