@@ -18,7 +18,6 @@ from .cells import (
     stabilization_n,
 )
 from .hecke import (
-    AsphElt,
     AsphModule,
     BasisTableError,
     CanonicalBasisTable,
@@ -29,8 +28,8 @@ from .hecke import (
     ZeroBasisProvider,
     build_context,
     load_basis_table,
-    specialize_v1,
     table_from_zero_basis,
+    to_canonical,
 )
 from .laurent import LaurentPoly
 from .orbits import (
@@ -45,8 +44,6 @@ from .orbits import (
 )
 from .rootdata import CartanType, FiniteWeylElement, RootDatum, build_root_datum
 from .tilting import (
-    GroupAlgebraElt,
-    MZeroElt,
     c_of_module,
     fusion_multiplicity,
     in_fundamental_alcove,

@@ -50,9 +50,6 @@ class CellPartition:
     basis_p: int = 0
     provenance: str = ""
 
-    def cell_index(self, w: AffineElement) -> "int | None":
-        return self.cell_of.get(w)
-
     def trusted_cells(self) -> list[int]:
         return [i for i, t in enumerate(self.trusted) if t]
 
@@ -253,7 +250,7 @@ def stabilization_n(
         return 0
     shift = aw.translation(x_psi)
     seen, cur = [], w
-    while (idx := partition.cell_index(cur)) is not None and partition.trusted[idx]:
+    while (idx := partition.cell_of.get(cur)) is not None and partition.trusted[idx]:
         seen.append(idx)
         cur = aw.mult(shift, cur)
     # first index from which every observed cell is the last one

@@ -76,7 +76,7 @@ def _canonical(args, element) -> dict | str:
     h = element(provider, w)
     terms = [
         [aw.to_word(y), h.terms[y].serialize()]
-        for y in sorted(h.support(), key=aw.sort_key)
+        for y in sorted(h.terms, key=aw.sort_key)
     ]
     if args.format == "tsv":
         return "".join(f"{y}\t{c}\n" for y, c in terms)

@@ -85,7 +85,7 @@ def render_cell_diagram(aw: AffineWeyl, partition: CellPartition, p: int) -> str
         for vx, vy in verts:
             xs.append(vx)
             ys.append(vy)
-        cid = partition.cell_index(w)
+        cid = partition.cell_of.get(w)
         if cid is not None and partition.trusted[cid]:
             color = _PALETTE[cid % len(_PALETTE)]
         else:

@@ -59,9 +59,6 @@ class HeckeElt:
         if not all(self.terms.values()):
             self.terms = {w: c for w, c in self.terms.items() if c}
 
-    def support(self):
-        return self.terms.keys()
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -80,9 +77,6 @@ class HeckeElt:
 
     def __eq__(self, other):
         return isinstance(other, HeckeElt) and self.terms == other.terms
-
-
-AsphElt = HeckeElt
 
 
 def _elt(terms: dict) -> HeckeElt:
@@ -265,7 +259,7 @@ def _decode_elt(coded: tuple[list, list, list]) -> HeckeElt:
     return _elt({z: _decode(c, n) for z, c, n in zip(*coded)})
 
 
-def _to_canonical(x: HeckeElt, canonical) -> dict[AffineElement, LaurentPoly]:
+def to_canonical(x: HeckeElt, canonical) -> dict[AffineElement, LaurentPoly]:
     """Expand x in a canonical basis by leading-term subtraction.
 
     ``canonical(w)`` is the basis element at w; a longest remaining term is
@@ -340,11 +334,6 @@ def _check_in_fW(aw: AffineWeyl, w: AffineElement) -> None:
         raise ValueError("canonical antispherical elements are indexed by fW")
 
 
-def specialize_v1(x: HeckeElt) -> dict[AffineElement, int]:
-    """Specialize v to 1; returns the integer coefficient map."""
-    return {w: n for w, c in x.terms.items() if (n := c.at_one())}
-
-
 class Hecke:
     """The affine Hecke algebra attached to an :class:`AffineWeyl` context."""
 
@@ -358,16 +347,6 @@ class Hecke:
         """The 0-canonical basis element at w, decoded from the memo on each call."""
         return _decode_elt(self._kl_cache.coded(self.aw, None, w))
 
-    def to_canonical(self, h: HeckeElt) -> dict[AffineElement, LaurentPoly]:
-        """Expand in the 0-canonical basis by leading-term subtraction."""
-        return _to_canonical(h, self.kl_basis)
-
-    # -- antispherical projection ----------------------------------------------
-
-    def asph_project(self, h: HeckeElt) -> AsphElt:
-        """Image of 1 (x) h in the antispherical module."""
-        return coset_project(self.aw, h, -V)
-
 
 class AsphModule:
     """The antispherical right module with its standard and canonical bases."""
@@ -376,16 +355,16 @@ class AsphModule:
         self.hecke = hecke
         self.aw = hecke.aw
         self._canon_cache = _BudgetMemo("ASPH_MEMO_TERMS")
-        self._canon_elts: dict[AffineElement, AsphElt] = {}
+        self._canon_elts: dict[AffineElement, HeckeElt] = {}
 
-    def mul_by_kl_gen(self, n: AsphElt, i: int) -> AsphElt:
+    def mul_by_kl_gen(self, n: HeckeElt, i: int) -> HeckeElt:
         """Right action of the canonical generator H_s + v."""
         return kl_gen_action(self.aw, n, i, self.aw.in_fW, V, VINV)
 
-    def canonical(self, w: AffineElement) -> AsphElt:
+    def canonical(self, w: AffineElement) -> HeckeElt:
         """0-canonical basis element of the antispherical module.
 
-        It equals asph_project(kl_basis(w)) (checked in the tests).
+        It equals coset_project(aw, kl_basis(w), -V) (checked in the tests).
         """
         out = self._canon_elts.get(w)
         if out is None:
@@ -396,9 +375,6 @@ class AsphModule:
     def _coded(self, w: AffineElement) -> tuple[list, list, list]:
         """The canonical element at w in fW as ``_canonical`` codes it."""
         return self._canon_cache.coded(self.aw, self.aw.in_fW, w)
-
-    def to_canonical(self, n: AsphElt) -> dict[AffineElement, LaurentPoly]:
-        return _to_canonical(n, self.canonical)
 
 
 class CanonicalBasisTable:
@@ -484,7 +460,7 @@ class CanonicalBasisTable:
             # 2017, section 4)
             hecke = Hecke(aw)
             for w, h in entries.items():
-                for y, c in hecke.to_canonical(h).items():
+                for y, c in to_canonical(h, hecke.kl_basis).items():
                     if min(c.c.values()) < 0 or c.bar() != c:
                         raise BasisTableError(
                             f"p={p} entry {aw.to_word(w)} has coefficient {c} at "
@@ -653,11 +629,11 @@ class ZeroBasisProvider:
     def hecke_canonical(self, w: AffineElement) -> HeckeElt:
         return self.hecke.kl_basis(w)
 
-    def asph_canonical(self, w: AffineElement) -> AsphElt:
+    def asph_canonical(self, w: AffineElement) -> HeckeElt:
         return self.asph.canonical(w)
 
-    def asph_to_canonical(self, n: AsphElt):
-        return self.asph.to_canonical(n)
+    def asph_to_canonical(self, n: HeckeElt):
+        return to_canonical(n, self.asph.canonical)
 
     def kl_gen_targets(self, y: AffineElement) -> list:
         """Per generator s, the canonical-basis support of N_y (H_s + v), read
@@ -690,22 +666,22 @@ class TableBasisProvider:
         self.table = table
         self.p = table.p
         self.provenance = table.provenance or f"ingested p={table.p} table"
-        self._canon: dict[AffineElement, AsphElt] = {}
+        self._canon: dict[AffineElement, HeckeElt] = {}
 
     def hecke_canonical(self, w: AffineElement) -> HeckeElt:
         return self.table.entry(w)
 
-    def asph_canonical(self, w: AffineElement) -> AsphElt:
+    def asph_canonical(self, w: AffineElement) -> HeckeElt:
         """Projection of the tabulated algebra element, memoized."""
         out = self._canon.get(w)
         if out is None:
             _check_in_fW(self.hecke.aw, w)
-            out = self.hecke.asph_project(self.table.entry(w))
+            out = coset_project(self.hecke.aw, self.table.entry(w), -V)
             self._canon[w] = out
         return out
 
-    def asph_to_canonical(self, n: AsphElt):
-        return _to_canonical(n, self.asph_canonical)
+    def asph_to_canonical(self, n: HeckeElt):
+        return to_canonical(n, self.asph_canonical)
 
     def kl_gen_targets(self, y: AffineElement) -> list:
         """Per generator s, the canonical-basis support of N_y (H_s + v), by

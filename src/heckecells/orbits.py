@@ -220,7 +220,7 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
     by_dim = {o.dimension: i for i, o in enumerate(orbits)}
     nroots = 2 * len(datum.positive_roots)
     # the identity's cell is {e}, always trusted
-    cell_map = {partition.cell_index(aw.identity): by_dim[nroots]}
+    cell_map = {partition.cell_of.get(aw.identity): by_dim[nroots]}
 
     # the minimal trusted cell is the zero cell only once every orbit has a
     # trusted cell; in a smaller ball it is just the lowest cell resolved
@@ -229,7 +229,7 @@ def build_orbit_table(aw: AffineWeyl, partition: CellPartition) -> OrbitTable:
         cell_map[minimal[0]] = by_dim[0]
 
     # the cell of s0 is the a-value-1 cell, Lusztig's subregular cell
-    s0_cell = partition.cell_index(aw.gens[0])
+    s0_cell = partition.cell_of.get(aw.gens[0])
     if s0_cell in trusted_set:
         cell_map[s0_cell] = by_dim[nroots - 2]
     return OrbitTable(orbits=orbits, leq=leq, cell_map=cell_map)
@@ -314,7 +314,7 @@ def humphreys_predict(
     if mode == "relative" and aw.dot_action(w, (0,) * datum.rank, p) != lam:
         raise ValueError("relative mode needs lam = w ._p 0 exactly")
     empty = mode == "relative" and not aw.in_fWf(w)
-    cell = partition.cell_index(w)
+    cell = partition.cell_of.get(w)
     orbit = None
     chain: list[str] = []
     if not empty and cell is not None and partition.trusted[cell]:

@@ -17,12 +17,8 @@ import itertools
 import warnings
 
 from .affine import AffineElement, AffineWeyl, UnsupportedRegimeError
-from .hecke import HeckeElt, coset_project, kl_gen_action, specialize_v1
+from .hecke import HeckeElt, coset_project, kl_gen_action
 from .rootdata import Weight
-
-
-# integer combinations of fW (standard basis of M0) and of W
-MZeroElt = GroupAlgebraElt = HeckeElt
 
 
 WeightMultiset = dict[Weight, int]
@@ -33,16 +29,16 @@ def weyl_module_character(datum, lam) -> WeightMultiset:
     return dict(datum.all_weights(lam))
 
 
-def tilting_class(provider, w: AffineElement) -> MZeroElt:
+def tilting_class(provider, w: AffineElement) -> HeckeElt:
     """Standard-basis class of the indecomposable tilting object at w . 0.
 
     With the 0-canonical basis this is exact only in the large-p regime; the
     provider's p label travels with any serialized output.
     """
-    return MZeroElt(specialize_v1(provider.asph_canonical(w)))
+    return HeckeElt({y: c.at_one() for y, c in provider.asph_canonical(w).terms.items()})
 
 
-def mzero_act(aw: AffineWeyl, x: MZeroElt, c: GroupAlgebraElt) -> MZeroElt:
+def mzero_act(aw: AffineWeyl, x: HeckeElt, c: HeckeElt) -> HeckeElt:
     """Right action of a group-algebra element on M0: the product x c in
     Z[W], rewritten onto fW with a sign per stripped finite reflection."""
     prod: dict[AffineElement, int] = {}
@@ -50,10 +46,10 @@ def mzero_act(aw: AffineWeyl, x: MZeroElt, c: GroupAlgebraElt) -> MZeroElt:
         for w, m in x.terms.items():
             z = aw.mult(w, g)
             prod[z] = prod.get(z, 0) + m * n
-    return coset_project(aw, MZeroElt(prod), -1)
+    return coset_project(aw, HeckeElt(prod), -1)
 
 
-def wall_crossing(aw: AffineWeyl, x: MZeroElt, i: int) -> MZeroElt:
+def wall_crossing(aw: AffineWeyl, x: HeckeElt, i: int) -> HeckeElt:
     """Right multiplication by s + 1: the canonical generator at v = 1."""
     return kl_gen_action(aw, x, i, aw.in_fW, 1, 1)
 
@@ -67,7 +63,7 @@ def dot_orbit_element(aw: AffineWeyl, lam, p: int) -> "AffineElement | None":
     return None if any(nu) else x
 
 
-def c_of_module(aw: AffineWeyl, m: WeightMultiset, p: int) -> GroupAlgebraElt:
+def c_of_module(aw: AffineWeyl, m: WeightMultiset, p: int) -> HeckeElt:
     """Group-algebra element of a character: dot-orbit weights with multiplicity."""
     out: dict[AffineElement, int] = {}
     for lam, mult in m.items():
@@ -76,10 +72,10 @@ def c_of_module(aw: AffineWeyl, m: WeightMultiset, p: int) -> GroupAlgebraElt:
         x = dot_orbit_element(aw, lam, p)
         if x is not None:
             out[x] = out.get(x, 0) + mult
-    return GroupAlgebraElt(out)
+    return HeckeElt(out)
 
 
-def tensor_translate(aw: AffineWeyl, x: MZeroElt, m: WeightMultiset, p: int) -> MZeroElt:
+def tensor_translate(aw: AffineWeyl, x: HeckeElt, m: WeightMultiset, p: int) -> HeckeElt:
     """Class of the principal-block projection of (tensor by the character m)."""
     return mzero_act(aw, x, c_of_module(aw, m, p))
 
@@ -157,7 +153,7 @@ def fusion_rows(aw: AffineWeyl, lam, mu, p: int) -> list[tuple[Weight, int]]:
     return sorted((nu, n) for nu, n in rows.items() if n)
 
 
-def tilting_class_json(aw: AffineWeyl, x: MZeroElt, basis_p: int = 0) -> dict:
+def tilting_class_json(aw: AffineWeyl, x: HeckeElt, basis_p: int = 0) -> dict:
     """JSON form of a class in M0, keyed by reduced words."""
     return {
         "schema": 1,

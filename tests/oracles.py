@@ -42,7 +42,9 @@ from math import isqrt
 
 from heckecells.affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from heckecells.cells import CellPartition, cell_edges
-from heckecells.hecke import _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, kl_gen_action
+from heckecells.hecke import (
+    _BITS, _BOUND, _MASK, BasisTableError, Hecke, HeckeElt, coset_project, kl_gen_action,
+)
 from heckecells.laurent import ONE, V, VINV, ZERO, LaurentPoly
 from heckecells.orbits import OrbitTable, closure_order, enumerate_orbits
 from heckecells.rootdata import build_root_datum, closure, solve_exact
@@ -112,7 +114,12 @@ def left_descent_oracle(aw, a, i) -> bool:
 
 def asph_canonical_oracle(hecke: Hecke, w) -> "object":
     """Projection of the bar-involution solve in the algebra (dual path)."""
-    return hecke.asph_project(kl_oracle(hecke, w))
+    return coset_project(hecke.aw, kl_oracle(hecke, w), -V)
+
+
+def specialize_v1(x: HeckeElt) -> dict:
+    """Specialize v to 1: the integer coefficient map of x, zeros dropped."""
+    return {w: n for w, c in x.terms.items() if (n := c.at_one())}
 
 
 def laurent_canonical(aw, mul_by_kl_gen, memo: dict, w) -> HeckeElt:
@@ -368,7 +375,7 @@ def enumerated_generation_sets(aw, k_alpha):
 def subregular_cover_oracle(aw, partition) -> "int | None":
     """The trusted cell covered by the identity cell, when it is unique."""
     trusted_set = set(partition.trusted_cells())
-    id_cell = partition.cell_index(aw.identity)
+    id_cell = partition.cell_of.get(aw.identity)
     below_id = (partition.reach[id_cell] & trusted_set) - {id_cell}
     covers = [
         c
@@ -395,7 +402,7 @@ def orbit_table_oracle(aw, partition) -> OrbitTable:
     by_dim = {o.dimension: i for i, o in enumerate(orbits)}
     nroots = 2 * len(datum.positive_roots)
     # the identity's cell is {e}, always trusted
-    cell_map[partition.cell_index(aw.identity)] = by_dim[nroots]
+    cell_map[partition.cell_of.get(aw.identity)] = by_dim[nroots]
 
     # the minimal trusted cell is the zero cell only once every orbit has a
     # trusted cell; in a smaller ball it is just the lowest cell resolved
@@ -406,7 +413,7 @@ def orbit_table_oracle(aw, partition) -> OrbitTable:
         cell_map[minimal[0]] = by_dim[0]
 
     # the cell of s0 is the a-value-1 cell, Lusztig's subregular cell
-    s0_cell = partition.cell_index(aw.gens[0])
+    s0_cell = partition.cell_of.get(aw.gens[0])
     if s0_cell in trusted_set:
         cell_map[s0_cell] = by_dim[nroots - 2]
 
@@ -507,7 +514,7 @@ def stabilization_n_oracle(
     cells_seen = []
     cur = w
     while True:
-        idx = partition.cell_index(cur)
+        idx = partition.cell_of.get(cur)
         if idx is None or not partition.trusted[idx]:
             break
         cells_seen.append(idx)
@@ -940,7 +947,7 @@ def from_word(aw, word):
 def leq_R(w, y, partition: CellPartition) -> "bool | None":
     """Whether w <=_R y in a computed preorder: w's cell is reached from y's.
     None when either element is outside the ball or its cell is untrusted."""
-    cw, cy = partition.cell_index(w), partition.cell_index(y)
+    cw, cy = partition.cell_of.get(w), partition.cell_of.get(y)
     if cw is None or cy is None or not (partition.trusted[cw] and partition.trusted[cy]):
         return None
     return cw in partition.reach[cy]

@@ -19,9 +19,10 @@ from heckecells.hecke import (
     CanonicalBasisTable,
     TableBasisProvider,
     build_context,
+    coset_project,
     table_from_zero_basis,
 )
-from heckecells.laurent import ZERO, LaurentPoly
+from heckecells.laurent import V, ZERO, LaurentPoly
 
 from heckecells.rootdata import build_root_datum
 
@@ -40,6 +41,7 @@ from oracles import (
     mul_by_word,
     observed_stabilization_bound_oracle,
     right_cells_oracle,
+    specialize_v1,
     stabilization_n_oracle,
 )
 
@@ -80,12 +82,10 @@ def test_edge_count_matches_full_algebra_oracle(ctx):
     for y in aw.enumerate_fW(L):
         hy = c.hecke.kl_basis(y)
         for i in range(len(aw.gens)):
-            prod = c.hecke.asph_project(
-                hecke_mul(c.hecke, hy, kl_gen(c.hecke, i))
-            )
+            prod = coset_project(aw, hecke_mul(c.hecke, hy, kl_gen(c.hecke, i)), -V)
             rest = prod
             while rest:
-                w = max(rest.support(), key=aw.sort_key)
+                w = max(rest.terms, key=aw.sort_key)
                 coeff = rest.terms[w]
                 oracle_edges.add((y, w, i))
                 rest = rest - oracle_canon(w).scale(coeff)
@@ -134,7 +134,7 @@ def test_identity_is_singleton_cell(ctx):
     for t in ("A1", "A2", "C2", "G2"):
         c = ctx(t)
         part = small_partition(c, 8, 2)
-        cid = part.cell_index(c.aw.identity)
+        cid = part.cell_of.get(c.aw.identity)
         assert part.cells[cid] == (c.aw.identity,)
 
 
@@ -155,8 +155,8 @@ def test_leq_R_examples(ctx):
     part = small_partition(c)
     aw = c.aw
     s0 = aw.gens[0]
-    for w in part.cells[part.cell_index(s0)]:
-        if part.trusted[part.cell_index(w)]:
+    for w in part.cells[part.cell_of.get(s0)]:
+        if part.trusted[part.cell_of.get(w)]:
             assert leq_R(w, aw.identity, part) is True
     assert leq_R(aw.identity, s0, part) is False
     # untrusted endpoint gives None
@@ -198,9 +198,6 @@ def test_v1_appearance_implies_preorder(ctx):
     part = right_cells(aw, 14, 4, c.provider)
     rng = random.Random(9)
 
-    def specialize(n):
-        return {w: p.at_one() for w, p in n.terms.items() if p.at_one()}
-
     def to_canonical_v1(terms):
         out = {}
         rest = dict(terms)
@@ -210,7 +207,7 @@ def test_v1_appearance_implies_preorder(ctx):
             if not coeff:
                 continue
             out[w] = coeff
-            for z, cz in specialize(c.asph.canonical(w)).items():
+            for z, cz in specialize_v1(c.asph.canonical(w)).items():
                 if z != w:
                     rest[z] = rest.get(z, 0) - cz * coeff
                     if not rest[z]:
@@ -222,7 +219,7 @@ def test_v1_appearance_implies_preorder(ctx):
         for _ in range(4):
             word = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
             acted = mul_by_word(c.asph, n, word)
-            for w, coeff in to_canonical_v1(specialize(acted)).items():
+            for w, coeff in to_canonical_v1(specialize_v1(acted)).items():
                 if coeff:
                     out = leq_R(w, y, part)
                     assert out is None or out is True
@@ -324,7 +321,7 @@ def test_cells_under_modified_p_table(ctx, tmp_path):
     provider = TableBasisProvider(c.hecke, c.asph, loaded)
     part = right_cells(aw, 8, 2, provider)
     assert part.basis_p == 2
-    assert part.cells[part.cell_index(aw.identity)] == (aw.identity,)
+    assert part.cells[part.cell_of.get(aw.identity)] == (aw.identity,)
 
 
 def test_cells_error_on_incomplete_table(ctx):
@@ -346,7 +343,7 @@ def test_affine_a1_kl_polynomials_trivial(ctx):
     for w in aw.enumerate_W(7):
         h = c.hecke.kl_basis(w)
         interval = aw.bruhat_interval(w)
-        assert set(h.support()) == interval
+        assert set(h.terms) == interval
         for y in interval:
             assert h.terms.get(y, ZERO) == LaurentPoly.v(w.length - y.length)
 
@@ -635,7 +632,7 @@ def test_n_xpsi_inequality(ctx):
         seen = []
         cur = w
         while True:
-            idx = part.cell_index(cur)
+            idx = part.cell_of.get(cur)
             if idx is None or not part.trusted[idx]:
                 break
             seen.append(idx)
@@ -662,9 +659,9 @@ def test_cell_generators_examples(ctx):
     aw = c.aw
     consts = generation_constants(aw)
     part = small_partition(c)
-    K0 = cell_generators(aw, consts, part, part.cell_index(aw.identity))
+    K0 = cell_generators(aw, consts, part, part.cell_of.get(aw.identity))
     assert K0 == {aw.identity}
-    K1 = cell_generators(aw, consts, part, part.cell_index(aw.gens[0]))
+    K1 = cell_generators(aw, consts, part, part.cell_of.get(aw.gens[0]))
     # the named generators t_alpha and t_alpha s_alpha are present and the
     # factorization of every trusted member was verified inside the call
     assert aw.translation((2,)) in K1

@@ -195,10 +195,10 @@ def test_cell_map_a1(ctx):
     # type A orbits carry partition names: [2] is regular, [1,1] is zero
     c = ctx("A1")
     part, table = _table(c, 12, 3)
-    id_cell = part.cell_index(c.aw.identity)
+    id_cell = part.cell_of.get(c.aw.identity)
     reg = table.orbits[table.cell_map[id_cell]]
     assert reg.name == "[2]" and reg.dimension == 2
-    other = part.cell_index(c.aw.gens[0])
+    other = part.cell_of.get(c.aw.gens[0])
     zero = table.orbits[table.cell_map[other]]
     assert zero.name == "[1,1]" and zero.dimension == 0
 
@@ -304,8 +304,8 @@ def test_zero_cell_is_deep_corner(ctx):
         # and conversely: corner weights land in c0 while others do not
         for shift in [(0, 0), (1, 0), (0, 1), (3, 2)]:
             lam = tuple(a + b for a, b in zip(corner, shift))
-            assert part.cell_index(aw.alcove_of(lam, p).element) == c0
-        assert part.cell_index(aw.alcove_of((p - 2, p - 1), p).element) != c0
+            assert part.cell_of.get(aw.alcove_of(lam, p).element) == c0
+        assert part.cell_of.get(aw.alcove_of((p - 2, p - 1), p).element) != c0
 
 
 def test_predictions_constant_on_cells(ctx):
@@ -398,7 +398,7 @@ def test_universal_entries_only_in_higher_rank(ctx):
     c = ctx("A3")
     part = right_cells(c.aw, 8, 2, c.provider)
     table = build_orbit_table(c.aw, part)
-    id_cell = part.cell_index(c.aw.identity)
+    id_cell = part.cell_of.get(c.aw.identity)
     assert table.orbits[table.cell_map[id_cell]].name == "[4]"
     rec = humphreys_predict(c.aw, part, table, (0, 0, 0), 7)
     assert rec.orbit.name == "[4]" and rec.status == "theorem"
@@ -416,7 +416,7 @@ def test_rank3_trusted_cells_reach_orbit_count(ctx, type_str, trusted):
     dims = sorted(o.dimension for o in table.orbits)
     pinned = sorted(table.orbits[j].dimension for j in table.cell_map.values())
     assert pinned == [dims[0], dims[-2], dims[-1]]
-    id_cell = part.cell_index(c.aw.identity)
+    id_cell = part.cell_of.get(c.aw.identity)
     assert table.orbits[table.cell_map[id_cell]].dimension == dims[-1]
     # the zero cell is the deep corner: its weights lie in (p-1)rho + the
     # dominant cone
@@ -456,7 +456,7 @@ def test_subregular_cell_is_cover_of_identity(ctx, type_str, bound):
     for L in range(0, bound + 1, 2):
         for m in range(0, L + 1, 2):
             part = right_cells(c.aw, L, m, c.provider)
-            s0_cell = part.cell_index(c.aw.gens[0])
+            s0_cell = part.cell_of.get(c.aw.gens[0])
             expected = s0_cell if part.trusted[s0_cell] else None
             assert subregular_cover_oracle(c.aw, part) == expected
 
@@ -518,3 +518,26 @@ def test_shi_lowest_cell_is_the_pinned_zero_cell(ctx, type_str, L, m):
     memo = {}
     for i in part.trusted_cells():
         assert {shi_lowest_cell(c.aw, w, memo) for w in part.cells[i]} == {i == zero}
+
+
+@pytest.mark.parametrize("type_str,L,m", [("A3", 16, 4), ("C2", 20, 6), ("G2", 30, 8)])
+def test_least_delta_of_a_cell_bounds_its_a_value(ctx, type_str, L, m):
+    # Delta(z), the lowest exponent of v in the coefficient of H_e in C_z, is
+    # at least a(z) (Lusztig, "Cells in affine Weyl groups II", 1987, P1), and
+    # a is (|Phi| - dim O)/2 on the cell of the orbit O (Lusztig, "Cells in
+    # affine Weyl groups IV", 1989): so the least Delta of a pinned cell is at
+    # least its orbit's a-value.  That the least Deltas of the trusted cells
+    # are the orbits' a-values is only observed, on these inputs.
+    c = ctx(type_str)
+    part, table = _table(c, L, m)
+    nroots = 2 * len(c.datum.positive_roots)
+    a_values = [(nroots - o.dimension) // 2 for o in table.orbits]
+    e = c.aw.identity
+    delta_min = {
+        i: min(min(c.hecke.kl_basis(w).terms[e].c) for w in part.cells[i])
+        for i in part.trusted_cells()
+    }
+    assert table.cell_map
+    for i, j in table.cell_map.items():
+        assert delta_min[i] >= a_values[j]
+    assert sorted(delta_min.values()) == sorted(a_values)

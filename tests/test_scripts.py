@@ -3,6 +3,7 @@ the README names only what the package has, and every library definition has
 a caller outside the tests."""
 
 import ast
+import collections
 import doctest
 import functools
 import importlib
@@ -112,6 +113,27 @@ def test_readme_layout_names_exist():
     names = _layout_names()
     assert len(names) > 50
     assert [n for n in names if n not in commands and not resolves(n)] == []
+
+
+def _aliases(names, scope) -> list[list[str]]:
+    """The groups of two or more of names that bind one class or function of scope."""
+    by_object = collections.defaultdict(list)
+    for name in names:
+        obj = getattr(scope, name)
+        if callable(obj):
+            by_object[id(obj)].append(name)
+    return [group for group in by_object.values() if len(group) > 1]
+
+
+def test_no_class_or_function_has_two_names():
+    # one name per operation: the package's exports, and each module's
+    # top-level names, bind every class and function once
+    found = {"heckecells": _aliases(heckecells.__all__, heckecells)}
+    for info in pkgutil.iter_modules(heckecells.__path__):
+        module = importlib.import_module(f"heckecells.{info.name}")
+        names = [name for name in vars(module) if not re.fullmatch(r"__\w+__", name)]
+        found[module.__name__] = _aliases(names, module)
+    assert {name: groups for name, groups in found.items() if groups} == {}
 
 
 def _definitions(tree: ast.Module):

@@ -5,11 +5,9 @@ import time
 import pytest
 
 from heckecells.affine import AffineWeyl, UnsupportedRegimeError
-from heckecells.hecke import specialize_v1
+from heckecells.hecke import HeckeElt
 from heckecells.rootdata import build_root_datum
 from heckecells.tilting import (
-    GroupAlgebraElt,
-    MZeroElt,
     c_of_module,
     dot_orbit_element,
     fundamental_alcove_weights,
@@ -23,7 +21,7 @@ from heckecells.tilting import (
     weyl_module_character,
 )
 
-from oracles import fusion_rows_oracle, length_oracle, tensor_character
+from oracles import fusion_rows_oracle, length_oracle, specialize_v1, tensor_character
 
 
 def fusion_oracle(c, lam, mu, nu, p, length_cap=36):
@@ -40,9 +38,12 @@ def fusion_oracle(c, lam, mu, nu, p, length_cap=36):
 def test_tilting_class_examples(ctx):
     c = ctx("A1")
     aw = c.aw
-    assert tilting_class(c.provider, aw.identity) == MZeroElt({aw.identity: 1})
+    assert tilting_class(c.provider, aw.identity) == HeckeElt({aw.identity: 1})
     s0 = aw.gens[0]
-    assert tilting_class(c.provider, s0) == MZeroElt({s0: 1, aw.identity: 1})
+    assert tilting_class(c.provider, s0) == HeckeElt({s0: 1, aw.identity: 1})
+    # the canonical element of the antispherical module at v = 1
+    for w in aw.enumerate_fW(6):
+        assert tilting_class(c.provider, w) == HeckeElt(specialize_v1(c.asph.canonical(w)))
 
 
 def test_tilting_class_nonnegative(ctx):
@@ -58,7 +59,7 @@ def test_wall_crossing_examples(ctx):
     ne = tilting_class(c.provider, aw.identity)
     assert not wall_crossing(aw, ne, 1)  # finite wall kills the unit class
     assert wall_crossing(aw, ne, 0) == tilting_class(c.provider, aw.gens[0])
-    assert not wall_crossing(aw, MZeroElt(), 0)
+    assert not wall_crossing(aw, HeckeElt(), 0)
 
 
 def test_wall_crossing_specializes_the_module_action(ctx):
@@ -67,7 +68,7 @@ def test_wall_crossing_specializes_the_module_action(ctx):
     for y in c.aw.enumerate_fW(8):
         for i in range(len(c.aw.gens)):
             prod = c.asph.mul_by_kl_gen(c.asph.canonical(y), i)
-            assert wall_crossing(c.aw, tilting_class(c.provider, y), i) == MZeroElt(
+            assert wall_crossing(c.aw, tilting_class(c.provider, y), i) == HeckeElt(
                 specialize_v1(prod)
             )
 
@@ -77,14 +78,14 @@ def test_c_of_module_examples(ctx):
     aw = c.aw
     p = 5
     trivial = weyl_module_character(c.datum, (0,))
-    assert c_of_module(aw, trivial, p) == GroupAlgebraElt({aw.identity: 1})
+    assert c_of_module(aw, trivial, p) == HeckeElt({aw.identity: 1})
     # module with no weight on the orbit of zero
     off = {(4,): 1, (-4,): 1}
-    assert c_of_module(aw, off, p) == GroupAlgebraElt()
+    assert c_of_module(aw, off, p) == HeckeElt()
     # Weyl module of highest weight 8: weights 0, 8, -2 meet the orbit
     cm = c_of_module(aw, weyl_module_character(c.datum, (8,)), p)
     s_alpha = aw.gens[1]
-    assert cm == GroupAlgebraElt({aw.identity: 1, aw.gens[0]: 1, s_alpha: 1})
+    assert cm == HeckeElt({aw.identity: 1, aw.gens[0]: 1, s_alpha: 1})
 
 
 def test_dot_orbit_element(ctx):
@@ -113,13 +114,13 @@ def test_tensor_translate_examples(ctx):
     trivial = weyl_module_character(c.datum, (0,))
     assert tensor_translate(aw, ne, trivial, p) == ne
     out = tensor_translate(aw, ne, weyl_module_character(c.datum, (8,)), p)
-    assert out == MZeroElt({aw.gens[0]: 1})
+    assert out == HeckeElt({aw.gens[0]: 1})
     # bilinearity in the class
-    x = MZeroElt({aw.gens[0]: 2, aw.identity: 3})
+    x = HeckeElt({aw.gens[0]: 2, aw.identity: 3})
     m = weyl_module_character(c.datum, (2,))
     lhs = tensor_translate(aw, x, m, p)
-    rhs = tensor_translate(aw, MZeroElt({aw.gens[0]: 2}), m, p) + tensor_translate(
-        aw, MZeroElt({aw.identity: 3}), m, p
+    rhs = tensor_translate(aw, HeckeElt({aw.gens[0]: 2}), m, p) + tensor_translate(
+        aw, HeckeElt({aw.identity: 3}), m, p
     )
     assert lhs == rhs
 
@@ -148,12 +149,12 @@ def test_translation_one_step_matches_character_oracle(ctx):
             u = aw.mult(y, aw.inverse(rep)).fin
             s2 = -1 if length_oracle(aw, u, (0,) * d.rank) % 2 else 1
             out[rep] = out.get(rep, 0) + mult * s2
-        return MZeroElt(out)
+        return HeckeElt(out)
 
     for w in aw.enumerate_fW(4):
         for hw in ((2,), (6,), (8,)):
             m = weyl_module_character(d, hw)
-            assert tensor_translate(aw, MZeroElt({w: 1}), m, p) == oracle(w, m)
+            assert tensor_translate(aw, HeckeElt({w: 1}), m, p) == oracle(w, m)
 
 
 def test_iterated_translation_is_action_by_product(ctx):
@@ -167,12 +168,12 @@ def test_iterated_translation_is_action_by_product(ctx):
     m2 = weyl_module_character(c.datum, (2,))
     c1 = c_of_module(aw, m1, p)
     c2 = c_of_module(aw, m2, p)
-    prod = GroupAlgebraElt()
+    prod = HeckeElt()
     for g1, n1 in c1.terms.items():
         for g2, n2 in c2.terms.items():
-            prod = prod + GroupAlgebraElt({aw.mult(g1, g2): n1 * n2})
+            prod = prod + HeckeElt({aw.mult(g1, g2): n1 * n2})
     for w in aw.enumerate_fW(4):
-        x = MZeroElt({w: 1})
+        x = HeckeElt({w: 1})
         assert mzero_act(aw, mzero_act(aw, x, c1), c2) == mzero_act(aw, x, prod)
 
 
@@ -358,4 +359,4 @@ def test_tilting_class_json_round_trip(ctx):
         assert obj["schema"] == 1
         text = json.dumps(obj, sort_keys=True)
         terms = json.loads(text)["terms"]
-        assert MZeroElt({aw.from_word_str(word): n for word, n in terms.items()}) == x
+        assert HeckeElt({aw.from_word_str(word): n for word, n in terms.items()}) == x
