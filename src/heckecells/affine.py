@@ -51,41 +51,40 @@ class UnsupportedRegimeError(ValueError):
     """Raised when a computation is requested outside its valid regime."""
 
 
-class AffineElement:
+class AffineElement(frozenset):
     """Element of the extended affine Weyl group, as (finite part, translation).
 
     Interned: a context holds one object per element and takes its own
-    elements.  Equality and the hash are structural; the hash is on ints
-    (whatever PYTHONHASHSEED), with lam's -1 count as hash(-1) == hash(-2),
-    so an element equals and hashes like its twin in another context; its
-    ``key`` is an int no other element in the process holds, not even one a
-    step from another context's element builds in this context's records.
+    elements.  The frozenset base hashes and compares elements in C, so an
+    element-keyed lookup enters no Python frame and the hash is computed
+    once.  Its one member is the identity (rec.hash, fin.mat, trans, lam's -1
+    count): equal exactly when (fin.mat, trans) is, hashed on ints whatever
+    PYTHONHASHSEED, the -1 count parting hash(-1) == hash(-2); so an element
+    equals and hashes like its twin in another context.  ``len``, iteration
+    and set operators are not part of the element API; ordering raises
+    TypeError.  ``key`` is an int no other element in the process holds, not
+    even one a step from another context's element builds in its records.
     The context caches on it its product with the i-th generator, ``right[i]``,
     its reduced ``word`` and that word's ``text`` (see :meth:`AffineWeyl.to_word`),
     ``fmin`` (is it in fW) and ``rep``, the minimal representative of its
     coset W_f a; ``rec`` is its finite part's record.
     """
 
-    __slots__ = ("fin", "trans", "length", "_hash", "key", "right", "word", "text", "fmin", "rep", "rec")
+    __slots__ = ("fin", "trans", "length", "key", "right", "word", "text", "fmin", "rep", "rec")
+    __hash__ = frozenset.__hash__
 
-    def __init__(self, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int, key: int):
+    def __new__(cls, rec: "_FiniteRecord", trans: Weight, length: int, ngens: int, key: int):
+        self = frozenset.__new__(cls, ((rec.hash, rec.fin.mat, trans, trans.count(-1)),))
         self.rec, self.key = rec, key
-        self.fin = rec.fin
-        self.trans = trans
-        self.length = length
-        self._hash = hash((rec.hash, trans, trans.count(-1)))
+        self.fin, self.trans, self.length = rec.fin, trans, length
         self.right = [None] * ngens
         self.word = self.text = self.fmin = self.rep = None
+        return self
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, AffineElement)
-            and self.fin.mat == other.fin.mat
-            and self.trans == other.trans
-        )
+    def __lt__(self, other):  # the base's subset order is no order of elements
+        return NotImplemented
 
-    def __hash__(self):
-        return self._hash
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self):
         return f"AffineElement(trans={self.trans}, length={self.length})"
@@ -96,7 +95,8 @@ class _FiniteRecord:
 
     ``aw`` is the owning context, and every record an entry links to is
     one of its own.  ``elements`` maps lam to the context's element;
-    ``hash`` is that of w's doubled matrix (hash(-1) == hash(-2)).  Every
+    ``hash``, that of w's doubled matrix (hash(-1) == hash(-2)), is read
+    only by the identity of w's elements (see :class:`AffineElement`).  Every
     other entry is filled on first use: ``flags``, [w(a) < 0] over the
     positive roots, by a length computed from scratch; ``descents[i]``,
     (c, n) with s_i . w t_lam shorter iff <lam, c> < n, by a left descent

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import heckecells
 from heckecells import cli
-from heckecells.affine import AffineWeyl, UnsupportedRegimeError
+from heckecells.affine import AffineElement, AffineWeyl, UnsupportedRegimeError
 from heckecells.cells import right_cells
 from heckecells.hecke import HeckeElt, build_context, coset_project
 from heckecells.laurent import ONE, V, LaurentPoly
@@ -22,6 +22,7 @@ from oracles import (
     bruhat_intervals,
     built_elements,
     coset_project_oracle,
+    counting,
     dot_walk_oracle,
     from_finite,
     from_word,
@@ -110,6 +111,36 @@ def test_elements_are_interned(ctx):
                     assert left_step_matches(aw, i, x)
                 twin = other.from_word_str(word)
                 assert twin == x and hash(twin) == hash(x) and twin is not x
+                with pytest.raises(TypeError):
+                    twin < x
+
+
+def test_element_hashing_and_equality_enter_no_python_frame(monkeypatch):
+    # elements hash and compare in C: a dict keyed by the W ball of C3 finds
+    # each twin of another context without a call into affine.py (one
+    # __hash__ frame per lookup and one __eq__ frame per twin before)
+    aw, other = AffineWeyl(build_root_datum("C3")), AffineWeyl(build_root_datum("C3"))
+    ball = aw.enumerate_W(14)
+    twins = [other.from_word_str(aw.to_word(w)) for w in ball]
+    index = {w: k for k, w in enumerate(ball)}
+    module, entered = os.path.join("heckecells", "affine.py"), []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(module):
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        found = [index.get(t) for t in twins]
+    finally:
+        sys.setprofile(previous)
+    assert len(ball) == 1659 and not any(t is w for t, w in zip(twins, ball))
+    assert found == list(range(len(ball))) and entered == []
+    # the C hash is still counted by a wrapper, so the hash ceilings of the
+    # cells and table tests do not pass vacuously
+    hashes = counting(monkeypatch, AffineElement, "__hash__")
+    assert len({w: k for k, w in enumerate(ball)}) == hashes[0] == len(ball)
 
 
 @pytest.mark.parametrize("type_str,bound,distinct", [("C2", 13, 244), ("B2", 20, 561), ("C3", 14, 1659)])
