@@ -36,7 +36,6 @@ from .orbits import (
     NilpotentOrbit,
     OrbitTable,
     PredictionRecord,
-    UnsupportedTypeError,
     build_orbit_table,
     closure_order,
     enumerate_orbits,

@@ -45,7 +45,7 @@ class CellPartition:
     margin: int
     cells: list[tuple[AffineElement, ...]]  # each in (length, word) order
     trusted: list[bool]
-    cell_of: dict[AffineElement, int]
+    cell_of: dict[AffineElement, int]  # the fW ball to length_bound + 1, in (length, word) order
     reach: list[frozenset[int]]  # cell ids reachable from each cell (incl. itself)
     basis_p: int = 0
     provenance: str = ""
@@ -115,10 +115,10 @@ def right_cells(
     # (length, word) order.  It holds every target (in fW, of length at most
     # bound + 1), and each of its elements is one: of length bound + 1, ys for
     # a source y, the leading term of N_y.(H_s + v) in any unitriangular
-    # basis.  Targets are numbered by key, or, when a table of another
-    # context returns its own elements, by a structural dict built once.
+    # basis.  Targets are numbered by key; only an element of another
+    # context, such as one a table read there returns, has no number.
     nodes = aw.enumerate_fW(bound + 1)
-    num, by_elem = {w.key: k for k, w in enumerate(nodes)}, None
+    num = {w.key: k for k, w in enumerate(nodes)}
     succ: list[list[int]] = [[] for _ in nodes]
     for y, out in zip(nodes, succ):
         if y.length > bound:
@@ -126,8 +126,7 @@ def right_cells(
         for w in itertools.chain.from_iterable(provider.kl_gen_targets(y)):
             k = num.get(w.key)
             if k is None:
-                by_elem = by_elem or dict(zip(nodes, itertools.count()))
-                k = by_elem[w]
+                raise ValueError(f"cell target {aw.to_word(w)} is not an element of this context")
             out.append(k)
     # A cell lists its nodes by number, in (length, word) order, and the cells
     # go by their least number; neither depends on the search's visit order.

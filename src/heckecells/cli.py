@@ -19,13 +19,7 @@ from .affine import UnsupportedRegimeError
 from .cells import export_partition_json, generation_constants, decompose_fW, right_cells
 from .diagram import render_cell_diagram
 from .hecke import BasisTableError, build_context
-from .orbits import (
-    UnsupportedTypeError,
-    build_orbit_table,
-    closure_order,
-    enumerate_orbits,
-    humphreys_predict,
-)
+from .orbits import build_orbit_table, closure_order, enumerate_orbits, humphreys_predict
 from .rootdata import CartanType, build_root_datum
 from .tilting import fusion_rows
 
@@ -147,7 +141,7 @@ def cmd_orbits(args) -> dict:
 
 def cmd_plot(args) -> str:
     if args.type.rank != 2:
-        raise UnsupportedTypeError("alcove diagrams are drawn for rank-2 types only")
+        raise UnsupportedRegimeError("alcove diagrams are drawn for rank-2 types only")
     _, aw, _, _, provider = build_context(args.type, args.basis)
     return render_cell_diagram(aw, right_cells(aw, *_bounds(args), provider), args.p)
 
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
             return EXIT_OK
-        except (UnsupportedRegimeError, UnsupportedTypeError) as e:
+        except UnsupportedRegimeError as e:
             return _fail(EXIT_REGIME, "unsupported", str(e))
         except BasisTableError as e:
             return _fail(EXIT_DATA, "table", str(e))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .affine import AffineWeyl
+from .affine import AffineWeyl, UnsupportedRegimeError
 from .cells import CellPartition
 
 _PALETTE = [
@@ -60,36 +60,33 @@ def _alcove_corners(aw: AffineWeyl, p: int):
 
 
 def render_cell_diagram(aw: AffineWeyl, partition: CellPartition, p: int) -> str:
-    """SVG document of the alcoves of fW up to the partition's length bound.
+    """SVG document of the alcoves of the partition's fW ball, up to its
+    length bound, in the (length, word) order of ``partition.cell_of``.
 
     Alcoves near the origin carry their reduced-word labels; the cutoff is
     chosen so that at least 16 alcoves are labeled when that many exist.
     """
     datum = aw.datum
     if datum.rank != 2:
-        raise ValueError("alcove diagrams are drawn for rank-2 types only")
+        raise UnsupportedRegimeError("alcove diagrams are drawn for rank-2 types only")
     if p < 1:
         raise ValueError(f"alcove diagrams need p >= 1, got p={p}")
     embed = _embedding(datum)
     bound = partition.length_bound
-    elements = aw.enumerate_fW(bound)  # sorted by length
-    label_max = elements[min(15, len(elements) - 1)].length
+    drawn = [(w, cid) for w, cid in partition.cell_of.items() if w.length <= bound]
+    label_max = drawn[min(15, len(drawn) - 1)][0].length
 
     d, corners = _alcove_corners(aw, p)
 
     polys = []
     labels = []
     xs, ys = [], []
-    for w in elements:
+    for w, cid in drawn:
         verts = [embed((x / d, y / d)) for x, y in corners(w)]
         for vx, vy in verts:
             xs.append(vx)
             ys.append(vy)
-        cid = partition.cell_of.get(w)
-        if cid is not None and partition.trusted[cid]:
-            color = _PALETTE[cid % len(_PALETTE)]
-        else:
-            color = _UNTRUSTED
+        color = _PALETTE[cid % len(_PALETTE)] if partition.trusted[cid] else _UNTRUSTED
         polys.append((verts, color))
         if w.length <= label_max:
             bx = sum(v[0] for v in verts) / 3.0

@@ -32,10 +32,6 @@ from .cells import CellPartition
 from .rootdata import solve_exact
 
 
-class UnsupportedTypeError(ValueError):
-    """Raised when a table-driven operation has no data for the type."""
-
-
 @dataclass(frozen=True)
 class NilpotentOrbit:
     bala_carter: tuple[tuple[int, ...], tuple[int, ...]]

@@ -32,8 +32,9 @@ def weyl_module_character(datum, lam) -> WeightMultiset:
 def tilting_class(provider, w: AffineElement) -> HeckeElt:
     """Standard-basis class of the indecomposable tilting object at w . 0.
 
-    With the 0-canonical basis this is exact only in the large-p regime; the
-    provider's p label travels with any serialized output.
+    With the 0-canonical basis this is exact only in the large-p regime; a
+    caller that serializes the class passes ``provider.p`` as the ``basis_p``
+    of :func:`tilting_class_json`.
     """
     return HeckeElt({y: c.at_one() for y, c in provider.asph_canonical(w).terms.items()})
 

@@ -398,31 +398,25 @@ def test_numbered_graph_matches_element_keyed_oracle(ctx, type_str, L, m):
         assert _same_partition(part, right_cells_oracle(c.aw, L, m, provider))
 
 
-def test_cells_under_a_table_of_another_context(ctx, monkeypatch):
+def test_cells_under_a_table_of_another_context_are_an_error(ctx):
     # a table built in another context hands back that context's elements,
-    # which no key of the ball names: the structural dict numbers each one,
-    # by an equality test across the two contexts, and meets the ball's
+    # which no key of the ball numbers: the first such target is named
     c = ctx("C2")
     other = build_context("C2")
     provider = TableBasisProvider(c.hecke, c.asph, table_from_zero_basis(other.hecke, 13))
-    targets = {y.key: provider.kl_gen_targets(y) for y in c.aw.enumerate_fW(12)}
-    found = [w for per_gen in targets.values() for ts in per_gen for w in ts]
-    assert found and all(w.rec.aw is other.aw for w in found)
-    monkeypatch.setattr(provider, "kl_gen_targets", lambda y: targets[y.key])
-    across, method = [0], AffineElement.__eq__
+    first = next(iter(provider.kl_gen_targets(c.aw.identity)[0]))
+    assert first.rec.aw is other.aw and other.aw.to_word(first) == "s0"
+    with pytest.raises(ValueError, match="^cell target s0 is not an element of this context$"):
+        right_cells(c.aw, 12, 4, provider)
 
-    def counted(a, b):
-        across[0] += isinstance(b, AffineElement) and a.rec.aw is not b.rec.aw
-        return method(a, b)
 
-    monkeypatch.setattr(AffineElement, "__eq__", counted)
-    part = right_cells(c.aw, 12, 4, provider)
-    monkeypatch.undo()
-    assert across[0] >= len(found)
-    assert all(w.rec.aw is c.aw for w in part.cell_of)
-    assert len(part.cells) == 10
-    assert _same_partition(part, right_cells_oracle(c.aw, 12, 4, provider))
-    assert _same_partition(part, right_cells(c.aw, 12, 4, c.provider))
+@pytest.mark.parametrize("type_str,L,m", [("C2", 20, 6), ("G2", 24, 8), ("B3", 12, 3)])
+def test_cell_of_lists_the_ball_in_walk_order(ctx, type_str, L, m):
+    # cell_of holds the fW ball to L + 1 in the walk's (length, word) order,
+    # which the diagram draws from without walking the ball again
+    c = ctx(type_str)
+    part = right_cells(c.aw, L, m, c.provider)
+    assert list(part.cell_of) == c.aw.enumerate_fW(L + 1)
 
 
 def test_graph_stage_hashes_each_node_and_source_once(ctx, monkeypatch):

@@ -541,3 +541,20 @@ def test_least_delta_of_a_cell_bounds_its_a_value(ctx, type_str, L, m):
     for i, j in table.cell_map.items():
         assert delta_min[i] >= a_values[j]
     assert sorted(delta_min.values()) == sorted(a_values)
+
+
+@pytest.mark.parametrize("type_str,L,m", [("A2", 16, 4), ("A3", 16, 4), ("C2", 20, 6), ("G2", 30, 8)])
+def test_least_delta_of_a_cell_is_attained_once_by_an_involution(ctx, type_str, L, m):
+    # Lusztig, "Cells in affine Weyl groups II", 1987: a(z) <= Delta(z) (P1),
+    # the z with a(z) = Delta(z) are involutions (P6), and each right cell
+    # holds exactly one of them (P13).  a is constant on a cell, so its least
+    # Delta is attained exactly once, by an involution.  This reads each
+    # trusted cell as a whole right cell of W inside fW: assumed, not checked
+    c = ctx(type_str)
+    part = right_cells(c.aw, L, m, c.provider)
+    e = c.aw.identity
+    for i in part.trusted_cells():
+        delta = {z: min(c.hecke.kl_basis(z).terms[e].c) for z in part.cells[i]}
+        least = min(delta.values())
+        (d,) = [z for z, n in delta.items() if n == least]
+        assert c.aw.inverse(d) is d
